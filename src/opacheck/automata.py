@@ -23,6 +23,14 @@ from .errors import ObserverBlowup, PreconditionViolated
 EPSILON = ""
 
 DEFAULT_OBSERVER_CAP = 2**20
+"""Default bound on the nonempty estimates one search may intern.
+
+Every subset search (the observer, projected inclusion and the notions built
+on it) interns the estimates it reaches and raises :class:`ObserverBlowup`
+rather than intern one more.  Inclusion pairs each estimate with the left
+automaton's states, so it keeps at most cap x (left states) pairs, plus one
+row for the empty estimate.
+"""
 
 Observation = tuple[str, ...]
 Transition = tuple[str, str, str]
@@ -231,42 +239,168 @@ def project_string(a: Automaton, string: Iterable[str]) -> Observation:
     return tuple(e for e in string if a.is_observable(e))
 
 
-def _subset_states(a: Automaton, *, cap: int, complete: bool):
-    """Breadth-first subset construction over unobservable closures.
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of ``mask``, highest first."""
+    out = []
+    while mask:
+        i = mask.bit_length() - 1
+        out.append(i)
+        mask ^= 1 << i
+    return out
 
-    Returns ``(subsets, transition table on indices, initial index)``.  With
-    ``complete=True`` the empty estimate is materialized as an ordinary subset
-    and acts as the rejecting sink, making the transition table total;
-    otherwise empty successors are skipped and only nonempty reachable
-    estimates exist.
+
+# Id of the empty estimate.  It is never interned, so it does not count against
+# the cap, and every event maps it to itself.
+_EMPTY = -1
+
+
+class _EstimateKernel:
+    """Subset construction of one automaton, with estimates as int bitmasks.
+
+    Built once per automaton and search.  States are indexed in declaration
+    order (bit ``i`` of a mask stands for ``states[i]``).  Each state's
+    unobservable closure is precomputed, and so is, per observable event, a
+    row whose entry ``i`` is the closure of the event's successors of state
+    ``i``; the post-image of an estimate is the union of its members' rows.
+    The members of the last mask whose post-image was taken are kept, since
+    searches take the post-images of one mask under every event in turn.
+
+    Estimates reached by a search are interned on demand as small int ids, in
+    discovery order, and their successors are memoized.  At most ``cap``
+    nonempty estimates are interned; one more raises :class:`ObserverBlowup`.
+    Masks, indices and ids handed to the methods are trusted: validation
+    belongs to the public entry points.
     """
-    events = a.observable_events
-    start = unobservable_reach(a, a.initial)
-    if not start and not complete:
-        return [], {}, None
-    subsets: list[frozenset[str]] = [start]
-    index: dict[frozenset[str], int] = {start: 0}
-    trans: dict[tuple[int, str], int] = {}
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        for e in events:
-            y = unobservable_reach(a, a.move(subsets[i], e))
-            if not y and not complete:
-                continue
-            j = index.get(y)
-            if j is None:
-                if len(subsets) >= cap:
-                    raise ObserverBlowup(cap)
-                j = len(subsets)
-                index[y] = j
-                subsets.append(y)
+
+    def __init__(self, a: Automaton, cap: int = DEFAULT_OBSERVER_CAP):
+        self.automaton = a
+        self.index = {s: i for i, s in enumerate(a.states)}
+        self.events = a.observable_events
+        self.event_index = {e: k for k, e in enumerate(self.events)}
+        self.closure = self._closures()
+        self.rows = [[0] * len(a.states) for _ in self.events]
+        for (p, e, q) in a.transitions:
+            k = self.event_index.get(e)
+            if k is not None:
+                self.rows[k][self.index[p]] |= self.closure[self.index[q]]
+        self.cap = cap
+        self.masks: list[int] = []
+        self._ids: dict[int, int] = {}
+        self._next: dict[int, int] = {}  # id * len(events) + k -> successor id
+        self._members_of, self._members = 0, []
+
+    def _closures(self) -> list[int]:
+        a, index = self.automaton, self.index
+        adjacency = {
+            index[p]: [index[q] for q in qs] for p, qs in a._unobservable_edges.items()
+        }
+        closure = [1 << i for i in range(len(a.states))]
+        done = [i not in adjacency for i in range(len(a.states))]
+        for root in adjacency:
+            mask, seen, todo = closure[root], {root}, [root]
+            while todo:
+                for q in adjacency.get(todo.pop(), ()):
+                    if done[q]:
+                        mask |= closure[q]
+                    elif q not in seen:
+                        seen.add(q)
+                        mask |= closure[q]
+                        todo.append(q)
+            closure[root] = mask
+            done[root] = True
+        return closure
+
+    @cached_property
+    def targets(self) -> list[list[tuple[int, ...]]]:
+        """Per state and event index: the indices of the closed successors."""
+        return [
+            [tuple(_bits(row[i])) for row in self.rows] for i in range(len(self.index))
+        ]
+
+    def mask(self, states: Iterable[str]) -> int:
+        out = 0
+        for s in states:
+            out |= 1 << self.index[s]
+        return out
+
+    def states(self, mask: int) -> tuple[str, ...]:
+        return tuple(self.automaton.states[i] for i in reversed(_bits(mask)))
+
+    def close(self, mask: int) -> int:
+        out = 0
+        for i in _bits(mask):
+            out |= self.closure[i]
+        return out
+
+    def post(self, mask: int, k: int) -> int:
+        if mask != self._members_of:
+            self._members_of, self._members = mask, _bits(mask)
+        row, out = self.rows[k], 0
+        for i in self._members:
+            out |= row[i]
+        return out
+
+    def intern(self, mask: int) -> int:
+        if not mask:
+            return _EMPTY
+        i = self._ids.get(mask)
+        if i is None:
+            i = len(self.masks)
+            if i >= self.cap:
+                raise ObserverBlowup(self.cap)
+            self._ids[mask] = i
+            self.masks.append(mask)
+        return i
+
+    def start(self) -> int:
+        """Id of the initial estimate."""
+        return self.intern(self.close(self.mask(self.automaton.initial)))
+
+    def step(self, i: int, k: int) -> int:
+        """Id of the estimate that event index ``k`` leads to from estimate ``i``."""
+        if i == _EMPTY:
+            return i
+        slot = i * len(self.events) + k
+        j = self._next.get(slot)
+        if j is None:
+            j = self._next[slot] = self.intern(self.post(self.masks[i], k))
+        return j
+
+    def search(self, start: int, is_goal) -> Optional[Observation]:
+        """Breadth-first walk over the nonempty estimates reachable from ``start``.
+
+        Events are tried in declaration order and ``is_goal`` is tested on
+        each estimate's mask when it is discovered, so the first hit is reached
+        by the shortest, then lexicographically least, observation, which is
+        returned.  None means no reachable estimate is a goal; every one of
+        them has then been interned.
+        """
+        if start == _EMPTY:
+            return None
+        if is_goal(self.masks[start]):
+            return ()
+        width = len(self.events)
+        parent = {start: -1}  # id -> slot (parent id * width + event index) it was found by
+        queue = deque([start])
+        while queue:
+            i = queue.popleft()
+            mask = self.masks[i]
+            for k in range(width):
+                j = self.intern(self.post(mask, k))
+                if j == _EMPTY or j in parent:
+                    continue
+                parent[j] = i * width + k
+                if is_goal(self.masks[j]):
+                    path: list[str] = []
+                    while parent[j] >= 0:
+                        j, k = divmod(parent[j], width)
+                        path.append(self.events[k])
+                    return tuple(reversed(path))
                 queue.append(j)
-            trans[(i, e)] = j
-    return subsets, trans, 0
+        return None
 
 
-def subset_name(x: frozenset[str]) -> str:
+def subset_name(x: Iterable[str]) -> str:
     return "{" + ",".join(sorted(x)) + "}"
 
 
@@ -286,13 +420,24 @@ def observer(
     """
     marking = frozenset(a.marked if marking is None else marking)
     _require(marking <= set(a.states), "observer: marking must be declared states")
-    subsets, trans, init = _subset_states(a, cap=cap, complete=False)
-    names = [subset_name(x) for x in subsets]
-    alphabet = tuple(Event(e) for e in a.observable_events)
-    transitions = {(names[i], e, names[j]) for ((i, e), j) in trans.items()}
-    initial = {names[init]} if init is not None else frozenset()
-    marked = {names[i] for i, x in enumerate(subsets) if x & marking}
-    return Automaton(tuple(names), alphabet, transitions, initial, marked)
+    kernel = _EstimateKernel(a, cap)
+    kernel.search(kernel.start(), lambda mask: False)
+    names = [subset_name(kernel.states(x)) for x in kernel.masks]
+    marked_mask = kernel.mask(marking)
+    events = kernel.events
+    transitions = {
+        (names[i], e, names[j])
+        for i in range(len(names))
+        for k, e in enumerate(events)
+        if (j := kernel.step(i, k)) != _EMPTY
+    }
+    return Automaton(
+        tuple(names),
+        tuple(Event(e) for e in events),
+        transitions,
+        names[:1],
+        {names[i] for i, x in enumerate(kernel.masks) if x & marked_mask},
+    )
 
 
 def _unique_pair_names(pairs: Sequence[tuple[str, str]]) -> dict[tuple[str, str], str]:
@@ -429,66 +574,64 @@ def realize_observation(
     return run
 
 
-def _lex_shortest_to_goal(starts, events, step, is_goal) -> Observation | None:
-    """Minimal-length, then lexicographically minimal observation whose frontier
-    meets the goal.
+def _lex_least_label(start, events, extend) -> Observation | None:
+    """Minimal-length, then lexicographically minimal, event string that leads
+    from the ``start`` group to a goal node.
 
-    The frontier after an observation is the set of every node reachable from
-    the start set along it, and the goal test is satisfied by any frontier
-    member.  A plain node-BFS would return the right length but may break the
-    lexicographic tie among same-length observations when several frontier
-    nodes share a prefix, so the walk is reconstructed afterwards: backward
-    layers record from which nodes the goal is reachable in exactly k steps,
-    and a greedy pass picks the smallest viable event at each position.
+    A group is the set of nodes first reached by one string, its label.
+    ``extend(group, e)`` returns the nodes that ``e`` leads to from the group
+    and that no earlier group reached, as a new group or None when there are
+    none, and whether one of them is a goal; it keeps the record of reached
+    nodes itself.  The start group must hold no goal.
+
+    The search is breadth-first, and a layer lists its groups in increasing
+    label order, each extended by every event in order.  Every node on a
+    shortest walk sits at its own shortest depth, so a group's label is the
+    least shortest label of each of its nodes, the next layer is again sorted,
+    and the first extension that reaches a goal carries the answer.  The
+    search stops there.
     """
+    parents: list[tuple[int, object]] = []  # group -> (parent group, event); -1 is the start
+    layer = [(-1, start)]
+    while layer:
+        next_layer = []
+        for group, nodes in layer:
+            for e in events:
+                fresh, hit = extend(nodes, e)
+                if hit:
+                    label = [e]
+                    while group >= 0:
+                        group, e = parents[group]
+                        label.append(e)
+                    return tuple(reversed(label))
+                if fresh is not None:
+                    parents.append((group, e))
+                    next_layer.append((len(parents) - 1, fresh))
+        layer = next_layer
+    return None
+
+
+def _lex_shortest_to_goal(starts, events, step, is_goal) -> Observation | None:
+    """:func:`_lex_least_label` over explicit nodes: minimal-length, then
+    lexicographically minimal, string along which some walk from ``starts``
+    reaches a node satisfying ``is_goal``; ``step(node, e)`` lists successors."""
     starts = list(dict.fromkeys(starts))
     if any(is_goal(p) for p in starts):
         return ()
-    dist = {p: 0 for p in starts}
-    queue = deque(starts)
-    adjacency: dict = {}
-    goal_dist = None
-    while queue:
-        p = queue.popleft()
-        if goal_dist is not None and dist[p] >= goal_dist:
-            continue
-        successors = {}
-        for e in events:
-            targets = tuple(step(p, e))
-            successors[e] = targets
-            for q in targets:
-                if q not in dist:
-                    dist[q] = dist[p] + 1
-                    if goal_dist is None and is_goal(q):
-                        goal_dist = dist[q]
-                    queue.append(q)
-        adjacency[p] = successors
-    if goal_dist is None:
-        return None
+    seen = set(starts)
 
-    layers = [{p for p in dist if is_goal(p) and dist[p] <= goal_dist}]
-    for k in range(1, goal_dist + 1):
-        previous = layers[-1]
-        layers.append(
-            {
-                p
-                for p, successors in adjacency.items()
-                if dist[p] <= goal_dist - k
-                and any(q in previous for targets in successors.values() for q in targets)
-            }
-        )
-    frontier = set(starts)
-    observation: list[str] = []
-    for k in range(goal_dist, 0, -1):
-        for e in events:
-            advanced = {q for p in frontier for q in adjacency[p][e]}
-            if advanced & layers[k - 1]:
-                observation.append(e)
-                frontier = advanced
-                break
-        else:
-            raise AssertionError("witness reconstruction lost the goal frontier")
-    return tuple(observation)
+    def extend(nodes, e):
+        fresh = []
+        for p in nodes:
+            for q in step(p, e):
+                if q not in seen:
+                    seen.add(q)
+                    fresh.append(q)
+                    if is_goal(q):
+                        return fresh, True
+        return fresh or None, False
+
+    return _lex_least_label(starts, events, extend)
 
 
 def _check_language_args(a1: Automaton, m1: frozenset[str], a2: Automaton, m2: frozenset[str]):
@@ -498,6 +641,53 @@ def _check_language_args(a1: Automaton, m1: frozenset[str], a2: Automaton, m2: f
         set(a1.observable_events) == set(a2.observable_events),
         "both automata must share one observable alphabet",
     )
+
+
+def _least_difference(
+    left: _EstimateKernel,
+    left_start: int,
+    m1: int,
+    right: _EstimateKernel,
+    right_start: int,
+    m2: int,
+) -> Optional[Observation]:
+    """Shortest, then least, observation in ``P(L(left, m1)) - P(L(right, m2))``.
+
+    ``left_start`` is the closed initial mask of the left automaton and
+    ``right_start`` the id of the right one's initial estimate; ``m1`` and
+    ``m2`` are marking masks.  The nodes are pairs of a left state and a
+    right estimate, and the nodes first reached by one observation share its
+    right estimate, so a group is a left-state mask with one estimate id.
+    Right estimates are interned as the search reaches them, which bounds the
+    pairs kept by the cap times the left states.  None means the inclusion
+    holds.
+    """
+    right_event = [right.event_index[e] for e in left.events]
+    masks = right.masks
+    reached: dict[int, int] = {}  # estimate id -> left states paired with it so far
+
+    def refutes(states: int, s: int) -> bool:
+        return bool(states & m1) and (s == _EMPTY or not masks[s] & m2)
+
+    def extend(group: tuple[int, int], k: int):
+        states, s = group
+        states = left.post(states, k)
+        if not states:
+            return None, False
+        t = right.step(s, right_event[k])
+        fresh = states & ~reached.get(t, 0)
+        if not fresh:
+            return None, False
+        reached[t] = reached.get(t, 0) | fresh
+        return (fresh, t), refutes(fresh, t)
+
+    if not left_start:
+        return None
+    if refutes(left_start, right_start):
+        return ()
+    reached[right_start] = left_start
+    obs = _lex_least_label((left_start, right_start), range(len(left.events)), extend)
+    return None if obs is None else tuple(left.events[k] for k in obs)
 
 
 def inclusion_modulo_projection(
@@ -510,29 +700,26 @@ def inclusion_modulo_projection(
 ) -> Verdict:
     """Decide ``P(L_m(a1, m1)) subseteq P(L_m(a2, m2))``.
 
-    The right side is determinized (complete, with the empty estimate as
-    rejecting sink) and paired against the left automaton; a reachable pair
-    (state in ``m1``, estimate missing ``m2``) refutes the inclusion.  On
-    failure the witness carries the shortest observation in the difference
+    Left states are paired with the estimates of ``a2`` (the empty estimate
+    is the rejecting sink); a reachable pair (state in ``m1``, estimate
+    missing ``m2``) refutes the inclusion.  Estimates of ``a2`` are built on
+    the fly, only as far as the search reaches, and at most ``cap`` of them.
+    On failure the witness carries the shortest observation in the difference
     (ties broken by a1's alphabet declaration order) and a string of ``a1``
     realizing it.
     """
     m1, m2 = frozenset(m1), frozenset(m2)
     _check_language_args(a1, m1, a2, m2)
-    events = a1.observable_events
-    subsets, trans, init = _subset_states(a2, cap=cap, complete=True)
-
-    def step(node, e):
-        x, i = node
-        j = trans[(i, e)]
-        return [(x2, j) for x2 in sorted(unobservable_reach(a1, a1.move((x,), e)))]
-
-    def is_goal(node) -> bool:
-        x, i = node
-        return x in m1 and not (subsets[i] & m2)
-
-    starts = [(x, init) for x in sorted(unobservable_reach(a1, a1.initial))]
-    obs = _lex_shortest_to_goal(starts, events, step, is_goal)
+    left = _EstimateKernel(a1, cap)
+    right = left if a2 is a1 else _EstimateKernel(a2, cap)
+    obs = _least_difference(
+        left,
+        left.close(left.mask(a1.initial)),
+        left.mask(m1),
+        right,
+        right.start(),
+        right.mask(m2),
+    )
     if obs is None:
         return Verdict(True)
     return Verdict(False, Witness(obs, realize_observation(a1, m1, obs)))
@@ -549,24 +736,30 @@ def intersection_nonempty_modulo_projection(
     """
     m1, m2 = frozenset(m1), frozenset(m2)
     _check_language_args(a1, m1, a2, m2)
-    events = a1.observable_events
+    left = _EstimateKernel(a1)
+    right = left if a2 is a1 else _EstimateKernel(a2)
+    n2 = len(right.index)
+    left_targets, right_targets = left.targets, right.targets
+    right_event = [right.event_index[e] for e in left.events]
+    marked1 = [s in m1 for s in a1.states]
+    marked2 = [s in m2 for s in a2.states]
 
-    def step(node, e):
-        x, y = node
-        xs = sorted(unobservable_reach(a1, a1.move((x,), e)))
-        ys = sorted(unobservable_reach(a2, a2.move((y,), e)))
-        return [(x2, y2) for x2 in xs for y2 in ys]
+    def step(node: int, k: int):
+        x, y = divmod(node, n2)
+        ys = right_targets[y][right_event[k]]
+        return [x2 * n2 + y2 for x2 in left_targets[x][k] for y2 in ys]
 
-    def is_goal(node) -> bool:
-        x, y = node
-        return x in m1 and y in m2
+    def is_goal(node: int) -> bool:
+        x, y = divmod(node, n2)
+        return marked1[x] and marked2[y]
 
     starts = [
-        (x, y)
-        for x in sorted(unobservable_reach(a1, a1.initial))
-        for y in sorted(unobservable_reach(a2, a2.initial))
+        x * n2 + y
+        for x in _bits(left.close(left.mask(a1.initial)))
+        for y in _bits(right.close(right.mask(a2.initial)))
     ]
-    obs = _lex_shortest_to_goal(starts, events, step, is_goal)
+    obs = _lex_shortest_to_goal(starts, range(len(left.events)), step, is_goal)
     if obs is None:
         return Verdict(False)
+    obs = tuple(left.events[k] for k in obs)
     return Verdict(True, Witness(obs, realize_observation(a1, m1, obs)))

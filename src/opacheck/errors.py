@@ -6,10 +6,16 @@ class OpacheckError(Exception):
 
 
 class ObserverBlowup(OpacheckError):
-    """The subset construction exceeded the configured cap on reachable estimates."""
+    """A subset search reached more estimates than its cap allows.
+
+    The cap counts the nonempty estimates a search interns, whichever search
+    it is (observer, projected inclusion, ISO, IFSO, LBO), so a search that
+    answers keeps at most cap estimates, and inclusion at most cap times the
+    left automaton's states in pairs (plus those with the empty estimate).
+    """
 
     def __init__(self, cap: int):
-        super().__init__(f"observer construction exceeded the cap of {cap} subsets")
+        super().__init__(f"subset search exceeded the cap of {cap} estimates")
         self.cap = cap
 
 

@@ -180,18 +180,23 @@ def load_json_file(path: str) -> dict:
     return data
 
 
+def _is_int(value: Any) -> bool:
+    # JSON true/false parse to bool, which is a subclass of int.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def dag_from_dict(d: dict) -> Dag:
     _check_keys(d, {"vertices", "edges", "s", "t"}, "DAG")
-    if not isinstance(d["vertices"], int):
+    if not _is_int(d["vertices"]):
         raise ParseError("vertices must be an integer count")
     if not isinstance(d["edges"], list):
         raise ParseError("edges must be an array")
     edges = []
     for e in d["edges"]:
-        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(x, int) for x in e)):
+        if not (isinstance(e, list) and len(e) == 2 and all(_is_int(x) for x in e)):
             raise ParseError("each edge must be an [int, int] pair")
         edges.append((e[0], e[1]))
-    if not isinstance(d["s"], int) or not isinstance(d["t"], int):
+    if not _is_int(d["s"]) or not _is_int(d["t"]):
         raise ParseError("s and t must be vertex indices")
     try:
         return Dag(d["vertices"], frozenset(edges), d["s"], d["t"])
@@ -201,11 +206,14 @@ def dag_from_dict(d: dict) -> Dag:
 
 def parse_dimacs(text: str) -> CnfFormula:
     """Parse DIMACS CNF: a ``p cnf <vars> <clauses>`` header, comment lines
-    starting with ``c``, and zero-terminated clauses (which may span lines)."""
+    starting with ``c``, and zero-terminated clauses (which may span lines).
+    A line starting with ``%`` ends the formula, as in the SATLIB files."""
     header: tuple[int, int] | None = None
     tokens: list[str] = []
     for line in text.splitlines():
         line = line.strip()
+        if line.startswith("%"):
+            break
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):

@@ -22,9 +22,10 @@ from .automata import (
     intersection_nonempty_modulo_projection,
     realize_observation,
     topological_order,
-    unobservable_reach,
+    _EstimateKernel,
+    _least_difference,
 )
-from .errors import ObserverBlowup, PreconditionViolated
+from .errors import PreconditionViolated
 
 CSO_ALGORITHMS = ("auto", "observer", "inclusion", "unary-acyclic", "unary-po")
 
@@ -152,39 +153,12 @@ def verify_cso_observer(inst: CsoInstance, *, cap: int = DEFAULT_OBSERVER_CAP) -
     alphabet declaration order) reaching a violating estimate.
     """
     a = inst.automaton
-    events = a.observable_events
-
-    def violating(x: frozenset[str]) -> bool:
-        return bool(x & inst.secret) and not (x & inst.nonsecret)
-
-    def refute(obs: tuple[str, ...]) -> Verdict:
-        return Verdict(False, Witness(obs, realize_observation(a, inst.secret, obs)))
-
-    start = unobservable_reach(a, a.initial)
-    if not start:
+    kernel = _EstimateKernel(a, cap)
+    secret, nonsecret = kernel.mask(inst.secret), kernel.mask(inst.nonsecret)
+    obs = kernel.search(kernel.start(), lambda x: x & secret and not x & nonsecret)
+    if obs is None:
         return Verdict(True)
-    if violating(start):
-        return refute(())
-    pred: dict[frozenset[str], tuple[frozenset[str], str] | None] = {start: None}
-    queue = deque([start])
-    while queue:
-        x = queue.popleft()
-        for e in events:
-            y = unobservable_reach(a, a.move(x, e))
-            if not y or y in pred:
-                continue
-            if len(pred) >= cap:
-                raise ObserverBlowup(cap)
-            pred[y] = (x, e)
-            if violating(y):
-                obs: list[str] = []
-                node = y
-                while pred[node] is not None:
-                    node, e2 = pred[node]  # type: ignore[misc]
-                    obs.append(e2)
-                return refute(tuple(reversed(obs)))
-            queue.append(y)
-    return Verdict(True)
+    return Verdict(False, Witness(obs, realize_observation(a, inst.secret, obs)))
 
 
 def verify_cso_inclusion(inst: CsoInstance, *, cap: int = DEFAULT_OBSERVER_CAP) -> Verdict:
@@ -393,14 +367,19 @@ def verify_iso(inst: IsoInstance, *, cap: int = DEFAULT_OBSERVER_CAP) -> Verdict
     so every state counts as marked.
     """
     a = inst.automaton
-    all_states = frozenset(a.states)
-    restarted_nonsecret = a.with_initial(inst.nonsecret_initial)
+    # One kernel serves both sides, and the non-secret estimates it interns
+    # are shared by every secret initial state.
+    kernel = _EstimateKernel(a, cap)
+    everything = kernel.mask(a.states)
+    nonsecret_start = kernel.intern(kernel.close(kernel.mask(inst.nonsecret_initial)))
     for i in sorted(inst.secret_initial):
-        verdict = inclusion_modulo_projection(
-            a.with_initial({i}), all_states, restarted_nonsecret, all_states, cap=cap
+        obs = _least_difference(
+            kernel, kernel.close(kernel.mask((i,))), everything,
+            kernel, nonsecret_start, everything,
         )
-        if not verdict.holds:
-            return verdict
+        if obs is not None:
+            run = realize_observation(a.with_initial({i}), a.states, obs)
+            return Verdict(False, Witness(obs, run))
     return Verdict(True)
 
 

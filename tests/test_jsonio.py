@@ -143,6 +143,18 @@ class TestDagFormat:
         with pytest.raises(ParseError):
             dag_from_dict({"vertices": 1, "edges": [], "s": 0, "t": 0, "weight": 3})
 
+    @pytest.mark.parametrize(
+        "d",
+        [
+            {"vertices": True, "edges": [], "s": False, "t": 0},
+            {"vertices": 2, "edges": [[0, True]], "s": 0, "t": 1},
+            {"vertices": 2, "edges": [], "s": 0, "t": True},
+        ],
+    )
+    def test_booleans_rejected_as_integers(self, d):
+        with pytest.raises(ParseError):
+            dag_from_dict(d)
+
 
 class TestDimacs:
     def test_basic(self):
@@ -164,6 +176,10 @@ class TestDimacs:
     def test_missing_header_rejected(self):
         with pytest.raises(ParseError):
             parse_dimacs("1 2 0\n")
+
+    def test_satlib_end_marker_stops_parsing(self):
+        formula = parse_dimacs("p cnf 2 1\n1 -2 0\n%\n0\n")
+        assert formula == CnfFormula(2, (frozenset({1, -2}),))
 
     def test_unterminated_clause_rejected(self):
         with pytest.raises(ParseError):

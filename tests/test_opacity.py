@@ -1,5 +1,7 @@
 """Verifier tests: the five notions, fast paths, and cross-notion properties."""
 
+import random
+
 import pytest
 
 from opacheck import (
@@ -197,6 +199,36 @@ class TestDispatch:
             verify_cso(inst, "observer", cap=1)
         with pytest.raises(ObserverBlowup):
             verify_cso(inst, "inclusion", cap=1)
+
+    def test_observer_and_inclusion_finish_under_the_same_cap(self):
+        # Satisfiable random 3-CNF gadgets, 8 variables and 20 clauses (189
+        # states).  Under a cap of 200 estimates the observer answers some of
+        # them; inclusion must answer exactly those, with the same verdict,
+        # rather than determinize its whole right side and hit the cap.
+        from opacheck import ObserverBlowup
+        from opacheck.oracles import brute_sat
+
+        def outcome(inst, algorithm):
+            try:
+                return verify_cso(inst, algorithm, cap=200)
+            except ObserverBlowup:
+                return "cap hit"
+
+        rng = random.Random(1)
+        answered = 0
+        for _ in range(40):
+            clauses = tuple(
+                frozenset(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 9), 3))
+                for _ in range(20)
+            )
+            formula = CnfFormula(8, clauses)
+            assert brute_sat(formula) is not None
+            inst = gen_cnf_cso(formula)
+            assert len(inst.automaton.states) == 189
+            observer = outcome(inst, "observer")
+            assert outcome(inst, "inclusion") == observer
+            answered += observer != "cap hit"
+        assert answered == 4
 
 
 class TestLbo:

@@ -1,0 +1,153 @@
+"""Property tests of the estimate searches against the independent oracles.
+
+Inputs come from ``helpers.rand_automaton`` seeded by Hypothesis, over two
+observable events and one unobservable event; an explicit unobservable cycle
+may be added so that closures over cycles are always exercised.  Minimality
+of witnesses is checked by enumerating observations with the membership-only
+``oracles.observation_feasible``.
+"""
+
+import itertools
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from opacheck import (
+    Automaton,
+    CsoInstance,
+    IsoInstance,
+    ObserverBlowup,
+    Verdict,
+    inclusion_modulo_projection,
+    intersection_nonempty_modulo_projection,
+    verify_cso,
+    verify_iso,
+)
+from opacheck.oracles import enum_cso_acyclic, enum_languages_projected, observation_feasible
+
+from helpers import ALPHABET_2OBS_1UO, rand_automaton
+
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def with_unobservable_cycle(rng, a: Automaton) -> Automaton:
+    """``a`` plus a cycle of unobservable ``u`` transitions through up to three states."""
+    cycle = rng.sample(a.states, min(len(a.states), rng.randint(1, 3)))
+    extra = {(p, "u", q) for p, q in zip(cycle, cycle[1:] + cycle[:1])}
+    return Automaton(a.states, a.alphabet, a.transitions | extra, a.initial, a.marked)
+
+
+@st.composite
+def automata(draw, structure="any"):
+    rng = draw(st.randoms(use_true_random=False))
+    a = rand_automaton(rng, ALPHABET_2OBS_1UO, max_states=6, structure=structure)
+    if structure == "any" and draw(st.booleans()):
+        a = with_unobservable_cycle(rng, a)
+    return a
+
+
+@st.composite
+def cso_instances(draw, structure="any"):
+    a = draw(automata(structure))
+    states = st.frozensets(st.sampled_from(a.states))
+    return CsoInstance(a, draw(states), draw(states))
+
+
+def observations(a: Automaton, max_length: int):
+    """Every observation up to ``max_length``, shortest first, then in declaration order."""
+    for length in range(max_length + 1):
+        yield from itertools.product(a.observable_events, repeat=length)
+
+
+def first_difference(a1, m1, a2, m2, max_length):
+    """Least observation of ``P(L(a1, m1)) - P(L(a2, m2))`` up to ``max_length``, by enumeration."""
+    for obs in observations(a1, max_length):
+        if observation_feasible(a1, m1, obs) and not observation_feasible(a2, m2, obs):
+            return obs
+    return None
+
+
+def cso_outcome(inst, algorithm, cap):
+    try:
+        return verify_cso(inst, algorithm, cap=cap)
+    except ObserverBlowup:
+        return "cap hit"
+
+
+@PROPERTY_SETTINGS
+@given(cso_instances(), st.integers(min_value=1, max_value=8))
+def test_observer_and_inclusion_agree_including_the_cap(inst, cap):
+    assert cso_outcome(inst, "observer", cap) == cso_outcome(inst, "inclusion", cap)
+    assert verify_cso(inst, "observer") == verify_cso(inst, "inclusion")
+
+
+@PROPERTY_SETTINGS
+@given(cso_instances())
+def test_cso_witness_replays_and_is_least(inst):
+    a = inst.automaton
+    verdict = verify_cso(inst, "observer")
+    if verdict.holds:
+        assert first_difference(a, inst.secret, a, inst.nonsecret, 3) is None
+        return
+    obs = verdict.witness.observation
+    assert observation_feasible(a, inst.secret, obs)
+    assert not observation_feasible(a, inst.nonsecret, obs)
+    assert first_difference(a, inst.secret, a, inst.nonsecret, len(obs)) == obs
+
+
+@PROPERTY_SETTINGS
+@given(cso_instances(structure="acyclic"))
+def test_cso_matches_enumeration_on_acyclic_inputs(inst):
+    reference = enum_cso_acyclic(inst)
+    assert verify_cso(inst, "observer") == reference
+    assert verify_cso(inst, "inclusion") == reference
+
+
+@PROPERTY_SETTINGS
+@given(automata(), automata())
+def test_inclusion_witness_replays_and_is_least(a1, a2):
+    verdict = inclusion_modulo_projection(a1, a1.marked, a2, a2.marked)
+    if verdict.holds:
+        assert first_difference(a1, a1.marked, a2, a2.marked, 3) is None
+        return
+    obs = verdict.witness.observation
+    assert observation_feasible(a1, a1.marked, obs)
+    assert not observation_feasible(a2, a2.marked, obs)
+    assert first_difference(a1, a1.marked, a2, a2.marked, len(obs)) == obs
+
+
+@PROPERTY_SETTINGS
+@given(automata(structure="acyclic"), automata(structure="acyclic"))
+def test_inclusion_and_intersection_match_enumeration_on_acyclic_inputs(a1, a2):
+    left = enum_languages_projected(a1, a1.marked)
+    right = enum_languages_projected(a2, a2.marked)
+
+    def least(observations_):
+        rank = {e: k for k, e in enumerate(a1.observable_events)}
+        return min(observations_, key=lambda obs: (len(obs), [rank[e] for e in obs]))
+
+    included = inclusion_modulo_projection(a1, a1.marked, a2, a2.marked)
+    assert included.holds == (left <= right)
+    if not included.holds:
+        assert included.witness.observation == least(left - right)
+    common = intersection_nonempty_modulo_projection(a1, a1.marked, a2, a2.marked)
+    assert common.holds == bool(left & right)
+    if common.holds:
+        assert common.witness.observation == least(left & right)
+
+
+@PROPERTY_SETTINGS
+@given(automata(), st.data())
+def test_iso_equals_one_inclusion_per_secret_initial_state(a, data):
+    initials = sorted(a.initial)
+    secret = data.draw(st.frozensets(st.sampled_from(initials)))
+    nonsecret = data.draw(st.frozensets(st.sampled_from(initials)))
+    expected = None
+    for i in sorted(secret):
+        verdict = inclusion_modulo_projection(
+            a.with_initial({i}), a.states, a.with_initial(nonsecret), a.states
+        )
+        if not verdict.holds:
+            expected = verdict
+            break
+    assert verify_iso(IsoInstance(a, secret, nonsecret)) == (expected or Verdict(True))
