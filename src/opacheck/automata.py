@@ -2,8 +2,10 @@
 
 The alphabet of an automaton is partitioned into observable and unobservable
 events; the intruder sees a string only through the projection that erases the
-unobservable ones.  Everything downstream (projection, observer construction,
-product, inclusion checking) is expressed over this single data model.
+unobservable ones.  Every search over projected behaviour (the observer's
+estimates, projected inclusion and projected intersection) runs on one
+bitmask estimate kernel built over this single data model; none of them
+materializes a projected, determinized or product automaton.
 
 All values are immutable after construction and every operation is a pure
 function of its inputs, so values can be shared freely across threads.
@@ -17,10 +19,6 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import ObserverBlowup, PreconditionViolated
-
-# Internal label for transitions whose event was erased by projection.  Event
-# names must be non-empty, so this can never clash with a declared event.
-EPSILON = ""
 
 DEFAULT_OBSERVER_CAP = 2**20
 """Default bound on the nonempty estimates one search may intern.
@@ -56,9 +54,8 @@ class Automaton:
     """A nondeterministic finite automaton with a partitioned alphabet.
 
     ``states`` keeps declaration order; ``alphabet`` order is semantically
-    meaningful because witness ties are broken by it.  Transitions may carry
-    the internal :data:`EPSILON` label (produced by :func:`project`); declared
-    events must be referenced by name.
+    meaningful because witness ties are broken by it.  Transitions must
+    reference declared events by name.
     """
 
     states: tuple[str, ...]
@@ -88,7 +85,7 @@ class Automaton:
         for (p, e, q) in self.transitions:
             if p not in declared or q not in declared:
                 raise ValueError(f"transition ({p!r}, {e!r}, {q!r}) uses an undeclared state")
-            if e != EPSILON and e not in events:
+            if e not in events:
                 raise ValueError(f"transition ({p!r}, {e!r}, {q!r}) uses an undeclared event")
         for s in self.initial | self.marked:
             if s not in declared:
@@ -118,9 +115,28 @@ class Automaton:
                 adj.setdefault(p, set()).add(q)
         return {p: tuple(sorted(qs)) for p, qs in adj.items()}
 
+    @cached_property
+    def _loop_free_order(self) -> Optional[list[str]]:
+        """The states in a topological order of the transitions that are not
+        self-loops, or None when those have a cycle (not partially ordered)."""
+        return topological_order(
+            self.states, {(p, q) for (p, _, q) in self.transitions if p != q}
+        )
+
+    @cached_property
+    def _structure(self) -> StructureReport:
+        po = self._loop_free_order is not None
+        # A cycle is a self-loop or a cycle of the self-loop-free transitions.
+        acyclic = po and all(p != q for (p, _, q) in self.transitions)
+        deterministic = len(self.initial) == 1 and all(
+            len(targets) <= 1 for targets in self._delta.values()
+        )
+        observable = len(self.observable_events)
+        return StructureReport(
+            deterministic, acyclic, po, observable, len(self.alphabet) - observable
+        )
+
     def is_observable(self, event: str) -> bool:
-        if event == EPSILON:
-            return False
         return self.events_by_name[event].observable
 
     def successors(self, state: str, event: str) -> tuple[str, ...]:
@@ -192,22 +208,14 @@ def classify(a: Automaton) -> StructureReport:
 
     Self-loops count as cycles for acyclicity but are permitted in partially
     ordered automata (every nontrivial strongly connected component breaks the
-    partial order).
+    partial order).  The report is computed once per automaton and cached on
+    it, so routing, fast-path preconditions and output share one report.
     """
-    edges = {(p, q) for (p, _, q) in a.transitions}
-    acyclic = topological_order(a.states, edges) is not None
-    po = topological_order(a.states, {(p, q) for (p, q) in edges if p != q}) is not None
-    deterministic = (
-        len(a.initial) == 1
-        and all(e != EPSILON for (_, e, _) in a.transitions)
-        and all(len(targets) <= 1 for targets in a._delta.values())
-    )
-    observable = sum(1 for e in a.alphabet if e.observable)
-    return StructureReport(deterministic, acyclic, po, observable, len(a.alphabet) - observable)
+    return a._structure
 
 
 def unobservable_reach(a: Automaton, states: Iterable[str]) -> frozenset[str]:
-    """Least superset of ``states`` closed under unobservable (and erased) transitions."""
+    """Least superset of ``states`` closed under unobservable transitions."""
     seen = set(states)
     _require(seen <= set(a.states), "unobservable_reach: states must be declared")
     todo = list(seen)
@@ -218,20 +226,6 @@ def unobservable_reach(a: Automaton, states: Iterable[str]) -> frozenset[str]:
                 seen.add(q)
                 todo.append(q)
     return frozenset(seen)
-
-
-def project(a: Automaton) -> Automaton:
-    """Erase unobservable events: relabel their transitions with the internal marker.
-
-    The result is an automaton over the observable alphabet whose generated and
-    marked languages are the projections of the originals.  State identity is
-    preserved so witnesses remain replayable.
-    """
-    alphabet = tuple(e for e in a.alphabet if e.observable)
-    transitions = {
-        (p, e if a.is_observable(e) else EPSILON, q) for (p, e, q) in a.transitions
-    }
-    return Automaton(a.states, alphabet, transitions, a.initial, a.marked)
 
 
 def project_string(a: Automaton, string: Iterable[str]) -> Observation:
@@ -398,112 +392,6 @@ class _EstimateKernel:
                     return tuple(reversed(path))
                 queue.append(j)
         return None
-
-
-def subset_name(x: Iterable[str]) -> str:
-    return "{" + ",".join(sorted(x)) + "}"
-
-
-def observer(
-    a: Automaton,
-    marking: Iterable[str] | None = None,
-    *,
-    cap: int = DEFAULT_OBSERVER_CAP,
-) -> Automaton:
-    """Subset-construction determinization of ``project(a)``.
-
-    States are the intruder's estimates, starting from the unobservable reach
-    of the initial set; an estimate is marked when it meets ``marking``
-    (default: the marked states of ``a``).  Only reachable estimates are
-    materialized; exceeding ``cap`` raises :class:`ObserverBlowup` rather than
-    truncating silently.
-    """
-    marking = frozenset(a.marked if marking is None else marking)
-    _require(marking <= set(a.states), "observer: marking must be declared states")
-    kernel = _EstimateKernel(a, cap)
-    kernel.search(kernel.start(), lambda mask: False)
-    names = [subset_name(kernel.states(x)) for x in kernel.masks]
-    marked_mask = kernel.mask(marking)
-    events = kernel.events
-    transitions = {
-        (names[i], e, names[j])
-        for i in range(len(names))
-        for k, e in enumerate(events)
-        if (j := kernel.step(i, k)) != _EMPTY
-    }
-    return Automaton(
-        tuple(names),
-        tuple(Event(e) for e in events),
-        transitions,
-        names[:1],
-        {names[i] for i, x in enumerate(kernel.masks) if x & marked_mask},
-    )
-
-
-def _unique_pair_names(pairs: Sequence[tuple[str, str]]) -> dict[tuple[str, str], str]:
-    names: dict[tuple[str, str], str] = {}
-    used: set[str] = set()
-    for pair in pairs:
-        base = f"({pair[0]},{pair[1]})"
-        name, k = base, 2
-        while name in used:
-            name = f"{base}#{k}"
-            k += 1
-        used.add(name)
-        names[pair] = name
-    return names
-
-
-def _check_projected(a: Automaton, role: str) -> None:
-    _require(
-        all(e.observable for e in a.alphabet),
-        f"product: {role} must be a projected automaton (observable alphabet only)",
-    )
-
-
-def product(a1: Automaton, a2: Automaton) -> Automaton:
-    """Synchronous product of two projected automata over the same observable alphabet.
-
-    Observable events move both factors in lockstep while erased transitions
-    of either factor interleave asynchronously; a pair state is marked iff both
-    components are marked, so the marked language is the intersection of the
-    two projected languages.  Only reachable pairs are materialized.
-    """
-    _check_projected(a1, "first input")
-    _check_projected(a2, "second input")
-    _require(
-        set(a1.observable_events) == set(a2.observable_events),
-        "product: inputs must share one observable alphabet",
-    )
-    events = a1.observable_events
-    start_pairs = [(x, y) for x in sorted(a1.initial) for y in sorted(a2.initial)]
-    seen: dict[tuple[str, str], None] = dict.fromkeys(start_pairs)
-    queue = deque(start_pairs)
-    edges: list[tuple[tuple[str, str], str, tuple[str, str]]] = []
-    while queue:
-        x, y = queue.popleft()
-        successors: list[tuple[str, tuple[str, str]]] = []
-        for e in events:
-            for x2 in a1.successors(x, e):
-                for y2 in a2.successors(y, e):
-                    successors.append((e, (x2, y2)))
-        for x2 in a1.successors(x, EPSILON):
-            successors.append((EPSILON, (x2, y)))
-        for y2 in a2.successors(y, EPSILON):
-            successors.append((EPSILON, (x, y2)))
-        for e, pair in successors:
-            edges.append(((x, y), e, pair))
-            if pair not in seen:
-                seen[pair] = None
-                queue.append(pair)
-    name = _unique_pair_names(list(seen))
-    return Automaton(
-        tuple(name[p] for p in seen),
-        tuple(Event(e) for e in events),
-        {(name[s], e, name[t]) for (s, e, t) in edges},
-        {name[p] for p in start_pairs},
-        {name[(x, y)] for (x, y) in seen if x in a1.marked and y in a2.marked},
-    )
 
 
 def trim(a: Automaton) -> Automaton:

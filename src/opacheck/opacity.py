@@ -1,16 +1,18 @@
 """Decision procedures for the five opacity notions.
 
 Current-state opacity comes in two general algorithms (observer traversal and
-language inclusion, which always agree) plus two structural fast paths for
-systems with a single observable event: one for acyclic automata and one for
-partially ordered automata, both working on sets of observation lengths.
+language inclusion, which always agree), both searches on the estimate kernel
+of :mod:`opacheck.automata`, plus one structural fast path for systems with a
+single observable event whose only cycles are self-loops (partially ordered
+automata), working on sets of observation lengths.  ``unary-acyclic`` is the
+same fast path restricted to acyclic automata.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .automata import (
     DEFAULT_OBSERVER_CAP,
@@ -21,7 +23,6 @@ from .automata import (
     inclusion_modulo_projection,
     intersection_nonempty_modulo_projection,
     realize_observation,
-    topological_order,
     _EstimateKernel,
     _least_difference,
 )
@@ -177,20 +178,21 @@ def _sole_observable_event(a: Automaton) -> Optional[str]:
     return events[0] if len(events) == 1 else None
 
 
-def _run_lengths(
-    a: Automaton, transitions: Iterable[tuple[str, str, str]]
-) -> dict[str, set[int]]:
-    """Observable-edge counts of runs from the initial set, per end state.
+def _run_lengths(a: Automaton, target_sets: Sequence[frozenset[str]]) -> list[set[int]]:
+    """Observable-edge counts of self-loop-free runs from the initial set into
+    each target set.
 
-    The given transition subset must be acyclic; states are processed in
-    topological order so each state's length set is complete before use.
+    The self-loop-free transitions of a partially ordered automaton are
+    acyclic; states are processed in their topological order, which the
+    automaton computes once and shares with :func:`classify`, so each state's
+    length set is complete before use.
     """
-    transitions = list(transitions)
-    order = topological_order(a.states, [(p, q) for (p, _, q) in transitions])
-    assert order is not None, "length computation requires an acyclic edge set"
+    order = a._loop_free_order
+    assert order is not None, "length computation requires a partially ordered automaton"
     outgoing: dict[str, list[tuple[int, str]]] = {}
-    for (p, e, q) in transitions:
-        outgoing.setdefault(p, []).append((1 if a.is_observable(e) else 0, q))
+    for (p, e, q) in a.transitions:
+        if p != q:
+            outgoing.setdefault(p, []).append((1 if a.is_observable(e) else 0, q))
     lengths: dict[str, set[int]] = {s: set() for s in a.states}
     for i in a.initial:
         lengths[i].add(0)
@@ -199,37 +201,22 @@ def _run_lengths(
             continue
         for (w, q) in outgoing.get(p, ()):
             lengths[q].update(d + w for d in lengths[p])
-    return lengths
-
-
-def _target_lengths(lengths: dict[str, set[int]], targets: frozenset[str]) -> set[int]:
-    out: set[int] = set()
-    for t in targets:
-        out |= lengths[t]
-    return out
+    return [set().union(*(lengths[t] for t in targets)) for targets in target_sets]
 
 
 def verify_cso_unary_acyclic(inst: CsoInstance) -> Verdict:
     """Fast path for acyclic automata with a single observable event.
 
-    Computes the observation lengths reaching the secret and the non-secret
-    sets by dynamic programming over the acyclic graph; opaque iff the former
-    is contained in the latter.  The witness repeats the observable event for
-    the smallest uncovered length.
+    The acyclic restriction of :func:`verify_cso_unary_po`: every acyclic
+    automaton is partially ordered, its length sets have no ray, and the
+    dynamic programming over the acyclic graph decides the inclusion.
     """
     a = inst.automaton
-    event = _sole_observable_event(a)
-    if event is None or not classify(a).acyclic:
+    if _sole_observable_event(a) is None or not classify(a).acyclic:
         raise PreconditionViolated(
             "unary-acyclic requires an acyclic automaton with exactly one observable event"
         )
-    lengths = _run_lengths(a, a.transitions)
-    secret_lengths = _target_lengths(lengths, inst.secret)
-    nonsecret_lengths = _target_lengths(lengths, inst.nonsecret)
-    if secret_lengths <= nonsecret_lengths:
-        return Verdict(True)
-    obs = (event,) * min(secret_lengths - nonsecret_lengths)
-    return Verdict(False, Witness(obs, realize_observation(a, inst.secret, obs)))
+    return verify_cso_unary_po(inst)
 
 
 def _min_observable_distances(
@@ -257,25 +244,36 @@ def _min_observable_distances(
     return dist
 
 
-def observation_length_set(a: Automaton, targets: Iterable[str]) -> LengthSet:
-    """Observation lengths of runs into ``targets`` for a unary partially ordered automaton.
+def _length_sets(a: Automaton, target_sets: Sequence[frozenset[str]]) -> list[LengthSet]:
+    """Observation lengths of runs into each target set of a unary partially ordered automaton.
 
-    The finite part collects runs that use no observable self-loop (dynamic
-    programming over the self-loop-free residue, which is acyclic; unobservable
-    self-loops contribute nothing).  A single ray starts at the cheapest way to
-    route through any observable self-loop, since that loop can be pumped.
+    The finite parts collect runs that use no observable self-loop (one
+    dynamic programming pass over the self-loop-free residue, which is
+    acyclic; unobservable self-loops contribute nothing).  A single ray starts
+    at the cheapest way to route through any observable self-loop, since that
+    loop can be pumped; the distance searches run only when such a loop exists.
     """
-    targets = frozenset(targets)
-    loop_free = [(p, e, q) for (p, e, q) in a.transitions if p != q]
-    finite = _target_lengths(_run_lengths(a, loop_free), targets)
-    from_initial = _min_observable_distances(a, a.initial, reverse=False)
-    to_target = _min_observable_distances(a, targets, reverse=True)
-    ray: Optional[int] = None
-    for (p, e, q) in a.transitions:
-        if p == q and a.is_observable(e) and p in from_initial and p in to_target:
-            candidate = from_initial[p] + to_target[p]
-            ray = candidate if ray is None else min(ray, candidate)
-    return LengthSet(frozenset(finite), ray)
+    finite = _run_lengths(a, target_sets)
+    loops = {p for (p, e, q) in a.transitions if p == q and a.is_observable(e)}
+    if loops:
+        from_initial = _min_observable_distances(a, a.initial, reverse=False)
+    out = []
+    for targets, lengths in zip(target_sets, finite):
+        ray: Optional[int] = None
+        if loops:
+            to_target = _min_observable_distances(a, targets, reverse=True)
+            ray = min(
+                (from_initial[p] + to_target[p] for p in loops
+                 if p in from_initial and p in to_target),
+                default=None,
+            )
+        out.append(LengthSet(frozenset(lengths), ray))
+    return out
+
+
+def observation_length_set(a: Automaton, targets: Iterable[str]) -> LengthSet:
+    """Observation lengths of runs into ``targets`` for a unary partially ordered automaton."""
+    return _length_sets(a, [frozenset(targets)])[0]
 
 
 def verify_cso_unary_po(inst: CsoInstance) -> Verdict:
@@ -292,8 +290,7 @@ def verify_cso_unary_po(inst: CsoInstance) -> Verdict:
         raise PreconditionViolated(
             "unary-po requires a partially ordered automaton with exactly one observable event"
         )
-    secret_set = observation_length_set(a, inst.secret)
-    nonsecret_set = observation_length_set(a, inst.nonsecret)
+    secret_set, nonsecret_set = _length_sets(a, (inst.secret, inst.nonsecret))
     k = secret_set.min_uncovered(nonsecret_set)
     if k is None:
         return Verdict(True)
@@ -302,7 +299,13 @@ def verify_cso_unary_po(inst: CsoInstance) -> Verdict:
 
 
 def select_cso_algorithm(inst: CsoInstance) -> str:
-    """Routing used by ``verify_cso(..., "auto")``: unary-acyclic, unary-po, observer."""
+    """Routing used by ``verify_cso(..., "auto")``.
+
+    With one observable event, ``unary-acyclic`` for an acyclic automaton and
+    ``unary-po`` for any other partially ordered one (both run the same
+    length-set fast path); ``observer`` otherwise.  The routing reads the
+    automaton's one cached :func:`classify` report.
+    """
     a = inst.automaton
     if _sole_observable_event(a) is not None:
         report = classify(a)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .automata import EPSILON, Automaton, Observation, Verdict, Witness
+from .automata import Automaton, Observation, Verdict, Witness
 from .errors import PreconditionViolated, TooLarge
 from .gadgets import CnfFormula, Dag
 from .opacity import CsoInstance
@@ -66,7 +66,7 @@ def dag_reachable(g: Dag) -> bool:
 
 
 def _is_unobservable(a: Automaton, event: str) -> bool:
-    return event == EPSILON or not a.events_by_name[event].observable
+    return not a.events_by_name[event].observable
 
 
 def _assert_acyclic(a: Automaton) -> None:

@@ -2,22 +2,27 @@
 
 import pytest
 
+import opacheck
 from opacheck import (
     Automaton,
+    CsoInstance,
+    Dag,
     Event,
     ObserverBlowup,
     PreconditionViolated,
     classify,
+    gen_dag_cso_unary,
     inclusion_modulo_projection,
     intersection_nonempty_modulo_projection,
-    observer,
-    product,
-    project,
     project_string,
     realize_observation,
     trim,
     unobservable_reach,
+    verify_cso,
+    verify_cso_observer,
 )
+from opacheck import automata
+from opacheck.automata import _EMPTY, _EstimateKernel
 from opacheck.oracles import enum_languages_projected, observation_feasible
 
 from helpers import ALPHABET_2OBS_1UO, make_rng, rand_automaton
@@ -29,6 +34,27 @@ def aut(states, alphabet, transitions, initial, marked=()):
 
 AB = (Event("a"), Event("b"))
 A_UO = (Event("a", observable=False),)
+
+
+def explored(a, cap=opacheck.DEFAULT_OBSERVER_CAP):
+    """An estimate kernel of ``a`` that has interned every reachable estimate."""
+    kernel = _EstimateKernel(a, cap)
+    kernel.search(kernel.start(), lambda mask: False)
+    return kernel
+
+
+def estimates(a):
+    kernel = explored(a)
+    return {kernel.states(x) for x in kernel.masks}
+
+
+class TestPublicSurface:
+    def test_exports_resolve_and_materializing_constructions_are_gone(self):
+        assert [name for name in opacheck.__all__ if not hasattr(opacheck, name)] == []
+        for name in ("observer", "product", "project", "subset_name", "EPSILON"):
+            assert name not in opacheck.__all__
+            assert not hasattr(opacheck, name)
+            assert not hasattr(automata, name)
 
 
 class TestValidation:
@@ -49,8 +75,10 @@ class TestValidation:
             aut(["p"], AB, [("p", "a", "q")], ["p"])
 
     def test_undeclared_transition_event_rejected(self):
-        with pytest.raises(ValueError):
-            aut(["p"], AB, [("p", "c", "p")], ["p"])
+        # "" names no event: it is rejected, not read as an erased transition
+        for event in ("c", ""):
+            with pytest.raises(ValueError):
+                aut(["p"], AB, [("p", event, "p")], ["p"])
 
     def test_initial_outside_states_rejected(self):
         with pytest.raises(ValueError):
@@ -83,17 +111,20 @@ class TestUnobservableReach:
 
 class TestProject:
     def test_fully_observable_keeps_structure(self):
+        # with every event observable, projection is the identity on strings
         a = aut(["p", "q"], AB, [("p", "a", "q"), ("q", "b", "p")], ["p"], ["q"])
-        p = project(a)
-        assert p.transitions == a.transitions
-        assert p.alphabet == a.alphabet
+        for string in [(), ("a",), ("a", "b"), ("a", "b", "a"), ("b", "b")]:
+            assert project_string(a, string) == string
+        assert a.observable_events == ("a", "b")
 
     def test_unobservable_transition_is_erased(self):
         alphabet = (Event("a"), Event("b", observable=False))
-        a = aut(["t", "t2"], alphabet, [("t", "b", "t2")], ["t"])
-        p = project(a)
-        assert ("t", "", "t2") in p.transitions
-        assert [e.name for e in p.alphabet] == ["a"]
+        a = aut(["t", "t2"], alphabet, [("t", "b", "t2")], ["t"], ["t2"])
+        assert a.observable_events == ("a",)
+        assert project_string(a, ("b",)) == ()
+        # the erased step is taken by the empty observation
+        assert observation_feasible(a, {"t2"}, ())
+        assert estimates(a) == {("t", "t2")}
 
     def test_projected_membership_drops_unobservable(self):
         # string a.b.a with b unobservable looks like "aa"
@@ -121,6 +152,7 @@ class TestProject:
 
 class TestObserver:
     def test_deterministic_fully_observable_is_isomorphic(self):
+        # every estimate is a singleton and every step follows one transition
         a = aut(
             ["p", "q", "r"],
             AB,
@@ -128,11 +160,16 @@ class TestObserver:
             ["p"],
             ["r"],
         )
-        obs = observer(a, a.marked)
-        rename = {s: "{" + s + "}" for s in a.states}
-        assert set(obs.states) == set(rename.values())
-        assert obs.transitions == {(rename[p], e, rename[q]) for (p, e, q) in a.transitions}
-        assert obs.marked == {rename["r"]}
+        kernel = explored(a)
+        names = [kernel.states(x) for x in kernel.masks]
+        assert names == [("p",), ("q",), ("r",)]
+        steps = {
+            (names[i], e, names[j])
+            for i in range(len(names))
+            for k, e in enumerate(kernel.events)
+            if (j := kernel.step(i, k)) != _EMPTY
+        }
+        assert steps == {((p,), e, (q,)) for (p, e, q) in a.transitions}
 
     def test_estimate_after_nondeterministic_step(self):
         a = aut(
@@ -141,9 +178,14 @@ class TestObserver:
             [("p", "x", "q"), ("p", "x", "r")],
             ["p"],
         )
-        obs = observer(a, set())
-        assert "{q,r}" in obs.states
-        assert ("{p}", "x", "{q,r}") in obs.transitions
+        kernel = _EstimateKernel(a)
+        start = kernel.start()
+        assert kernel.states(kernel.masks[start]) == ("p",)
+        assert kernel.states(kernel.masks[kernel.step(start, 0)]) == ("q", "r")
+        # after x the intruder cannot tell q from r, but it can tell q from p
+        assert verify_cso_observer(CsoInstance(a, {"q"}, {"r"})).holds
+        v = verify_cso_observer(CsoInstance(a, {"q"}, {"p"}))
+        assert not v.holds and v.witness.observation == ("x",)
 
     def test_unobservable_chain_matches_multi_initial(self):
         # chaining initial states with an unobservable event leaves the
@@ -158,13 +200,16 @@ class TestObserver:
             ["q1"],
         )
         assert unobservable_reach(chained, chained.initial) == multi.initial
-        assert set(observer(multi, set()).states) == set(observer(chained, set()).states)
+        assert estimates(multi) == estimates(chained) == {("q1", "q2")}
 
     def test_cap_exceeded_raises(self):
         rng = make_rng("observer-cap")
         a = rand_automaton(rng, ALPHABET_2OBS_1UO, max_states=7)
+        assert len(explored(a).masks) > 1
+        # with no secret state nothing is violated, so the search interns
+        # every reachable estimate and must stop at the second one
         with pytest.raises(ObserverBlowup) as err:
-            observer(a, a.marked, cap=1)
+            verify_cso_observer(CsoInstance(a, frozenset(), frozenset()), cap=1)
         assert err.value.cap == 1
 
     def test_estimates_are_sound_and_complete(self):
@@ -187,18 +232,18 @@ class TestObserver:
 
 
 class TestProduct:
+    """The product search of :func:`intersection_nonempty_modulo_projection`."""
+
     def test_empty_language_factor_gives_empty_intersection(self):
-        a1 = project(aut(["p"], AB, [("p", "a", "p")], ["p"], ["p"]))
-        a2 = project(aut(["q"], AB, [("q", "a", "q")], ["q"], []))
-        prod = product(a1, a2)
-        assert prod.marked == frozenset()
+        a1 = aut(["p"], AB, [("p", "a", "p")], ["p"], ["p"])
+        a2 = aut(["q"], AB, [("q", "a", "q")], ["q"], [])
+        assert not intersection_nonempty_modulo_projection(a1, a1.marked, a2, a2.marked).holds
 
     def test_idempotent_on_same_automaton(self):
-        a = project(
-            aut(["p", "q", "r"], AB, [("p", "a", "q"), ("q", "b", "r")], ["p"], ["q", "r"])
-        )
-        prod = product(a, a)
-        assert enum_languages_projected_safe(prod) == enum_languages_projected_safe(a)
+        a = aut(["p", "q", "r"], AB, [("p", "a", "q"), ("q", "b", "r")], ["p"], ["q", "r"])
+        assert enum_languages_projected(a, a.marked) == {("a",), ("a", "b")}
+        v = intersection_nonempty_modulo_projection(a, a.marked, a, a.marked)
+        assert v.holds and v.witness.observation == ("a",)
 
     def test_marked_pair_reachable_iff_target_reachable(self):
         alphabet = (Event("a"), Event("b", observable=False))
@@ -208,28 +253,31 @@ class TestProduct:
             transitions={("s", "a", "m"), ("m", "a", "t"), ("t", "b", "t'")},
             initial={"s"},
         )
-        secret = project(Automaton(**base, marked={"t"}))
-        nonsecret = project(Automaton(**base, marked={"t'"}))
-        prod = product(secret, nonsecret)
-        assert prod.marked  # reachable target: some pair marked
         v = intersection_nonempty_modulo_projection(
             Automaton(**base, marked={"t"}), {"t"}, Automaton(**base, marked={"t'"}), {"t'"}
         )
         assert v.holds and v.witness.observation == ("a", "a")
+        # "m" is reached by "a" only, "t'" by "aa" only: no common observation
+        v = intersection_nonempty_modulo_projection(
+            Automaton(**base, marked={"m"}), {"m"}, Automaton(**base, marked={"t'"}), {"t'"}
+        )
+        assert not v.holds
 
     def test_language_is_intersection_on_acyclic_inputs(self):
         rng = make_rng("product-language")
         for _ in range(40):
             a1 = rand_automaton(rng, ALPHABET_2OBS_1UO, max_states=5, structure="acyclic")
             a2 = rand_automaton(rng, ALPHABET_2OBS_1UO, max_states=5, structure="acyclic")
-            prod = product(project(a1), project(a2))
-            left = enum_languages_projected(a1, a1.marked)
-            right = enum_languages_projected(a2, a2.marked)
-            assert enum_languages_projected(prod, prod.marked) == (left & right)
-
-
-def enum_languages_projected_safe(a):
-    return enum_languages_projected(a, a.marked)
+            v = intersection_nonempty_modulo_projection(a1, a1.marked, a2, a2.marked)
+            common = enum_languages_projected(a1, a1.marked) & enum_languages_projected(
+                a2, a2.marked
+            )
+            assert v.holds == bool(common)
+            if common:
+                rank = {e: k for k, e in enumerate(a1.observable_events)}
+                least = min(common, key=lambda w: (len(w), [rank[e] for e in w]))
+                assert v.witness.observation == least
+                assert project_string(a1, v.witness.secret_run) == least
 
 
 class TestInclusion:
@@ -306,6 +354,13 @@ class TestClassify:
                 assert report.partially_ordered
             if report.deterministic:
                 assert len(a.initial) == 1
+
+    def test_report_computed_once_per_automaton(self):
+        inst = gen_dag_cso_unary(Dag(3, frozenset({(0, 1), (1, 2)}), 0, 2))
+        report = classify(inst.automaton)
+        assert classify(inst.automaton) is report
+        verify_cso(inst)  # routes on, and checks the fast path's precondition with, the report
+        assert classify(inst.automaton) is report
 
     def test_event_counts(self):
         a = aut(["p"], ALPHABET_2OBS_1UO, [], ["p"])

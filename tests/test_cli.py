@@ -2,7 +2,15 @@
 
 import json
 
-from opacheck import CnfFormula, Dag, gen_cnf_cso, gen_dag_weak_lbo
+from opacheck import (
+    Automaton,
+    CnfFormula,
+    CsoInstance,
+    Dag,
+    Event,
+    gen_cnf_cso,
+    gen_dag_weak_lbo,
+)
 from opacheck.cli import main
 from opacheck.jsonio import dumps, instance_to_dict
 
@@ -93,6 +101,11 @@ class TestVerify:
     def test_inapplicable_forced_algorithm_exits_two(self, tmp_path):
         path = write_instance(tmp_path, "inst.json", gen_cnf_cso(TWO_CLAUSE))
         assert main(["verify", "--notion", "cso", "--algorithm", "unary-po", path]) == 2
+        # a self-loop is partially ordered but not acyclic
+        loop = Automaton(("p",), (Event("a"),), {("p", "a", "p")}, {"p"})
+        path = write_instance(tmp_path, "loop.json", CsoInstance(loop, {"p"}, frozenset()))
+        assert main(["verify", "--notion", "cso", "--algorithm", "unary-acyclic", path]) == 2
+        assert main(["verify", "--notion", "cso", "--algorithm", "unary-po", path]) == 1
 
     def test_tiny_observer_cap_fails_loudly(self, tmp_path, capsys):
         path = write_instance(tmp_path, "inst.json", gen_cnf_cso(TWO_CLAUSE))
