@@ -1,4 +1,8 @@
-"""Opacity verification for partially observed discrete-event systems."""
+"""Opacity verification for partially observed discrete-event systems.
+
+The generators and transformations of :mod:`opacheck.gadgets` are imported on
+first access, so verifying an instance does not load them.
+"""
 
 from .automata import (
     DEFAULT_OBSERVER_CAP,
@@ -25,20 +29,6 @@ from .errors import (
     PreconditionViolated,
     TooLarge,
 )
-from .gadgets import (
-    CnfFormula,
-    Dag,
-    IsoReduction,
-    PoDeterminization,
-    UnionUniversalityCso,
-    cso_to_lbo,
-    gen_cnf_cso,
-    gen_dag_cso_unary,
-    gen_dag_weak_lbo,
-    gen_union_universality_cso,
-    lbo_to_iso,
-    po_determinize,
-)
 from .opacity import (
     CSO_ALGORITHMS,
     CsoInstance,
@@ -60,6 +50,32 @@ from .opacity import (
 )
 
 __version__ = "0.1.0"
+
+_GADGET_NAMES = frozenset({
+    "CnfFormula",
+    "Dag",
+    "IsoReduction",
+    "PoDeterminization",
+    "UnionUniversalityCso",
+    "cso_to_lbo",
+    "gen_cnf_cso",
+    "gen_dag_cso_unary",
+    "gen_dag_weak_lbo",
+    "gen_union_universality_cso",
+    "lbo_to_iso",
+    "po_determinize",
+})
+
+
+def __getattr__(name: str):
+    if name not in _GADGET_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import gadgets
+
+    value = getattr(gadgets, name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "Automaton",

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Hashable, Iterable, Optional, Sequence
 
 from .errors import ObserverBlowup, PreconditionViolated
 
@@ -183,11 +183,11 @@ class Verdict:
 
 
 def topological_order(
-    nodes: Sequence[str], edges: Iterable[tuple[str, str]]
-) -> Optional[list[str]]:
+    nodes: Sequence[Hashable], edges: Iterable[tuple[Hashable, Hashable]]
+) -> Optional[list]:
     """Kahn's algorithm; returns None when the edge relation has a cycle."""
     indegree = {n: 0 for n in nodes}
-    out: dict[str, list[str]] = {n: [] for n in nodes}
+    out: dict = {n: [] for n in nodes}
     for (u, v) in set(edges):
         out[u].append(v)
         indegree[v] += 1

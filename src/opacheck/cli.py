@@ -11,7 +11,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 
-from . import gadgets, jsonio, oracles
+from . import jsonio
 from .automata import DEFAULT_OBSERVER_CAP, Automaton, Verdict, classify
 from .errors import OpacheckError
 from .opacity import (
@@ -156,27 +156,37 @@ def _emit(payload: dict) -> int:
 
 
 def _cmd_gen_cnf(args) -> int:
+    from . import gadgets
+
     formula = jsonio.parse_dimacs(_read_text(args.file))
     return _emit(jsonio.instance_to_dict(gadgets.gen_cnf_cso(formula)))
 
 
 def _cmd_gen_dag_weak_lbo(args) -> int:
+    from . import gadgets
+
     dag = jsonio.dag_from_dict(jsonio.load_json_file(args.file))
     return _emit(jsonio.instance_to_dict(gadgets.gen_dag_weak_lbo(dag)))
 
 
 def _cmd_gen_dag_unary_cso(args) -> int:
+    from . import gadgets
+
     dag = jsonio.dag_from_dict(jsonio.load_json_file(args.file))
     return _emit(jsonio.instance_to_dict(gadgets.gen_dag_cso_unary(dag)))
 
 
 def _cmd_gen_union(args) -> int:
+    from . import gadgets
+
     components = [jsonio.automaton_from_dict(jsonio.load_json_file(p)) for p in args.files]
     result = gadgets.gen_union_universality_cso(components)
     return _emit(jsonio.instance_to_dict(result.instance, metadata=result.metadata()))
 
 
 def _cmd_gen_po_det(args) -> int:
+    from . import gadgets
+
     data = jsonio.load_json_file(args.file)
     if "secret" in data:
         instance = jsonio.instance_from_dict(data, "cso")
@@ -191,11 +201,15 @@ def _cmd_gen_po_det(args) -> int:
 
 
 def _cmd_gen_cso2lbo(args) -> int:
+    from . import gadgets
+
     instance = jsonio.instance_from_dict(jsonio.load_json_file(args.file), "cso")
     return _emit(jsonio.instance_to_dict(gadgets.cso_to_lbo(instance)))
 
 
 def _cmd_gen_lbo2iso(args) -> int:
+    from . import gadgets
+
     instance = jsonio.instance_from_dict(jsonio.load_json_file(args.file), "lbo")
     result = gadgets.lbo_to_iso(instance)
     return _emit(jsonio.instance_to_dict(result.instance, metadata=result.metadata()))
@@ -231,6 +245,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_oracle_sat(args) -> int:
+    from . import oracles
+
     formula = jsonio.parse_dimacs(_read_text(args.file))
     assignment = oracles.brute_sat(formula)
     if assignment is None:
@@ -242,6 +258,8 @@ def _cmd_oracle_sat(args) -> int:
 
 
 def _cmd_oracle_dag_reach(args) -> int:
+    from . import oracles
+
     dag = jsonio.dag_from_dict(jsonio.load_json_file(args.file))
     reachable = oracles.dag_reachable(dag)
     print("reachable" if reachable else "unreachable")
@@ -249,6 +267,8 @@ def _cmd_oracle_dag_reach(args) -> int:
 
 
 def _cmd_oracle_enum_cso(args) -> int:
+    from . import oracles
+
     instance = jsonio.instance_from_dict(jsonio.load_json_file(args.file), "cso")
     verdict = oracles.enum_cso_acyclic(instance)
     print(f"{NOTION_TITLES['cso']}: {'holds' if verdict.holds else 'violated'}")

@@ -7,16 +7,16 @@ cross-checkable benchmarks.  The transformations move instances between
 opacity notions while preserving the verdict exactly.
 
 Fresh names introduced by a construction start from a reserved base ("a", "@",
-"x'", ...) and get a numeric suffix until collision-free; every choice is
-recorded in the returned metadata so outputs are reproducible.
+"x'", ...): the base itself when it is free, otherwise the base followed by the
+least positive integer that makes it free.  Every choice is recorded in the
+returned metadata so outputs are reproducible.
 """
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .automata import (
     Automaton,
@@ -29,14 +29,29 @@ from .errors import InputNotDeterministic, MalformedFormula, PreconditionViolate
 from .opacity import CsoInstance, IsoInstance, LboInstance
 
 
-def _fresh_name(base: str, taken: set[str]) -> str:
-    if base not in taken:
-        return base
-    for k in itertools.count(1):
-        candidate = f"{base}{k}"
-        if candidate not in taken:
-            return candidate
-    raise AssertionError("unreachable")
+class _FreshNames:
+    """Allocator of fresh names in one namespace.
+
+    ``fresh(base)`` returns ``base`` if it is free, otherwise ``base`` followed
+    by the least positive integer that makes it free, and takes the name.
+    Names are only ever added, so the least free suffix of a base never goes
+    down; remembering where each base's scan stopped makes a run of
+    allocations linear in their number instead of quadratic.
+    """
+
+    def __init__(self, taken: Iterable[str]) -> None:
+        self._taken = set(taken)
+        self._next: dict[str, int] = {}  # base -> least suffix that may be free
+
+    def fresh(self, base: str) -> str:
+        k = self._next.get(base, 0)
+        name = f"{base}{k}" if k else base
+        while name in self._taken:
+            k += 1
+            name = f"{base}{k}"
+        self._next[base] = k + 1
+        self._taken.add(name)
+        return name
 
 
 @dataclass(frozen=True)
@@ -89,8 +104,7 @@ class Dag:
                 raise ValueError(f"edge ({u}, {v}) is out of range")
         if self.source not in vertices or self.target not in vertices:
             raise ValueError("source and target must be vertices")
-        names = [str(v) for v in vertices]
-        if topological_order(names, {(str(u), str(v)) for (u, v) in self.edges}) is None:
+        if topological_order(vertices, self.edges) is None:
             raise ValueError("edge relation must be acyclic")
 
 
@@ -230,20 +244,21 @@ def gen_union_universality_cso(components: Sequence[Automaton]) -> UnionUniversa
         local_marked = {prefix + s for s in component.marked}
         (init,) = {prefix + s for s in component.initial}
 
+        names = _FreshNames(local_states)
         defined = {(p, e) for (p, e, _) in local_transitions}
         missing = [
             (s, e) for s in local_states for e in event_names if (s, e) not in defined
         ]
         if missing:
             completed.append(k)
-            dead = _fresh_name(prefix + "dead", set(local_states))
+            dead = names.fresh(prefix + "dead")
             local_states.append(dead)
             local_transitions.update((s, e, dead) for (s, e) in missing)
             local_transitions.update((dead, e, dead) for e in event_names)
 
         if any(q == init for (_, _, q) in local_transitions):
             copied.append(k)
-            copy = _fresh_name(init + "'", set(local_states))
+            copy = names.fresh(init + "'")
             local_states.append(copy)
             outgoing = [(e, q) for (p, e, q) in local_transitions if p == init]
             local_transitions.update((copy, e, q) for (e, q) in outgoing)
@@ -259,7 +274,7 @@ def gen_union_universality_cso(components: Sequence[Automaton]) -> UnionUniversa
     chain_event: Optional[str] = None
     alphabet = tuple(reference)
     if len(components) > 1:
-        chain_event = _fresh_name("a", {e.name for e in reference})
+        chain_event = _FreshNames(event_names).fresh("a")
         alphabet = alphabet + (Event(chain_event, observable=False),)
         transitions.update(
             (component_initials[i], chain_event, component_initials[i + 1])
@@ -336,22 +351,26 @@ def po_determinize(a: Automaton, chain_event: str) -> PoDeterminization:
     unobservable event, each exiting on ``chain_event`` to one original
     initial state.
 
+    Fresh names come from the bases ``p'`` (detour and chain states leaving
+    ``p``), ``q'k`` (the k-th state of the initial chain), ``x'`` (split
+    events) and ``a`` (the unobservable event).  Each name is its base when
+    that is free, otherwise the base followed by the least positive integer
+    that makes it free among the names taken so far.
+
     Added states carry no secret status, so for any secret/non-secret sets
     over the original states the current-state opacity verdict is preserved.
     The output is deterministic and partially ordered.
     """
     if not classify(a).partially_ordered:
         raise PreconditionViolated("po_determinize requires a partially ordered automaton")
-    if any(not e for (_, e, _) in a.transitions):
-        raise PreconditionViolated("po_determinize does not accept projected automata")
     chain = a.events_by_name.get(chain_event)
     if chain is None or not chain.observable:
         raise PreconditionViolated(
             f"chain event {chain_event!r} must be an observable event of the automaton"
         )
 
-    taken_states = set(a.states)
-    taken_events = {e.name for e in a.alphabet}
+    state_names = _FreshNames(a.states)
+    event_names = _FreshNames(e.name for e in a.alphabet)
     out_states = list(a.states)
     transitions = set(a.transitions)
 
@@ -365,18 +384,15 @@ def po_determinize(a: Automaton, chain_event: str) -> PoDeterminization:
             for q in targets:
                 if q == keep:
                     continue
-                fresh_event = _fresh_name("x'", taken_events)
-                taken_events.add(fresh_event)
-                detour = _fresh_name(f"{p}'", taken_states)
-                taken_states.add(detour)
+                fresh_event = event_names.fresh("x'")
+                detour = state_names.fresh(f"{p}'")
                 out_states.append(detour)
                 transitions.remove((p, x, q))
                 splits.append(Split(fresh_event, p, x, q, detour))
 
     added_event: Optional[str] = None
     if splits or len(a.initial) > 1:
-        added_event = _fresh_name("a", taken_events)
-        taken_events.add(added_event)
+        added_event = event_names.fresh("a")
 
     by_source: dict[str, list[tuple[int, Split]]] = {}
     for code, split in enumerate(splits, start=1):
@@ -388,8 +404,7 @@ def po_determinize(a: Automaton, chain_event: str) -> PoDeterminization:
         for position in range(1, coded[-1][0] + 1):
             node = detour_at.get(position)
             if node is None:
-                node = _fresh_name(f"{p}'", taken_states)
-                taken_states.add(node)
+                node = state_names.fresh(f"{p}'")
                 out_states.append(node)
             transitions.add((previous, added_event, node))
             previous = node
@@ -400,13 +415,11 @@ def po_determinize(a: Automaton, chain_event: str) -> PoDeterminization:
     initial_chain: list[str] = []
     if len(initial) > 1:
         originals = sorted(initial)
-        previous = _fresh_name("q'0", taken_states)
-        taken_states.add(previous)
+        previous = state_names.fresh("q'0")
         out_states.append(previous)
         initial_chain.append(previous)
         for k, q in enumerate(originals, start=1):
-            node = _fresh_name(f"q'{k}", taken_states)
-            taken_states.add(node)
+            node = state_names.fresh(f"q'{k}")
             out_states.append(node)
             initial_chain.append(node)
             transitions.add((previous, added_event, node))
@@ -470,14 +483,12 @@ def lbo_to_iso(inst: LboInstance) -> IsoReduction:
         )
 
     states = [f"s:{s}" for s in secret.states] + [f"ns:{s}" for s in nonsecret.states]
-    taken = set(states)
-    secret_sink = _fresh_name("x_s", taken)
-    taken.add(secret_sink)
-    nonsecret_sink = _fresh_name("x_ns", taken)
-    taken.add(nonsecret_sink)
+    state_names = _FreshNames(states)
+    secret_sink = state_names.fresh("x_s")
+    nonsecret_sink = state_names.fresh("x_ns")
     states.extend((secret_sink, nonsecret_sink))
 
-    query = _fresh_name("@", {e.name for e in inst.secret_automaton.alphabet})
+    query = _FreshNames(e.name for e in inst.secret_automaton.alphabet).fresh("@")
     transitions = {(f"s:{p}", e, f"s:{q}") for (p, e, q) in secret.transitions}
     transitions |= {(f"ns:{p}", e, f"ns:{q}") for (p, e, q) in nonsecret.transitions}
     transitions |= {(f"s:{r}", query, secret_sink) for r in secret.marked}

@@ -3,18 +3,25 @@
 Serialization is canonical so that round-trips are byte-stable: object keys
 are sorted, state and transition lists are sorted lexicographically, and the
 alphabet keeps its declaration order because witness tie-breaking depends on
-it.  Unknown keys are rejected.
+it.  The text is exactly that of ``json.dumps(value, indent=2,
+sort_keys=True, ensure_ascii=False)`` plus a newline, written by a direct
+writer instead of the encoder's pure-Python indenting path.  Unknown keys are
+rejected.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
+from itertools import repeat
+from json.encoder import encode_basestring
+from typing import TYPE_CHECKING, Any
 
 from .automata import Automaton, Event
 from .errors import ParseError
-from .gadgets import CnfFormula, Dag
 from .opacity import CsoInstance, IfsoInstance, IsoInstance, LboInstance
+
+if TYPE_CHECKING:
+    from .gadgets import CnfFormula, Dag
 
 NOTIONS = ("cso", "iso", "ifso", "lbo", "lbo-weak")
 
@@ -83,7 +90,7 @@ def automaton_to_dict(a: Automaton) -> dict:
         "states": sorted(a.states),
         "initial": sorted(a.initial),
         "marked": sorted(a.marked),
-        "transitions": sorted([p, e, q] for (p, e, q) in a.transitions),
+        "transitions": [list(t) for t in sorted(a.transitions)],
     }
 
 
@@ -162,9 +169,53 @@ def instance_to_dict(instance, metadata: dict | None = None) -> dict:
     return out
 
 
-def dumps(payload: dict) -> str:
-    """Canonical JSON text: sorted keys, fixed indentation, trailing newline."""
-    return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+def _write(value: Any, prefix: str, newline: str, out: list[str]) -> None:
+    """Append ``prefix`` and then the text of ``value`` to ``out``.
+
+    ``newline`` is a line break followed by the indentation of the line the
+    value starts on.  The prefix is joined to the first chunk, and a scalar or
+    an array of strings is one chunk, which keeps the chunk list short.
+    """
+    if isinstance(value, str):
+        out.append(prefix + encode_basestring(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append(prefix + "{}")
+            return
+        inner = newline + "  "
+        prefix += "{" + inner
+        for key, item in sorted(value.items()):
+            _write(item, prefix + encode_basestring(key) + ": ", inner, out)
+            prefix = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append(prefix + "[]")
+            return
+        inner = newline + "  "
+        if all(map(isinstance, value, repeat(str))):
+            body = ("," + inner).join(map(encode_basestring, value))
+            out.append(prefix + "[" + inner + body + newline + "]")
+            return
+        prefix += "[" + inner
+        for item in value:
+            _write(item, prefix, inner, out)
+            prefix = "," + inner
+        out.append(newline + "]")
+    else:
+        out.append(prefix + json.dumps(value))
+
+
+def dumps(payload: Any) -> str:
+    """Canonical JSON text: sorted keys, fixed indentation, trailing newline.
+
+    Byte for byte ``json.dumps(payload, indent=2, sort_keys=True,
+    ensure_ascii=False) + "\\n"`` (object keys must be strings).
+    """
+    out: list[str] = []
+    _write(payload, "", "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def load_json_file(path: str) -> dict:
@@ -184,6 +235,8 @@ def _is_int(value: Any) -> bool:
 
 
 def dag_from_dict(d: dict) -> Dag:
+    from .gadgets import Dag
+
     _check_keys(d, {"vertices", "edges", "s", "t"}, "DAG")
     if not _is_int(d["vertices"]):
         raise ParseError("vertices must be an integer count")
@@ -206,6 +259,8 @@ def parse_dimacs(text: str) -> CnfFormula:
     """Parse DIMACS CNF: a ``p cnf <vars> <clauses>`` header, comment lines
     starting with ``c``, and zero-terminated clauses (which may span lines).
     A line starting with ``%`` ends the formula, as in the SATLIB files."""
+    from .gadgets import CnfFormula
+
     header: tuple[int, int] | None = None
     tokens: list[str] = []
     for line in text.splitlines():

@@ -178,9 +178,37 @@ def _sole_observable_event(a: Automaton) -> Optional[str]:
     return events[0] if len(events) == 1 else None
 
 
-def _run_lengths(a: Automaton, target_sets: Sequence[frozenset[str]]) -> list[set[int]]:
+# 0/1-weighted adjacency: state -> [(1 if the event is observable else 0, neighbour)].
+_Adjacency = dict[str, list[tuple[int, str]]]
+
+
+def _loop_free_edges(a: Automaton) -> tuple[_Adjacency, set[str]]:
+    """The self-loop-free transitions as forward 0/1-weighted adjacency, and
+    the states carrying an observable self-loop."""
+    forward: _Adjacency = {}
+    loops: set[str] = set()
+    for (p, e, q) in a.transitions:
+        w = 1 if a.is_observable(e) else 0
+        if p != q:
+            forward.setdefault(p, []).append((w, q))
+        elif w:
+            loops.add(p)
+    return forward, loops
+
+
+def _reversed(adj: _Adjacency) -> _Adjacency:
+    out: _Adjacency = {}
+    for p, edges in adj.items():
+        for (w, q) in edges:
+            out.setdefault(q, []).append((w, p))
+    return out
+
+
+def _run_lengths(
+    a: Automaton, outgoing: _Adjacency, target_sets: Sequence[frozenset[str]]
+) -> list[set[int]]:
     """Observable-edge counts of self-loop-free runs from the initial set into
-    each target set.
+    each target set; ``outgoing`` is :func:`_loop_free_edges`' adjacency.
 
     The self-loop-free transitions of a partially ordered automaton are
     acyclic; states are processed in their topological order, which the
@@ -189,10 +217,6 @@ def _run_lengths(a: Automaton, target_sets: Sequence[frozenset[str]]) -> list[se
     """
     order = a._loop_free_order
     assert order is not None, "length computation requires a partially ordered automaton"
-    outgoing: dict[str, list[tuple[int, str]]] = {}
-    for (p, e, q) in a.transitions:
-        if p != q:
-            outgoing.setdefault(p, []).append((1 if a.is_observable(e) else 0, q))
     lengths: dict[str, set[int]] = {s: set() for s in a.states}
     for i in a.initial:
         lengths[i].add(0)
@@ -219,16 +243,8 @@ def verify_cso_unary_acyclic(inst: CsoInstance) -> Verdict:
     return verify_cso_unary_po(inst)
 
 
-def _min_observable_distances(
-    a: Automaton, seeds: Iterable[str], *, reverse: bool
-) -> dict[str, int]:
-    """0/1 breadth-first distances counting observable edges; self-loops skipped."""
-    adj: dict[str, list[tuple[int, str]]] = {}
-    for (p, e, q) in a.transitions:
-        if p == q:
-            continue
-        u, v = (q, p) if reverse else (p, q)
-        adj.setdefault(u, []).append((1 if a.is_observable(e) else 0, v))
+def _min_observable_distances(adj: _Adjacency, seeds: Iterable[str]) -> dict[str, int]:
+    """0/1 breadth-first distances from ``seeds`` counting observable edges."""
     dist = {s: 0 for s in seeds}
     queue = deque(sorted(dist))
     while queue:
@@ -253,15 +269,16 @@ def _length_sets(a: Automaton, target_sets: Sequence[frozenset[str]]) -> list[Le
     at the cheapest way to route through any observable self-loop, since that
     loop can be pumped; the distance searches run only when such a loop exists.
     """
-    finite = _run_lengths(a, target_sets)
-    loops = {p for (p, e, q) in a.transitions if p == q and a.is_observable(e)}
+    forward, loops = _loop_free_edges(a)
+    finite = _run_lengths(a, forward, target_sets)
     if loops:
-        from_initial = _min_observable_distances(a, a.initial, reverse=False)
+        from_initial = _min_observable_distances(forward, a.initial)
+        backward = _reversed(forward)
     out = []
     for targets, lengths in zip(target_sets, finite):
         ray: Optional[int] = None
         if loops:
-            to_target = _min_observable_distances(a, targets, reverse=True)
+            to_target = _min_observable_distances(backward, targets)
             ray = min(
                 (from_initial[p] + to_target[p] for p in loops
                  if p in from_initial and p in to_target),
@@ -389,17 +406,25 @@ def verify_iso(inst: IsoInstance, *, cap: int = DEFAULT_OBSERVER_CAP) -> Verdict
 def _pair_language_automaton(
     a: Automaton, pairs: frozenset[tuple[str, str]]
 ) -> tuple[Automaton, frozenset[str]]:
-    """Disjoint union of one single-initial copy of ``a`` per (initial, marked) pair."""
+    """Disjoint union of one copy of ``a`` per initial state of a pair, started
+    there and marked at every state that state is paired with.
+
+    Its language is the union of the pair languages: copies restarted in the
+    same state reach the same states, so one copy serves all of its pairs.
+    """
+    finals: dict[str, list[str]] = {}
+    for (i, f) in sorted(pairs):
+        finals.setdefault(i, []).append(f)
     states: list[str] = []
     transitions: set[tuple[str, str, str]] = set()
     initial: set[str] = set()
     marked: set[str] = set()
-    for k, (i, f) in enumerate(sorted(pairs)):
+    for k, (i, fs) in enumerate(finals.items()):
         prefix = f"{k}:"
         states.extend(prefix + s for s in a.states)
         transitions.update((prefix + p, e, prefix + q) for (p, e, q) in a.transitions)
         initial.add(prefix + i)
-        marked.add(prefix + f)
+        marked.update(prefix + f for f in fs)
     return (
         Automaton(tuple(states), a.alphabet, transitions, initial, marked),
         frozenset(marked),
@@ -412,7 +437,8 @@ def verify_ifso(inst: IfsoInstance, *, cap: int = DEFAULT_OBSERVER_CAP) -> Verdi
     Each pair (i, f) contributes the language of the automaton restarted in i
     and marked at f; the union of the secret pair languages must be included,
     modulo projection, in the union of the non-secret pair languages.  One
-    copy of the automaton is materialized per pair.
+    copy of the automaton is materialized per distinct initial state of a
+    pair on each side.
     """
     a = inst.automaton
     secret_auto, secret_marked = _pair_language_automaton(a, inst.secret_pairs)

@@ -1,7 +1,12 @@
 """Command-line front end tests: exit codes, output formats, generation."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import opacheck
 from opacheck import (
     Automaton,
     CnfFormula,
@@ -106,6 +111,23 @@ class TestVerify:
         path = write_instance(tmp_path, "loop.json", CsoInstance(loop, {"p"}, frozenset()))
         assert main(["verify", "--notion", "cso", "--algorithm", "unary-acyclic", path]) == 2
         assert main(["verify", "--notion", "cso", "--algorithm", "unary-po", path]) == 1
+
+    def test_verify_loads_no_generator_or_oracle_module(self, tmp_path):
+        one = Automaton(("p",), (Event("a"),), set(), {"p"})
+        path = write_instance(tmp_path, "one.json", CsoInstance(one, {"p"}, set()))
+        script = (
+            "import sys\n"
+            "from opacheck import cli\n"
+            f"code = cli.main(['verify', '--notion', 'cso', '--output', 'json', {path!r}])\n"
+            "print(code, sorted(m for m in ('opacheck.gadgets', 'opacheck.oracles')"
+            " if m in sys.modules))\n"
+        )
+        src = str(Path(opacheck.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out.splitlines()[-1] == "1 []"
 
     def test_tiny_observer_cap_fails_loudly(self, tmp_path, capsys):
         path = write_instance(tmp_path, "inst.json", gen_cnf_cso(TWO_CLAUSE))

@@ -1,6 +1,8 @@
 """Generator and transformation tests: every construction preserves its stated
 equivalence, cross-checked against the brute-force oracles."""
 
+import itertools
+
 import pytest
 
 from opacheck import (
@@ -27,6 +29,7 @@ from opacheck import (
     verify_lbo,
     verify_lbo_weak,
 )
+from opacheck.gadgets import _FreshNames
 from opacheck.oracles import brute_sat, dag_reachable, enum_languages_projected
 
 from helpers import (
@@ -42,6 +45,30 @@ from helpers import (
 )
 
 TWO_CLAUSE = CnfFormula(3, (frozenset({1, 2, 3}), frozenset({-1, 2, 3})))
+
+
+def least_free_name(base, taken):
+    """The definition: the base if free, else the base with the least free suffix."""
+    if base not in taken:
+        return base
+    return next(f"{base}{k}" for k in itertools.count(1) if f"{base}{k}" not in taken)
+
+
+class TestFreshNames:
+    def test_matches_least_free_scan(self):
+        rng = make_rng("fresh-names")
+        bases = ["p'", "p'1", "q'", "x", "x1", "a"]
+        for _ in range(200):
+            taken = {
+                rng.choice(bases) + rng.choice(["", "1", "2", "3", "11", "12"])
+                for _ in range(rng.randint(0, 8))
+            }
+            names = _FreshNames(taken)
+            for _ in range(rng.randint(1, 30)):
+                base = rng.choice(bases)
+                expected = least_free_name(base, taken)
+                taken.add(expected)
+                assert names.fresh(base) == expected
 
 
 class TestCnfFormula:
@@ -287,6 +314,59 @@ class TestPoDeterminize:
             po_determinize(a, "u")
         with pytest.raises(PreconditionViolated):
             po_determinize(a, "zz")
+
+    def test_colliding_fresh_names(self):
+        # Detour names collide with the declared p' and p'1, filler states
+        # with earlier detours, the initial chain with q'1 and the fillers
+        # q'2, q'3; split events start past the declared x'.
+        a = Automaton(
+            ("p", "p'", "p'1", "q", "q'1", "r", "s", "t"),
+            (Event("a"), Event("b"), Event("x'", observable=False)),
+            {
+                ("p", "a", "q"), ("p", "a", "r"), ("p", "a", "s"),
+                ("p", "b", "p"), ("p", "b", "q"), ("p", "b", "r"),
+                ("q", "a", "r"), ("q", "a", "t"),
+                ("p'", "a", "t"), ("p'1", "x'", "t"),
+            },
+            {"p", "q", "s"},
+            {"t"},
+        )
+        result = po_determinize(a, "a")
+        d = result.automaton
+        assert d.states == (
+            "p", "p'", "p'1", "q", "q'1", "r", "s", "t",
+            "p'2", "p'3", "p'4", "p'5", "q'", "q'2", "q'3", "q'4", "q'5",
+            "q'0", "q'11", "q'21", "q'31",
+        )
+        assert d.alphabet == a.alphabet + (Event("a1", observable=False),)
+        assert d.initial == {"q'0"} and d.marked == {"t"}
+        assert sorted(d.transitions) == [
+            ("p", "a", "s"), ("p", "a1", "p'2"), ("p", "b", "p"),
+            ("p'", "a", "t"), ("p'1", "x'", "t"),
+            ("p'2", "a", "q"), ("p'2", "a1", "p'3"), ("p'3", "a", "r"),
+            ("p'3", "a1", "p'4"), ("p'4", "a1", "p'5"), ("p'4", "b", "q"),
+            ("p'5", "b", "r"), ("q", "a", "t"), ("q", "a1", "q'2"), ("q'", "a", "r"),
+            ("q'0", "a1", "q'11"), ("q'11", "a", "p"), ("q'11", "a1", "q'21"),
+            ("q'2", "a1", "q'3"), ("q'21", "a", "q"), ("q'21", "a1", "q'31"),
+            ("q'3", "a1", "q'4"), ("q'31", "a", "s"), ("q'4", "a1", "q'5"),
+            ("q'5", "a1", "q'"),
+        ]
+        assert result.metadata() == {
+            "unobservable_event": "a1",
+            "encoding": [
+                {"event": "x'1", "code": 1, "source": "p", "on": "a", "target": "q",
+                 "detour_state": "p'2"},
+                {"event": "x'2", "code": 2, "source": "p", "on": "a", "target": "r",
+                 "detour_state": "p'3"},
+                {"event": "x'3", "code": 3, "source": "p", "on": "b", "target": "q",
+                 "detour_state": "p'4"},
+                {"event": "x'4", "code": 4, "source": "p", "on": "b", "target": "r",
+                 "detour_state": "p'5"},
+                {"event": "x'5", "code": 5, "source": "q", "on": "a", "target": "r",
+                 "detour_state": "q'"},
+            ],
+            "initial_chain": ["q'0", "q'11", "q'21", "q'31"],
+        }
 
     def test_self_loops_never_split(self):
         a = Automaton(

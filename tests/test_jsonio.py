@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opacheck import CnfFormula, MalformedFormula, ParseError
 from opacheck.jsonio import (
@@ -130,14 +132,41 @@ class TestInstanceFormat:
         assert instance_from_dict(instance_to_dict(inst), "ifso") == inst
 
 
+# Strings stress escaping: quotes, backslashes, control characters, non-ASCII
+# (including a character outside the basic multilingual plane).
+JSON_TEXT = st.text(alphabet=st.sampled_from('ab"\\/\n\t\x00\x1f\x7f é€𝄞\u2028'), max_size=6)
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats() | JSON_TEXT
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(JSON_TEXT, children, max_size=4),
+    max_leaves=25,
+)
+
+
+class TestDumps:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(JSON_VALUES)
+    def test_matches_json_module(self, value):
+        expected = json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+        assert dumps(value) == expected
+
+
 class TestDagFormat:
     def test_parse(self):
         g = dag_from_dict({"vertices": 3, "edges": [[0, 1], [1, 2]], "s": 0, "t": 2})
         assert g.vertex_count == 3 and g.source == 0 and g.target == 2
 
     def test_cycle_rejected(self):
-        with pytest.raises(ParseError):
-            dag_from_dict({"vertices": 2, "edges": [[0, 1], [1, 0]], "s": 0, "t": 1})
+        for vertices, edges in (
+            (2, [[0, 1], [1, 0]]),
+            (1, [[0, 0]]),
+            (4, [[0, 1], [1, 2], [2, 3], [3, 1]]),
+        ):
+            with pytest.raises(ParseError):
+                dag_from_dict({"vertices": vertices, "edges": edges, "s": 0, "t": 0})
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ParseError):

@@ -13,8 +13,10 @@ from opacheck import (
     IsoInstance,
     LboInstance,
     LengthSet,
+    ObserverBlowup,
     PreconditionViolated,
     gen_cnf_cso,
+    inclusion_modulo_projection,
     observation_length_set,
     select_cso_algorithm,
     verify_cso,
@@ -334,6 +336,48 @@ class TestIfso:
                 transparent += 1
                 assert replay("ifso", inst, v)
         assert transparent > 5
+
+    def test_matches_per_pair_construction(self):
+        def per_pair(a, pairs):
+            # The reference: one single-initial copy of ``a`` per pair.
+            states, transitions, initial, marked = [], set(), set(), set()
+            for k, (i, f) in enumerate(sorted(pairs)):
+                states.extend(f"{k}:{s}" for s in a.states)
+                transitions.update((f"{k}:{p}", e, f"{k}:{q}") for (p, e, q) in a.transitions)
+                initial.add(f"{k}:{i}")
+                marked.add(f"{k}:{f}")
+            return Automaton(tuple(states), a.alphabet, transitions, initial, marked)
+
+        def outcome(decide, cap):
+            try:
+                return decide(cap)
+            except ObserverBlowup:
+                return "cap"
+
+        rng = make_rng("ifso-per-pair")
+        shared = transparent = 0
+        for _ in range(60):
+            a = rand_automaton(rng, ALPHABET_2OBS_1UO, max_states=5, initial_max=3)
+            initial, states = sorted(a.initial), list(a.states)
+
+            def rand_pairs():
+                return frozenset(
+                    (rng.choice(initial), rng.choice(states)) for _ in range(rng.randint(0, 4))
+                )
+
+            inst = IfsoInstance(a, rand_pairs(), rand_pairs())
+            left, right = per_pair(a, inst.secret_pairs), per_pair(a, inst.nonsecret_pairs)
+            shared += len({i for (i, _) in inst.nonsecret_pairs}) < len(inst.nonsecret_pairs)
+            for cap in (1, 2, 3, 4, 1000):
+                expected = outcome(
+                    lambda c: inclusion_modulo_projection(
+                        left, left.marked, right, right.marked, cap=c
+                    ),
+                    cap,
+                )
+                assert outcome(lambda c: verify_ifso(inst, cap=c), cap) == expected
+            transparent += not expected.holds
+        assert shared > 10 and transparent > 10
 
     def test_cso_embeds_into_ifso(self):
         rng = make_rng("cso-as-ifso")
