@@ -13,11 +13,16 @@ from opacheck import (
     CsoInstance,
     Dag,
     Event,
+    IfsoInstance,
+    IsoInstance,
+    LboInstance,
     gen_cnf_cso,
     gen_dag_weak_lbo,
 )
 from opacheck.cli import main
-from opacheck.jsonio import dumps, instance_to_dict
+from opacheck.jsonio import automaton_to_dict, dumps, instance_to_dict
+
+from helpers import ALPHABET_1OBS_1UO, ALPHABET_2OBS_1UO, make_rng, rand_automaton, rand_dfa
 
 TWO_CLAUSE = CnfFormula(3, (frozenset({1, 2, 3}), frozenset({-1, 2, 3})))
 TWO_CLAUSE_DIMACS = "c demo\np cnf 3 2\n1 2 3 0\n-1 2 3 0\n"
@@ -133,6 +138,80 @@ class TestVerify:
         path = write_instance(tmp_path, "inst.json", gen_cnf_cso(TWO_CLAUSE))
         assert main(["verify", "--notion", "cso", "--observer-cap", "1", path]) == 2
         assert "cap of 1" in capsys.readouterr().err
+
+
+# Runs each argv through ``cli.main`` and prints one JSON list of
+# [exit code, stdout] pairs, with the timing line of JSON reports removed.
+HASH_SEED_CHILD = """
+import contextlib, io, json, re, sys
+from opacheck import cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    results.append([code, re.sub(r'\\n *"time_seconds": [^\\n]*', '', out.getvalue())])
+print(json.dumps(results))
+"""
+
+
+def hash_seed_commands(tmp_path):
+    """Commands over small instances of every notion, with several initial
+    states and unobservable cycles, plus the name-allocating generators."""
+    rng = make_rng("hash-seed")
+    cycle = {("q0", "u", "q1"), ("q1", "u", "q2"), ("q2", "u", "q0")}
+    commands = []
+    for k in range(6):
+        a = rand_automaton(rng, ALPHABET_2OBS_1UO, max_states=6, initial_max=3)
+        states = set(a.states)
+        a = Automaton(a.states, a.alphabet, a.transitions | {
+            t for t in cycle if {t[0], t[2]} <= states}, a.initial, a.marked)
+        half = set(rng.sample(a.states, len(a.states) // 2))
+        initials = sorted(a.initial)
+        b = rand_automaton(rng, ALPHABET_2OBS_1UO, max_states=5)
+        unary = rand_automaton(rng, ALPHABET_1OBS_1UO, max_states=6, structure="po",
+                               initial_max=3)
+        instances = {
+            "cso": [CsoInstance(a, half, states - half),
+                    CsoInstance(unary, {unary.states[-1]}, set(unary.states[:-1]))],
+            "iso": [IsoInstance(a, set(initials[:1]), set(initials[1:]))],
+            "ifso": [IfsoInstance(a, {(i, s) for i in initials for s in half},
+                                  {(initials[-1], a.states[0])})],
+            "lbo": [LboInstance(a, b)],
+            "lbo-weak": [LboInstance(a, b.with_marked(b.states[-1:]))],
+        }
+        for notion, cases in instances.items():
+            for n, inst in enumerate(cases):
+                path = write_instance(tmp_path, f"{notion}{k}_{n}.json", inst)
+                commands.append(["verify", "--notion", notion, "--output", "json", path])
+                commands.append(["verify", "--notion", notion, "--witness", path])
+        commands.append(["gen", "lbo2iso", write_instance(tmp_path, f"l{k}.json", LboInstance(a, b))])
+        po = rand_automaton(rng, ALPHABET_2OBS_1UO, max_states=6, structure="po", initial_max=3)
+        po_path = write(tmp_path, f"po{k}.json", dumps(automaton_to_dict(po)))
+        commands.append(["gen", "po-det", po_path, "--chain-event", "a"])
+        dfas = [write(tmp_path, f"d{k}_{n}.json", dumps(automaton_to_dict(rand_dfa(rng))))
+                for n in range(3)]
+        commands.append(["gen", "union", *dfas])
+    return commands
+
+
+class TestDeterminism:
+    def test_output_bytes_do_not_depend_on_the_hash_seed(self, tmp_path):
+        commands = hash_seed_commands(tmp_path)
+        src = str(Path(opacheck.__file__).resolve().parent.parent)
+        runs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+            runs.append(subprocess.run(
+                [sys.executable, "-c", HASH_SEED_CHILD, json.dumps(commands)],
+                env=env, capture_output=True, text=True, check=True,
+            ).stdout)
+        assert runs[0] == runs[1]
+        results = json.loads(runs[0])
+        assert len(results) == len(commands)
+        # the comparison covers violations with witnesses, not only empty output
+        assert {code for code, _ in results} == {0, 1}
+        assert sum("witness observation" in out for _, out in results) >= 5
 
 
 class TestGen:
