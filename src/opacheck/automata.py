@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Hashable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import ObserverBlowup, PreconditionViolated
 
@@ -28,6 +28,10 @@ on it) interns the estimates it reaches and raises :class:`ObserverBlowup`
 rather than intern one more.  Inclusion pairs each estimate with the left
 automaton's states, so it keeps at most cap x (left states) pairs, plus one
 row for the empty estimate.
+
+Two searches ignore the cap: weak LBO's product search stores at most
+|Q1| x |Q2| pairs of states, and :func:`realize_observation` at most
+|Q| x (len(observation) + 1) nodes.
 """
 
 Observation = tuple[str, ...]
@@ -101,35 +105,18 @@ class Automaton:
         return tuple(e.name for e in self.alphabet if e.observable)
 
     @cached_property
-    def _delta(self) -> dict[tuple[str, str], tuple[str, ...]]:
-        table: dict[tuple[str, str], list[str]] = {}
-        for (p, e, q) in self.transitions:
-            table.setdefault((p, e), []).append(q)
-        return {key: tuple(sorted(targets)) for key, targets in table.items()}
-
-    @cached_property
-    def _unobservable_edges(self) -> dict[str, tuple[str, ...]]:
-        adj: dict[str, set[str]] = {}
-        for (p, e, q) in self.transitions:
-            if not self.is_observable(e):
-                adj.setdefault(p, set()).add(q)
-        return {p: tuple(sorted(qs)) for p, qs in adj.items()}
-
-    @cached_property
-    def _loop_free_order(self) -> Optional[list[str]]:
-        """The states in a topological order of the transitions that are not
-        self-loops, or None when those have a cycle (not partially ordered)."""
-        return topological_order(
-            self.states, {(p, q) for (p, _, q) in self.transitions if p != q}
-        )
+    def _graph(self) -> _Graph:
+        """The integer view every search reads; built on first use, never by
+        construction, so automata that are only generated and written skip it."""
+        return _Graph(self)
 
     @cached_property
     def _structure(self) -> StructureReport:
-        po = self._loop_free_order is not None
+        po = self._graph.order is not None
         # A cycle is a self-loop or a cycle of the self-loop-free transitions.
         acyclic = po and all(p != q for (p, _, q) in self.transitions)
         deterministic = len(self.initial) == 1 and all(
-            len(targets) <= 1 for targets in self._delta.values()
+            len(targets) <= 1 for row in self._graph.succ for targets in row
         )
         observable = len(self.observable_events)
         return StructureReport(
@@ -140,13 +127,15 @@ class Automaton:
         return self.events_by_name[event].observable
 
     def successors(self, state: str, event: str) -> tuple[str, ...]:
-        return self._delta.get((state, event), ())
+        """The targets of ``state`` under ``event``, sorted by name."""
+        g = self._graph
+        targets = g.succ[g.event_index[event]][g.index[state]]
+        return tuple(sorted(self.states[j] for j in targets))
 
     def move(self, states: Iterable[str], event: str) -> frozenset[str]:
-        out: set[str] = set()
-        for p in states:
-            out.update(self._delta.get((p, event), ()))
-        return frozenset(out)
+        g = self._graph
+        row = g.succ[g.event_index[event]]
+        return frozenset(self.states[j] for p in states for j in row[g.index[p]])
 
     def with_initial(self, initial: Iterable[str]) -> "Automaton":
         return replace(self, initial=frozenset(initial))
@@ -182,25 +171,52 @@ class Verdict:
     witness: Optional[Witness] = None
 
 
-def topological_order(
-    nodes: Sequence[Hashable], edges: Iterable[tuple[Hashable, Hashable]]
-) -> Optional[list]:
-    """Kahn's algorithm; returns None when the edge relation has a cycle."""
-    indegree = {n: 0 for n in nodes}
-    out: dict = {n: [] for n in nodes}
-    for (u, v) in set(edges):
+class _Graph:
+    """An automaton's transitions on integers: the one place that decides how
+    states and events are indexed.
+
+    States are indexed in declaration order and events in alphabet order.
+    ``succ[k][i]`` holds the targets of state ``i`` under event ``k`` in
+    increasing order, ``observable[k]`` tells whether event ``k`` is
+    observable, and ``order`` is a topological order of the self-loop-free
+    transitions, or None when they have a cycle (not partially ordered).
+    """
+
+    __slots__ = ("index", "event_index", "observable", "succ", "order")
+
+    def __init__(self, a: Automaton):
+        n = len(a.states)
+        self.index = {s: i for i, s in enumerate(a.states)}
+        self.event_index = {e.name: k for k, e in enumerate(a.alphabet)}
+        self.observable = tuple(e.observable for e in a.alphabet)
+        targets: dict[int, list[int]] = {}  # k * n + i -> targets of i under k
+        for (p, e, q) in a.transitions:
+            targets.setdefault(self.event_index[e] * n + self.index[p], []).append(self.index[q])
+        empty: tuple[int, ...] = ()
+        self.succ = [[empty] * n for _ in a.alphabet]
+        for slot, qs in targets.items():
+            k, i = divmod(slot, n)
+            self.succ[k][i] = tuple(sorted(qs))
+        self.order = topological_order(
+            n, [(i, j) for row in self.succ for i, qs in enumerate(row) for j in qs if i != j]
+        )
+
+
+def topological_order(n: int, edges: Iterable[tuple[int, int]]) -> Optional[list[int]]:
+    """Kahn's algorithm over the nodes ``0 .. n-1``; returns None when the
+    edges have a cycle.  Repeated edges are allowed."""
+    indegree = [0] * n
+    out: list[list[int]] = [[] for _ in range(n)]
+    for (u, v) in edges:
         out[u].append(v)
         indegree[v] += 1
-    ready = deque(n for n in nodes if indegree[n] == 0)
-    order = []
-    while ready:
-        u = ready.popleft()
-        order.append(u)
+    order = [u for u in range(n) if indegree[u] == 0]
+    for u in order:  # the loop also visits the nodes appended while it runs
         for v in out[u]:
             indegree[v] -= 1
             if indegree[v] == 0:
-                ready.append(v)
-    return order if len(order) == len(nodes) else None
+                order.append(v)
+    return order if len(order) == n else None
 
 
 def classify(a: Automaton) -> StructureReport:
@@ -214,18 +230,28 @@ def classify(a: Automaton) -> StructureReport:
     return a._structure
 
 
-def unobservable_reach(a: Automaton, states: Iterable[str]) -> frozenset[str]:
-    """Least superset of ``states`` closed under unobservable transitions."""
-    seen = set(states)
-    _require(seen <= set(a.states), "unobservable_reach: states must be declared")
+def _reach(seeds: Iterable[int], rows: Sequence[Sequence[Sequence[int]]]) -> set[int]:
+    """The nodes reachable from ``seeds`` along any of ``rows``, where
+    ``row[i]`` lists the targets of node ``i``."""
+    seen = set(seeds)
     todo = list(seen)
     while todo:
-        p = todo.pop()
-        for q in a._unobservable_edges.get(p, ()):
-            if q not in seen:
-                seen.add(q)
-                todo.append(q)
-    return frozenset(seen)
+        i = todo.pop()
+        for row in rows:
+            for j in row[i]:
+                if j not in seen:
+                    seen.add(j)
+                    todo.append(j)
+    return seen
+
+
+def unobservable_reach(a: Automaton, states: Iterable[str]) -> frozenset[str]:
+    """Least superset of ``states`` closed under unobservable transitions."""
+    states = set(states)
+    _require(states <= set(a.states), "unobservable_reach: states must be declared")
+    g = a._graph
+    rows = [row for k, row in enumerate(g.succ) if not g.observable[k]]
+    return frozenset(a.states[i] for i in _reach((g.index[s] for s in states), rows))
 
 
 def project_string(a: Automaton, string: Iterable[str]) -> Observation:
@@ -267,16 +293,22 @@ class _EstimateKernel:
     """
 
     def __init__(self, a: Automaton, cap: int = DEFAULT_OBSERVER_CAP):
+        g = a._graph
         self.automaton = a
-        self.index = {s: i for i, s in enumerate(a.states)}
+        self.index = g.index
         self.events = a.observable_events
         self.event_index = {e: k for k, e in enumerate(self.events)}
         self.closure = self._closures()
-        self.rows = [[0] * len(a.states) for _ in self.events]
-        for (p, e, q) in a.transitions:
-            k = self.event_index.get(e)
-            if k is not None:
-                self.rows[k][self.index[p]] |= self.closure[self.index[q]]
+        self.rows = []
+        for k, row in enumerate(g.succ):
+            if g.observable[k]:
+                closed = []
+                for targets in row:
+                    mask = 0
+                    for j in targets:
+                        mask |= self.closure[j]
+                    closed.append(mask)
+                self.rows.append(closed)
         self.cap = cap
         self.masks: list[int] = []
         self._ids: dict[int, int] = {}
@@ -284,22 +316,27 @@ class _EstimateKernel:
         self._members_of, self._members = 0, []
 
     def _closures(self) -> list[int]:
-        a, index = self.automaton, self.index
-        adjacency = {
-            index[p]: [index[q] for q in qs] for p, qs in a._unobservable_edges.items()
-        }
-        closure = [1 << i for i in range(len(a.states))]
-        done = [i not in adjacency for i in range(len(a.states))]
-        for root in adjacency:
+        g = self.automaton._graph
+        rows = [row for k, row in enumerate(g.succ) if not g.observable[k]]
+        n = len(g.index)
+        closure = [1 << i for i in range(n)]
+        # A finished closure is complete, so a search that meets its state
+        # takes it whole instead of walking on.
+        done = [not any(row[i] for row in rows) for i in range(n)]
+        for root in range(n):
+            if done[root]:
+                continue
             mask, seen, todo = closure[root], {root}, [root]
             while todo:
-                for q in adjacency.get(todo.pop(), ()):
-                    if done[q]:
-                        mask |= closure[q]
-                    elif q not in seen:
-                        seen.add(q)
-                        mask |= closure[q]
-                        todo.append(q)
+                i = todo.pop()
+                for row in rows:
+                    for q in row[i]:
+                        if done[q]:
+                            mask |= closure[q]
+                        elif q not in seen:
+                            seen.add(q)
+                            mask |= closure[q]
+                            todo.append(q)
             closure[root] = mask
             done[root] = True
         return closure
@@ -400,24 +437,16 @@ def trim(a: Automaton) -> Automaton:
     The marked language is unchanged; an automaton with no marked state trims
     to the empty automaton.
     """
-    forward: dict[str, set[str]] = {}
-    backward: dict[str, set[str]] = {}
-    for (p, _, q) in a.transitions:
-        forward.setdefault(p, set()).add(q)
-        backward.setdefault(q, set()).add(p)
-
-    def closure(seeds: Iterable[str], adj: dict[str, set[str]]) -> set[str]:
-        seen = set(seeds)
-        todo = list(seen)
-        while todo:
-            u = todo.pop()
-            for v in adj.get(u, ()):
-                if v not in seen:
-                    seen.add(v)
-                    todo.append(v)
-        return seen
-
-    keep = closure(a.initial, forward) & closure(a.marked, backward)
+    g = a._graph
+    backward: list[list[int]] = [[] for _ in a.states]
+    for row in g.succ:
+        for i, targets in enumerate(row):
+            for j in targets:
+                backward[j].append(i)
+    kept = _reach((g.index[s] for s in a.initial), g.succ) & _reach(
+        (g.index[s] for s in a.marked), [backward]
+    )
+    keep = {a.states[i] for i in kept}
     return Automaton(
         tuple(s for s in a.states if s in keep),
         a.alphabet,
@@ -438,28 +467,26 @@ def realize_observation(
     """
     targets = frozenset(targets)
     _require(targets <= set(a.states), "realize_observation: targets must be declared states")
+    g = a._graph
     n = len(observation)
-    event_names = tuple(e.name for e in a.alphabet)
+    width = n + 1  # node = state * width + number of observations read
+    # An undeclared event maps to -1 and matches no event.
+    wanted = [g.event_index.get(e, -1) for e in observation]
+    goal = {g.index[t] * width + n for t in targets}
 
-    def step(node, e):
-        q, k = node
-        if a.is_observable(e):
-            if k >= n or e != observation[k]:
+    def step(node: int, k: int):
+        q, position = divmod(node, width)
+        if g.observable[k]:
+            if position >= n or k != wanted[position]:
                 return ()
-            nk = k + 1
-        else:
-            nk = k
-        return [(q2, nk) for q2 in a.successors(q, e)]
+            position += 1
+        return [j * width + position for j in g.succ[k][q]]
 
-    def is_goal(node) -> bool:
-        q, k = node
-        return k == n and q in targets
-
-    starts = [(q, 0) for q in sorted(a.initial)]
-    run = _lex_shortest_to_goal(starts, event_names, step, is_goal)
+    starts = sorted(g.index[s] * width for s in a.initial)
+    run = _lex_shortest_to_goal(starts, range(len(a.alphabet)), step, goal.__contains__)
     if run is None:
         raise ValueError("observation is not realizable by any run into the target set")
-    return run
+    return tuple(a.alphabet[k].name for k in run)
 
 
 def _lex_least_label(start, events, extend) -> Observation | None:

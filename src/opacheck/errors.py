@@ -32,7 +32,8 @@ class InputNotDeterministic(OpacheckError):
 
 
 class TooLarge(OpacheckError):
-    """Input exceeds the hard cap of a brute-force oracle."""
+    """Input exceeds a documented size cap: a brute-force oracle's, or
+    ``gadgets.MAX_GADGET_STATES`` for DAGs and CNF gadgets."""
 
 
 class ParseError(OpacheckError):

@@ -25,8 +25,15 @@ from .automata import (
     topological_order,
     trim,
 )
-from .errors import InputNotDeterministic, MalformedFormula, PreconditionViolated
+from .errors import InputNotDeterministic, MalformedFormula, PreconditionViolated, TooLarge
 from .opacity import CsoInstance, IsoInstance, LboInstance
+
+MAX_GADGET_STATES = 2**24
+"""Largest DAG vertex count and CNF gadget state count accepted.
+
+Sizes are checked before anything proportional to them is allocated, so a
+header such as ``p cnf 100000000 1`` fails with :class:`TooLarge` at once.
+"""
 
 
 class _FreshNames:
@@ -93,18 +100,22 @@ class Dag:
     target: int
 
     def __post_init__(self) -> None:
+        if self.vertex_count < 1:
+            raise ValueError("a DAG needs at least one vertex")
+        if self.vertex_count > MAX_GADGET_STATES:
+            raise TooLarge(
+                f"a DAG has at most {MAX_GADGET_STATES} vertices, got {self.vertex_count}"
+            )
         object.__setattr__(
             self, "edges", frozenset((int(u), int(v)) for (u, v) in self.edges)
         )
-        if self.vertex_count < 1:
-            raise ValueError("a DAG needs at least one vertex")
         vertices = range(self.vertex_count)
         for (u, v) in self.edges:
             if u not in vertices or v not in vertices:
                 raise ValueError(f"edge ({u}, {v}) is out of range")
         if self.source not in vertices or self.target not in vertices:
             raise ValueError("source and target must be vertices")
-        if topological_order(vertices, self.edges) is None:
+        if topological_order(self.vertex_count, self.edges) is None:
             raise ValueError("edge relation must be acyclic")
 
 
@@ -116,9 +127,13 @@ def gen_cnf_cso(formula: CnfFormula) -> CsoInstance:
     either bit otherwise, so the path accepts exactly the assignments
     falsifying its clause.  A separate path accepting every assignment ends in
     the sole secret state; the clause path ends are the non-secret states.
-    The instance has exactly (clauses + 1) * (variables + 1) states.
+    The instance has exactly (clauses + 1) * (variables + 1) states, at most
+    :data:`MAX_GADGET_STATES`.
     """
     n = formula.variable_count
+    size = (len(formula.clauses) + 1) * (n + 1)
+    if size > MAX_GADGET_STATES:
+        raise TooLarge(f"the CNF gadget would have {size} states, more than {MAX_GADGET_STATES}")
     events = (Event("0"), Event("1"))
     states = [f"a{j}" for j in range(n + 1)]
     transitions = {(f"a{j}", bit, f"a{j + 1}") for j in range(n) for bit in "01"}

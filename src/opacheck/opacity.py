@@ -10,7 +10,6 @@ same fast path restricted to acyclic automata.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -23,6 +22,7 @@ from .automata import (
     inclusion_modulo_projection,
     intersection_nonempty_modulo_projection,
     realize_observation,
+    _bits,
     _EstimateKernel,
     _least_difference,
 )
@@ -178,56 +178,6 @@ def _sole_observable_event(a: Automaton) -> Optional[str]:
     return events[0] if len(events) == 1 else None
 
 
-# 0/1-weighted adjacency: state -> [(1 if the event is observable else 0, neighbour)].
-_Adjacency = dict[str, list[tuple[int, str]]]
-
-
-def _loop_free_edges(a: Automaton) -> tuple[_Adjacency, set[str]]:
-    """The self-loop-free transitions as forward 0/1-weighted adjacency, and
-    the states carrying an observable self-loop."""
-    forward: _Adjacency = {}
-    loops: set[str] = set()
-    for (p, e, q) in a.transitions:
-        w = 1 if a.is_observable(e) else 0
-        if p != q:
-            forward.setdefault(p, []).append((w, q))
-        elif w:
-            loops.add(p)
-    return forward, loops
-
-
-def _reversed(adj: _Adjacency) -> _Adjacency:
-    out: _Adjacency = {}
-    for p, edges in adj.items():
-        for (w, q) in edges:
-            out.setdefault(q, []).append((w, p))
-    return out
-
-
-def _run_lengths(
-    a: Automaton, outgoing: _Adjacency, target_sets: Sequence[frozenset[str]]
-) -> list[set[int]]:
-    """Observable-edge counts of self-loop-free runs from the initial set into
-    each target set; ``outgoing`` is :func:`_loop_free_edges`' adjacency.
-
-    The self-loop-free transitions of a partially ordered automaton are
-    acyclic; states are processed in their topological order, which the
-    automaton computes once and shares with :func:`classify`, so each state's
-    length set is complete before use.
-    """
-    order = a._loop_free_order
-    assert order is not None, "length computation requires a partially ordered automaton"
-    lengths: dict[str, set[int]] = {s: set() for s in a.states}
-    for i in a.initial:
-        lengths[i].add(0)
-    for p in order:
-        if not lengths[p]:
-            continue
-        for (w, q) in outgoing.get(p, ()):
-            lengths[q].update(d + w for d in lengths[p])
-    return [set().union(*(lengths[t] for t in targets)) for targets in target_sets]
-
-
 def verify_cso_unary_acyclic(inst: CsoInstance) -> Verdict:
     """Fast path for acyclic automata with a single observable event.
 
@@ -243,48 +193,46 @@ def verify_cso_unary_acyclic(inst: CsoInstance) -> Verdict:
     return verify_cso_unary_po(inst)
 
 
-def _min_observable_distances(adj: _Adjacency, seeds: Iterable[str]) -> dict[str, int]:
-    """0/1 breadth-first distances from ``seeds`` counting observable edges."""
-    dist = {s: 0 for s in seeds}
-    queue = deque(sorted(dist))
-    while queue:
-        u = queue.popleft()
-        for (w, v) in adj.get(u, ()):
-            d = dist[u] + w
-            if v not in dist or d < dist[v]:
-                dist[v] = d
-                if w == 0:
-                    queue.appendleft(v)
-                else:
-                    queue.append(v)
-    return dist
-
-
 def _length_sets(a: Automaton, target_sets: Sequence[frozenset[str]]) -> list[LengthSet]:
     """Observation lengths of runs into each target set of a unary partially ordered automaton.
 
-    The finite parts collect runs that use no observable self-loop (one
-    dynamic programming pass over the self-loop-free residue, which is
-    acyclic; unobservable self-loops contribute nothing).  A single ray starts
-    at the cheapest way to route through any observable self-loop, since that
-    loop can be pumped; the distance searches run only when such a loop exists.
+    The finite parts collect runs that use no observable self-loop: one
+    dynamic programming pass over the self-loop-free transitions, which are
+    acyclic, in the topological order that :func:`classify` also reads, with
+    bit ``d`` of ``lengths[i]`` meaning "state ``i`` is reached after ``d``
+    observations" (unobservable self-loops contribute nothing).  A single ray
+    starts at the cheapest run through any observable self-loop, since that
+    loop can be pumped; the same pass keeps that cost per state.
     """
-    forward, loops = _loop_free_edges(a)
-    finite = _run_lengths(a, forward, target_sets)
-    if loops:
-        from_initial = _min_observable_distances(forward, a.initial)
-        backward = _reversed(forward)
+    g = a._graph
+    if g.order is None:
+        raise PreconditionViolated("length sets require a partially ordered automaton")
+    n = len(a.states)
+    lengths = [0] * n
+    pumped = [n] * n  # fewest observations of a run here through an observable loop; n: none
+    for s in a.initial:
+        lengths[g.index[s]] = 1
+    weighted = [(int(g.observable[k]), row) for k, row in enumerate(g.succ)]
+    for u in g.order:
+        here = lengths[u]
+        if not here:
+            continue
+        if any(w and u in row[u] for w, row in weighted):
+            pumped[u] = min(pumped[u], (here & -here).bit_length() - 1)
+        through = pumped[u]
+        for w, row in weighted:
+            for v in row[u]:
+                if v != u:
+                    lengths[v] |= here << w
+                    if through + w < pumped[v]:
+                        pumped[v] = through + w
     out = []
-    for targets, lengths in zip(target_sets, finite):
-        ray: Optional[int] = None
-        if loops:
-            to_target = _min_observable_distances(backward, targets)
-            ray = min(
-                (from_initial[p] + to_target[p] for p in loops
-                 if p in from_initial and p in to_target),
-                default=None,
-            )
-        out.append(LengthSet(frozenset(lengths), ray))
+    for targets in target_sets:
+        reached, ray = 0, n
+        for t in targets:
+            reached |= lengths[g.index[t]]
+            ray = min(ray, pumped[g.index[t]])
+        out.append(LengthSet(frozenset(_bits(reached)), ray if ray < n else None))
     return out
 
 

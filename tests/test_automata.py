@@ -1,5 +1,8 @@
 """Core data model and language machinery tests."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 import opacheck
@@ -55,6 +58,20 @@ class TestPublicSurface:
             assert name not in opacheck.__all__
             assert not hasattr(opacheck, name)
             assert not hasattr(automata, name)
+
+    def test_sources_parse_as_python_3_10(self):
+        # the package promises Python >= 3.10: no `type X = ...`, no `except*`
+        package = Path(opacheck.__file__).parent
+        sources = sorted(package.glob("*.py"))
+        assert sources
+        for path in sources:
+            ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+    def test_integer_graph_is_built_on_first_use(self):
+        a = aut(["p", "q"], AB, [("p", "a", "q")], ["p"])
+        assert "_graph" not in a.__dict__
+        assert a.successors("p", "a") == ("q",)
+        assert "_graph" in a.__dict__
 
 
 class TestValidation:

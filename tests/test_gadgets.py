@@ -2,6 +2,7 @@
 equivalence, cross-checked against the brute-force oracles."""
 
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -15,6 +16,7 @@ from opacheck import (
     LboInstance,
     MalformedFormula,
     PreconditionViolated,
+    TooLarge,
     classify,
     cso_to_lbo,
     gen_cnf_cso,
@@ -29,7 +31,8 @@ from opacheck import (
     verify_lbo,
     verify_lbo_weak,
 )
-from opacheck.gadgets import _FreshNames
+from opacheck.gadgets import MAX_GADGET_STATES, _FreshNames
+from opacheck.jsonio import dag_from_dict, parse_dimacs
 from opacheck.oracles import brute_sat, dag_reachable, enum_languages_projected
 
 from helpers import (
@@ -69,6 +72,29 @@ class TestFreshNames:
                 expected = least_free_name(base, taken)
                 taken.add(expected)
                 assert names.fresh(base) == expected
+
+
+class TestSizeGuards:
+    """Oversized inputs fail from their declared size alone, before anything
+    proportional to it is allocated."""
+
+    @staticmethod
+    def peak_bytes(build):
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge):
+                build()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_dag_vertex_count(self):
+        d = {"vertices": MAX_GADGET_STATES + 1, "edges": [[0, 1]], "s": 0, "t": 1}
+        assert self.peak_bytes(lambda: dag_from_dict(d)) < 2**20
+
+    def test_cnf_gadget_state_count(self):
+        formula = parse_dimacs("p cnf 100000000 1\n1 0\n")
+        assert self.peak_bytes(lambda: gen_cnf_cso(formula)) < 2**20
 
 
 class TestCnfFormula:

@@ -8,6 +8,7 @@ of witnesses is checked by enumerating observations with the membership-only
 """
 
 import itertools
+import warnings
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,14 +19,19 @@ from opacheck import (
     IsoInstance,
     ObserverBlowup,
     Verdict,
+    cso_to_lbo,
     inclusion_modulo_projection,
     intersection_nonempty_modulo_projection,
+    lbo_to_iso,
+    observation_length_set,
+    po_determinize,
     verify_cso,
     verify_iso,
+    verify_lbo,
 )
 from opacheck.oracles import enum_cso_acyclic, enum_languages_projected, observation_feasible
 
-from helpers import ALPHABET_2OBS_1UO, rand_automaton
+from helpers import ALPHABET_1OBS_1UO, ALPHABET_2OBS_1UO, rand_automaton
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -151,3 +157,42 @@ def test_iso_equals_one_inclusion_per_secret_initial_state(a, data):
             expected = verdict
             break
     assert verify_iso(IsoInstance(a, secret, nonsecret)) == (expected or Verdict(True))
+
+
+@PROPERTY_SETTINGS
+@given(cso_instances(structure="po"))
+def test_po_determinize_keeps_the_witness_observation(inst):
+    result = po_determinize(inst.automaton, "a")
+    image = CsoInstance(result.automaton, inst.secret, inst.nonsecret)
+    source, target = verify_cso(inst, "observer"), verify_cso(image, "observer")
+    assert source.holds == target.holds
+    if not source.holds:
+        prefix = ("a",) if result.initial_chain else ()
+        assert target.witness.observation == prefix + source.witness.observation
+
+
+@PROPERTY_SETTINGS
+@given(cso_instances())
+def test_cso_to_lbo_keeps_the_verdict_and_witness(inst):
+    assert verify_lbo(cso_to_lbo(inst)) == verify_cso(inst)
+
+
+@PROPERTY_SETTINGS
+@given(cso_instances())
+def test_cso_to_lbo_to_iso_keeps_the_verdict(inst):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # blocking inputs are trimmed, with a warning
+        reduction = lbo_to_iso(cso_to_lbo(inst))
+    assert verify_iso(reduction.instance).holds == verify_cso(inst).holds
+
+
+@settings(PROPERTY_SETTINGS, max_examples=500)
+@given(st.randoms(use_true_random=False), st.data())
+def test_length_set_matches_membership_on_unary_po_automata(rng, data):
+    a = rand_automaton(rng, ALPHABET_1OBS_1UO, max_states=6, structure="po")
+    loops = {(s, e, s) for s in a.states for e in ("a", "u") if rng.random() < 0.3}
+    a = Automaton(a.states, a.alphabet, a.transitions | loops, a.initial, a.marked)
+    targets = data.draw(st.frozensets(st.sampled_from(a.states)))
+    lengths = observation_length_set(a, targets)
+    for k in range(2 * len(a.states) + 3):
+        assert (k in lengths) == observation_feasible(a, targets, ("a",) * k)
