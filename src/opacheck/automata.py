@@ -277,13 +277,14 @@ _EMPTY = -1
 class _EstimateKernel:
     """Subset construction of one automaton, with estimates as int bitmasks.
 
-    Built once per automaton and search.  States are indexed in declaration
-    order (bit ``i`` of a mask stands for ``states[i]``).  Each state's
-    unobservable closure is precomputed, and so is, per observable event, a
-    row whose entry ``i`` is the closure of the event's successors of state
-    ``i``; the post-image of an estimate is the union of its members' rows.
-    The members of the last mask whose post-image was taken are kept, since
-    searches take the post-images of one mask under every event in turn.
+    Built once per automaton and search from the automaton's integer graph,
+    whose state indices it keeps (bit ``i`` of a mask stands for
+    ``states[i]``).  Each state's unobservable closure is precomputed, and so
+    is, per observable event, a row whose entry ``i`` is the closure of the
+    event's successors of state ``i``; the post-image of an estimate is the
+    union of its members' rows.  The members of the last mask whose
+    post-image was taken are kept, since searches take the post-images of one
+    mask under every event in turn.
 
     Estimates reached by a search are interned on demand as small int ids, in
     discovery order, and their successors are memoized.  At most ``cap``

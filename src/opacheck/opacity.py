@@ -209,7 +209,9 @@ def _length_sets(a: Automaton, target_sets: Sequence[frozenset[str]]) -> list[Le
         raise PreconditionViolated("length sets require a partially ordered automaton")
     n = len(a.states)
     lengths = [0] * n
-    pumped = [n] * n  # fewest observations of a run here through an observable loop; n: none
+    # Fewest observations of a run that reaches the state through an observable
+    # self-loop; n, more than a self-loop-free run can make, means none.
+    pumped = [n] * n
     for s in a.initial:
         lengths[g.index[s]] = 1
     weighted = [(int(g.observable[k]), row) for k, row in enumerate(g.succ)]
@@ -218,7 +220,7 @@ def _length_sets(a: Automaton, target_sets: Sequence[frozenset[str]]) -> list[Le
         if not here:
             continue
         if any(w and u in row[u] for w, row in weighted):
-            pumped[u] = min(pumped[u], (here & -here).bit_length() - 1)
+            pumped[u] = (here & -here).bit_length() - 1  # the shortest run here
         through = pumped[u]
         for w, row in weighted:
             for v in row[u]:
