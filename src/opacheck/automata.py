@@ -106,8 +106,8 @@ class Automaton:
 
     @cached_property
     def _graph(self) -> _Graph:
-        """The integer view every search reads; built on first use, never by
-        construction, so automata that are only generated and written skip it."""
+        """The integer view the searches read, built on first use: automata
+        that are only generated and written never pay for it."""
         return _Graph(self)
 
     @cached_property
@@ -177,28 +177,35 @@ class _Graph:
 
     States are indexed in declaration order and events in alphabet order.
     ``succ[k][i]`` holds the targets of state ``i`` under event ``k`` in
-    increasing order, ``observable[k]`` tells whether event ``k`` is
-    observable, and ``order`` is a topological order of the self-loop-free
-    transitions, or None when they have a cycle (not partially ordered).
+    increasing order, and ``observable[k]`` tells whether event ``k`` is
+    observable.
     """
 
-    __slots__ = ("index", "event_index", "observable", "succ", "order")
-
     def __init__(self, a: Automaton):
-        n = len(a.states)
-        self.index = {s: i for i, s in enumerate(a.states)}
-        self.event_index = {e.name: k for k, e in enumerate(a.alphabet)}
+        index = self.index = {s: i for i, s in enumerate(a.states)}
+        event_index = self.event_index = {e.name: k for k, e in enumerate(a.alphabet)}
         self.observable = tuple(e.observable for e in a.alphabet)
-        targets: dict[int, list[int]] = {}  # k * n + i -> targets of i under k
-        for (p, e, q) in a.transitions:
-            targets.setdefault(self.event_index[e] * n + self.index[p], []).append(self.index[q])
         empty: tuple[int, ...] = ()
-        self.succ = [[empty] * n for _ in a.alphabet]
-        for slot, qs in targets.items():
-            k, i = divmod(slot, n)
-            self.succ[k][i] = tuple(sorted(qs))
-        self.order = topological_order(
-            n, [(i, j) for row in self.succ for i, qs in enumerate(row) for j in qs if i != j]
+        succ: list[list[Sequence[int]]] = [[empty] * len(a.states) for _ in a.alphabet]
+        for (p, e, q) in a.transitions:
+            row, i = succ[event_index[e]], index[p]
+            if row[i]:
+                row[i].append(index[q])
+            else:
+                row[i] = [index[q]]
+        for row in succ:
+            for targets in row:
+                if len(targets) > 1:
+                    targets.sort()
+        self.succ = succ
+
+    @cached_property
+    def order(self) -> Optional[list[int]]:
+        """A topological order of the self-loop-free transitions, or None when
+        they have a cycle (the automaton is not partially ordered)."""
+        return topological_order(
+            len(self.index),
+            [(i, j) for row in self.succ for i, qs in enumerate(row) for j in qs if i != j],
         )
 
 
@@ -318,26 +325,26 @@ class _EstimateKernel:
 
     def _closures(self) -> list[int]:
         g = self.automaton._graph
-        rows = [row for k, row in enumerate(g.succ) if not g.observable[k]]
-        n = len(g.index)
-        closure = [1 << i for i in range(n)]
+        adjacency: dict[int, list[int]] = {}  # unobservable successors, where there are any
+        for k, row in enumerate(g.succ):
+            if not g.observable[k]:
+                for i, targets in enumerate(row):
+                    if targets:
+                        adjacency.setdefault(i, []).extend(targets)
+        closure = [1 << i for i in range(len(g.index))]
         # A finished closure is complete, so a search that meets its state
         # takes it whole instead of walking on.
-        done = [not any(row[i] for row in rows) for i in range(n)]
-        for root in range(n):
-            if done[root]:
-                continue
+        done = [i not in adjacency for i in range(len(g.index))]
+        for root in adjacency:
             mask, seen, todo = closure[root], {root}, [root]
             while todo:
-                i = todo.pop()
-                for row in rows:
-                    for q in row[i]:
-                        if done[q]:
-                            mask |= closure[q]
-                        elif q not in seen:
-                            seen.add(q)
-                            mask |= closure[q]
-                            todo.append(q)
+                for q in adjacency.get(todo.pop(), ()):
+                    if done[q]:
+                        mask |= closure[q]
+                    elif q not in seen:
+                        seen.add(q)
+                        mask |= closure[q]
+                        todo.append(q)
             closure[root] = mask
             done[root] = True
         return closure

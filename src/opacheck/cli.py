@@ -318,12 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--notion", required=True, choices=sorted(NOTION_TITLES))
     verify.add_argument("--algorithm", default="auto", choices=CSO_ALGORITHMS)
     verify.add_argument("--witness", action="store_true", help="print the witness, if any")
-    verify.add_argument(
-        "--observer-cap", type=int, default=DEFAULT_OBSERVER_CAP,
-        help="most state estimates one subset search may build (default %(default)s); "
-        "lbo-weak ignores it and stores at most |Q1|*|Q2| state pairs, and witness "
-        "realization at most |Q|*(|observation|+1) nodes",
-    )
+    verify.add_argument("--observer-cap", type=int, default=DEFAULT_OBSERVER_CAP, help=(
+        "most state estimates one subset search may build; lbo-weak ignores it and stores at "
+        "most |Q1|*|Q2| state pairs, witness realization at most |Q|*(|obs|+1) nodes"))
     verify.add_argument("--output", default="text", choices=("text", "json"))
     verify.add_argument("files", nargs="+")
     verify.set_defaults(func=_cmd_verify)

@@ -32,8 +32,7 @@ class InputNotDeterministic(OpacheckError):
 
 
 class TooLarge(OpacheckError):
-    """Input exceeds a documented size cap: a brute-force oracle's, or
-    ``gadgets.MAX_GADGET_STATES`` for DAGs and CNF gadgets."""
+    """Input exceeds a size cap: an oracle's, or ``gadgets.MAX_GADGET_STATES``."""
 
 
 class ParseError(OpacheckError):

@@ -29,11 +29,8 @@ from .errors import InputNotDeterministic, MalformedFormula, PreconditionViolate
 from .opacity import CsoInstance, IsoInstance, LboInstance
 
 MAX_GADGET_STATES = 2**24
-"""Largest DAG vertex count and CNF gadget state count accepted.
-
-Sizes are checked before anything proportional to them is allocated, so a
-header such as ``p cnf 100000000 1`` fails with :class:`TooLarge` at once.
-"""
+"""Largest DAG vertex count and CNF gadget state count accepted; both are
+checked before anything proportional to them is allocated."""
 
 
 class _FreshNames:
@@ -103,9 +100,7 @@ class Dag:
         if self.vertex_count < 1:
             raise ValueError("a DAG needs at least one vertex")
         if self.vertex_count > MAX_GADGET_STATES:
-            raise TooLarge(
-                f"a DAG has at most {MAX_GADGET_STATES} vertices, got {self.vertex_count}"
-            )
+            raise TooLarge(f"a DAG has at most {MAX_GADGET_STATES} vertices")
         object.__setattr__(
             self, "edges", frozenset((int(u), int(v)) for (u, v) in self.edges)
         )
@@ -127,8 +122,7 @@ def gen_cnf_cso(formula: CnfFormula) -> CsoInstance:
     either bit otherwise, so the path accepts exactly the assignments
     falsifying its clause.  A separate path accepting every assignment ends in
     the sole secret state; the clause path ends are the non-secret states.
-    The instance has exactly (clauses + 1) * (variables + 1) states, at most
-    :data:`MAX_GADGET_STATES`.
+    The instance has exactly (clauses + 1) * (variables + 1) states.
     """
     n = formula.variable_count
     size = (len(formula.clauses) + 1) * (n + 1)
