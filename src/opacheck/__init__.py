@@ -51,24 +51,10 @@ from .opacity import (
 
 __version__ = "0.1.0"
 
-_GADGET_NAMES = frozenset({
-    "CnfFormula",
-    "Dag",
-    "IsoReduction",
-    "PoDeterminization",
-    "UnionUniversalityCso",
-    "cso_to_lbo",
-    "gen_cnf_cso",
-    "gen_dag_cso_unary",
-    "gen_dag_weak_lbo",
-    "gen_union_universality_cso",
-    "lbo_to_iso",
-    "po_determinize",
-})
-
 
 def __getattr__(name: str):
-    if name not in _GADGET_NAMES:
+    # Every exported name not imported above lives in ``gadgets``.
+    if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from . import gadgets
 

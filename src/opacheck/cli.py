@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 from . import jsonio
 from .automata import DEFAULT_OBSERVER_CAP, Automaton, Verdict, classify
@@ -35,19 +35,9 @@ NOTION_TITLES = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    notion: str
-    algorithm: str
-    witness: bool
-    observer_cap: int
-    output: str
-
-    def __post_init__(self) -> None:
-        if self.notion != "cso" and self.algorithm != "auto":
-            raise ValueError("--algorithm can only be chosen for --notion cso")
-        if self.observer_cap < 1:
-            raise ValueError("--observer-cap must be positive")
+# The failures that make an input error (exit 2).  Anything else, a
+# RecursionError of the verify path included, is a bug and stays a crash.
+_INPUT_ERRORS = (OpacheckError, ValueError, OSError)
 
 
 def _render_string(alphabet_names, string) -> str:
@@ -67,18 +57,16 @@ def _witness_json(verdict: Verdict):
     }
 
 
-def _run_verification(config: RunConfig, instance):
-    if config.notion == "cso":
-        algorithm = (
-            select_cso_algorithm(instance) if config.algorithm == "auto" else config.algorithm
-        )
-        return verify_cso(instance, algorithm, cap=config.observer_cap), algorithm
-    if config.notion == "iso":
-        return verify_iso(instance, cap=config.observer_cap), "inclusion"
-    if config.notion == "ifso":
-        return verify_ifso(instance, cap=config.observer_cap), "inclusion"
-    if config.notion == "lbo":
-        return verify_lbo(instance, cap=config.observer_cap), "inclusion"
+def _run_verification(args, instance):
+    if args.notion == "cso":
+        algorithm = select_cso_algorithm(instance) if args.algorithm == "auto" else args.algorithm
+        return verify_cso(instance, algorithm, cap=args.observer_cap), algorithm
+    if args.notion == "iso":
+        return verify_iso(instance, cap=args.observer_cap), "inclusion"
+    if args.notion == "ifso":
+        return verify_ifso(instance, cap=args.observer_cap), "inclusion"
+    if args.notion == "lbo":
+        return verify_lbo(instance, cap=args.observer_cap), "inclusion"
     return verify_lbo_weak(instance), "product"
 
 
@@ -92,12 +80,15 @@ def _classification_json(instance) -> dict:
 
 
 def _cmd_verify(args) -> int:
-    config = RunConfig(args.notion, args.algorithm, args.witness, args.observer_cap, args.output)
+    if args.notion != "cso" and args.algorithm != "auto":
+        raise ValueError("--algorithm can only be chosen for --notion cso")
+    if args.observer_cap < 1:
+        raise ValueError("--observer-cap must be positive")
     reports = []
     codes = []
     for path in args.files:
         try:
-            instance = jsonio.instance_from_dict(jsonio.load_json_file(path), config.notion)
+            instance = jsonio.instance_from_dict(jsonio.load_json_file(path), args.notion)
             if isinstance(instance, CsoInstance):
                 overlap = instance.secret & instance.nonsecret
                 if overlap:
@@ -106,18 +97,18 @@ def _cmd_verify(args) -> int:
                         file=sys.stderr,
                     )
             started = time.perf_counter()
-            verdict, algorithm = _run_verification(config, instance)
+            verdict, algorithm = _run_verification(args, instance)
             elapsed = time.perf_counter() - started
-        except OpacheckError as exc:
+        except _INPUT_ERRORS as exc:
             print(f"error: {path}: {exc}", file=sys.stderr)
             codes.append(2)
             continue
         codes.append(0 if verdict.holds else 1)
-        if config.output == "json":
+        if args.output == "json":
             reports.append(
                 {
                     "file": path,
-                    "notion": config.notion,
+                    "notion": args.notion,
                     "algorithm": algorithm,
                     "holds": verdict.holds,
                     "witness": _witness_json(verdict),
@@ -128,8 +119,8 @@ def _cmd_verify(args) -> int:
         else:
             prefix = f"{path}: " if len(args.files) > 1 else ""
             status = "holds" if verdict.holds else "violated"
-            print(f"{prefix}{NOTION_TITLES[config.notion]}: {status}")
-            if config.witness and verdict.witness is not None:
+            print(f"{prefix}{NOTION_TITLES[args.notion]}: {status}")
+            if args.witness and verdict.witness is not None:
                 if isinstance(instance, LboInstance):
                     names = [e.name for e in instance.secret_automaton.alphabet]
                 else:
@@ -138,7 +129,7 @@ def _cmd_verify(args) -> int:
                       f"{_render_string(names, verdict.witness.observation)}")
                 print(f"{prefix}witness string: "
                       f"{_render_string(names, verdict.witness.secret_run)}")
-    if config.output == "json":
+    if args.output == "json":
         payload = reports[0] if len(reports) == 1 and len(args.files) == 1 else reports
         print(jsonio.dumps(payload) if isinstance(payload, dict)
               else jsonio.dumps({"results": payload}), end="")
@@ -376,7 +367,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OpacheckError, ValueError, OSError) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -75,8 +75,6 @@ def automaton_from_dict(d: dict) -> Automaton:
     for t in d["transitions"]:
         if not (isinstance(t, list) and len(t) == 3 and all(isinstance(x, str) for x in t)):
             raise ParseError("each transition must be a [source, event, target] triple")
-        if not t[1]:
-            raise ParseError("transition events must be declared, non-empty names")
         transitions.append(tuple(t))
     try:
         return Automaton(tuple(states), tuple(alphabet), transitions, initial, marked)
@@ -219,13 +217,17 @@ def dumps(payload: Any) -> str:
 
 
 def load_json_file(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
+    """The JSON object in ``path``.  Errors do not name the file: the caller,
+    which may read several, does."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
             data = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: malformed JSON ({exc})") from exc
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"malformed JSON ({exc})") from exc
+        except RecursionError as exc:
+            raise ParseError("malformed JSON (nested too deeply)") from exc
     if not isinstance(data, dict):
-        raise ParseError(f"{path}: top-level JSON value must be an object")
+        raise ParseError("top-level JSON value must be an object")
     return data
 
 

@@ -38,6 +38,18 @@ def write_instance(tmp_path, name, instance, metadata=None):
     return write(tmp_path, name, dumps(instance_to_dict(instance, metadata)))
 
 
+# JSON nested deeper than the decoder's recursion limit.
+DEEP_JSON = "[" * 100_000
+
+
+def assert_input_error(argv, capsys):
+    """``argv`` exits 2 with one ``error:`` line on stderr and no traceback."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 class TestVerify:
     def test_transparent_instance_exits_one_with_witness(self, tmp_path, capsys):
         path = write_instance(tmp_path, "inst.json", gen_cnf_cso(TWO_CLAUSE))
@@ -83,7 +95,32 @@ class TestVerify:
     def test_malformed_json_exits_two(self, tmp_path, capsys):
         path = write(tmp_path, "broken.json", "{ nope")
         assert main(["verify", "--notion", "cso", path]) == 2
-        assert "error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error" in err
+        assert err.count(path) == 1
+        deep = write(tmp_path, "deep.json", DEEP_JSON)
+        assert_input_error(["verify", "--notion", "cso", deep], capsys)
+
+    def test_unreadable_file_spares_the_other_files(self, tmp_path, capsys):
+        inst = gen_cnf_cso(TWO_CLAUSE)
+        good = write_instance(tmp_path, "good.json", inst)
+        missing = str(tmp_path / "missing.json")
+        undecodable = tmp_path / "latin.json"
+        undecodable.write_bytes(b"\xff\xfe")
+        other = write_instance(tmp_path, "other.json", inst)
+        files = [good, missing, str(undecodable), other]
+        assert main(["verify", "--notion", "cso", *files]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [
+            f"{good}: current-state opacity: violated",
+            f"{other}: current-state opacity: violated",
+        ]
+        errors = captured.err.splitlines()
+        assert [line.split(": ")[1] for line in errors] == [missing, str(undecodable)]
+        assert main(["verify", "--notion", "cso", "--output", "json", *files]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert list(payload) == ["results"]
+        assert [r["file"] for r in payload["results"]] == [good, other]
 
     def test_unknown_state_reference_exits_two(self, tmp_path, capsys):
         inst = gen_cnf_cso(TWO_CLAUSE)
@@ -297,6 +334,10 @@ class TestGen:
         out_path = write(tmp_path, "lbo.json", capsys.readouterr().out)
         assert main(["verify", "--notion", "lbo", out_path]) == 1
 
+    def test_deep_json_exits_two(self, tmp_path, capsys):
+        deep = write(tmp_path, "deep.json", DEEP_JSON)
+        assert_input_error(["gen", "cso2lbo", deep], capsys)
+
 
 class TestClassify:
     def test_cnf_gadget_is_acyclic(self, tmp_path, capsys):
@@ -318,9 +359,12 @@ class TestClassify:
         assert main(["classify", path]) == 0
         assert "partially_ordered: False" in capsys.readouterr().out
 
-    def test_parse_failure_exits_two(self, tmp_path):
+    def test_parse_failure_exits_two(self, tmp_path, capsys):
         path = write(tmp_path, "bad.json", '{"weird": 1}')
         assert main(["classify", path]) == 2
+        capsys.readouterr()
+        deep = write(tmp_path, "deep.json", DEEP_JSON)
+        assert_input_error(["classify", deep], capsys)
 
 
 class TestOracleCommands:
@@ -352,3 +396,7 @@ class TestDot:
         out = capsys.readouterr().out
         assert out.startswith("digraph {")
         assert '"a0" -> "a1"' in out
+
+    def test_deep_json_exits_two(self, tmp_path, capsys):
+        deep = write(tmp_path, "deep.json", DEEP_JSON)
+        assert_input_error(["dot", deep], capsys)

@@ -14,6 +14,7 @@ from opacheck.jsonio import (
     dumps,
     instance_from_dict,
     instance_to_dict,
+    load_json_file,
     parse_dimacs,
 )
 
@@ -70,10 +71,24 @@ class TestAutomatonFormat:
             automaton_from_dict(d)
 
     def test_undeclared_transition_event_rejected(self):
-        d = sample_automaton_dict()
-        d["transitions"].append(["p", "zz", "q"])
-        with pytest.raises(ParseError):
-            automaton_from_dict(d)
+        # "" names no declared event, so the automaton rejects it like "zz"
+        for event in ("zz", ""):
+            d = sample_automaton_dict()
+            d["transitions"].append(["p", event, "q"])
+            with pytest.raises(ParseError, match="undeclared event"):
+                automaton_from_dict(d)
+
+
+class TestLoadJsonFile:
+    @pytest.mark.parametrize(
+        "text", ["{ nope", "[]", "[" * 100_000], ids=["malformed", "array", "deep"]
+    )
+    def test_bad_text_is_a_parse_error_without_the_path(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as caught:
+            load_json_file(str(path))
+        assert "bad.json" not in str(caught.value)
 
 
 class TestInstanceFormat:
