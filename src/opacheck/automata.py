@@ -414,7 +414,7 @@ class _EstimateKernel:
         returned.  None means no reachable estimate is a goal; every one of
         them has then been interned.
         """
-        # Not run on _lex_least_label with ids as groups: that was 5-39 % slower on cso-observer.
+        # A plain id BFS: on _lex_least_label, with ids as groups, cso-observer ran 5-39 % slower.
         if start == _EMPTY:
             return None
         if is_goal(self.masks[start]):
