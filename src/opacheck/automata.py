@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import ObserverBlowup, PreconditionViolated
@@ -71,26 +72,29 @@ class Automaton:
     def __post_init__(self) -> None:
         object.__setattr__(self, "states", tuple(self.states))
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
-        object.__setattr__(
-            self, "transitions", frozenset((p, e, q) for (p, e, q) in self.transitions)
-        )
+        object.__setattr__(self, "transitions", _triples(self.transitions))
         object.__setattr__(self, "initial", frozenset(self.initial))
         object.__setattr__(self, "marked", frozenset(self.marked))
         self._validate()
 
     def _validate(self) -> None:
-        if len(set(self.states)) != len(self.states):
-            raise ValueError("state names must be unique")
-        names = [e.name for e in self.alphabet]
-        if len(set(names)) != len(names):
-            raise ValueError("event names must be unique within one alphabet")
         declared = set(self.states)
-        events = set(names)
-        for (p, e, q) in self.transitions:
-            if p not in declared or q not in declared:
-                raise ValueError(f"transition ({p!r}, {e!r}, {q!r}) uses an undeclared state")
-            if e not in events:
-                raise ValueError(f"transition ({p!r}, {e!r}, {q!r}) uses an undeclared event")
+        if len(declared) != len(self.states):
+            raise ValueError("state names must be unique")
+        events = {e.name for e in self.alphabet}
+        if len(events) != len(self.alphabet):
+            raise ValueError("event names must be unique within one alphabet")
+        t = self.transitions
+        if not (
+            declared.issuperset(map(itemgetter(0), t))
+            and declared.issuperset(map(itemgetter(2), t))
+            and events.issuperset(map(itemgetter(1), t))
+        ):
+            for (p, e, q) in t:  # the first offender, for the message
+                if p not in declared or q not in declared:
+                    raise ValueError(f"transition ({p!r}, {e!r}, {q!r}) uses an undeclared state")
+                if e not in events:
+                    raise ValueError(f"transition ({p!r}, {e!r}, {q!r}) uses an undeclared event")
         for s in self.initial | self.marked:
             if s not in declared:
                 raise ValueError(f"{s!r} is not a declared state")
@@ -142,6 +146,20 @@ class Automaton:
 
     def with_marked(self, marked: Iterable[str]) -> "Automaton":
         return replace(self, marked=frozenset(marked))
+
+
+def _triples(items: Iterable[Sequence[str]]) -> frozenset[Transition]:
+    """``items`` as a set of (source, event, target) tuples, made in one
+    bulk pass.  Anything that is not a triple fails as unpacking it would."""
+    if iter(items) is items:  # a one-shot iterator: keep it for the fallback
+        items = tuple(items)
+    try:
+        triples = frozenset(map(tuple, items))
+        if set(map(len, triples)) <= {3}:
+            return triples
+    except TypeError:
+        pass
+    return frozenset((p, e, q) for (p, e, q) in items)
 
 
 @dataclass(frozen=True)

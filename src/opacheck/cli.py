@@ -40,6 +40,13 @@ NOTION_TITLES = {
 _INPUT_ERRORS = (OpacheckError, ValueError, OSError)
 
 
+def _file_error(path: str, exc: Exception) -> str:
+    """The ``error:`` line for a file that could not be read or parsed.  An
+    OSError's text already names the file, so only its reason follows."""
+    reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+    return f"error: {path}: {reason}"
+
+
 def _render_string(alphabet_names, string) -> str:
     if not string:
         return "ε"
@@ -100,7 +107,7 @@ def _cmd_verify(args) -> int:
             verdict, algorithm = _run_verification(args, instance)
             elapsed = time.perf_counter() - started
         except _INPUT_ERRORS as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
+            print(_file_error(path, exc), file=sys.stderr)
             codes.append(2)
             continue
         codes.append(0 if verdict.holds else 1)
@@ -170,7 +177,13 @@ def _cmd_gen_dag_unary_cso(args) -> int:
 def _cmd_gen_union(args) -> int:
     from . import gadgets
 
-    components = [jsonio.automaton_from_dict(jsonio.load_json_file(p)) for p in args.files]
+    components = []
+    for path in args.files:
+        try:
+            components.append(jsonio.automaton_from_dict(jsonio.load_json_file(path)))
+        except _INPUT_ERRORS as exc:
+            print(_file_error(path, exc), file=sys.stderr)
+            return 2
     result = gadgets.gen_union_universality_cso(components)
     return _emit(jsonio.instance_to_dict(result.instance, metadata=result.metadata()))
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .automata import (
@@ -101,17 +103,32 @@ class Dag:
             raise ValueError("a DAG needs at least one vertex")
         if self.vertex_count > MAX_GADGET_STATES:
             raise TooLarge(f"a DAG has at most {MAX_GADGET_STATES} vertices")
-        object.__setattr__(
-            self, "edges", frozenset((int(u), int(v)) for (u, v) in self.edges)
-        )
+        object.__setattr__(self, "edges", _int_pairs(self.edges))
         vertices = range(self.vertex_count)
-        for (u, v) in self.edges:
-            if u not in vertices or v not in vertices:
-                raise ValueError(f"edge ({u}, {v}) is out of range")
+        ends = list(chain.from_iterable(self.edges))
+        if ends and (min(ends) < 0 or max(ends) >= self.vertex_count):
+            for (u, v) in self.edges:  # the first offender, for the message
+                if u not in vertices or v not in vertices:
+                    raise ValueError(f"edge ({u}, {v}) is out of range")
         if self.source not in vertices or self.target not in vertices:
             raise ValueError("source and target must be vertices")
         if topological_order(self.vertex_count, self.edges) is None:
             raise ValueError("edge relation must be acyclic")
+
+
+def _int_pairs(items: Iterable[Sequence]) -> frozenset[tuple[int, int]]:
+    """``items`` as a set of (int, int) tuples.  Pairs of ints are taken as
+    they are, in bulk passes; anything else is converted, or fails, as
+    unpacking and ``int`` would."""
+    if iter(items) is items:  # a one-shot iterator: keep it for the fallback
+        items = tuple(items)
+    try:
+        pairs = list(map(tuple, items))
+        if set(map(len, pairs)) <= {2} and set(map(type, chain.from_iterable(pairs))) <= {int}:
+            return frozenset(pairs)
+    except TypeError:
+        pass
+    return frozenset((int(u), int(v)) for (u, v) in items)
 
 
 def gen_cnf_cso(formula: CnfFormula) -> CsoInstance:
@@ -154,8 +171,15 @@ def gen_cnf_cso(formula: CnfFormula) -> CsoInstance:
 
 
 def _vertex_automaton_parts(g: Dag, observable_event: str):
-    states = [str(v) for v in range(g.vertex_count)]
-    transitions = {(str(u), observable_event, str(v)) for (u, v) in g.edges}
+    states = list(map(str, range(g.vertex_count)))
+    name = states.__getitem__
+    transitions = set(
+        zip(
+            map(name, map(itemgetter(0), g.edges)),
+            repeat(observable_event),
+            map(name, map(itemgetter(1), g.edges)),
+        )
+    )
     return states, transitions
 
 

@@ -102,6 +102,45 @@ class TestValidation:
             aut(["p"], AB, [], ["q"])
 
 
+class TestLargeConstruction:
+    """Construction checks a large transition set in bulk passes; the
+    accepted inputs and the error texts are those of one check per transition."""
+
+    STATES = tuple(f"p{i}" for i in range(600))
+    ROWS = [[f"p{i // 2}", "ab"[i % 2], f"p{(i * 7 + 1) % 600}"] for i in range(1200)]
+
+    def build(self, transitions):
+        return Automaton(self.STATES, AB, transitions, {"p0"})
+
+    def test_list_typed_transitions_are_accepted(self):
+        a = self.build(self.ROWS)
+        assert len(a.transitions) == 1200
+        assert a == self.build({tuple(t) for t in self.ROWS}) == self.build(iter(self.ROWS))
+        assert all(type(t) is tuple for t in a.transitions)
+
+    @pytest.mark.parametrize("bad", [["p1", "a"], ["p1", "a", "p2", "p3"], "pq"])
+    def test_wrong_arity_is_a_value_error(self, bad):
+        with pytest.raises(ValueError, match="values to unpack"):
+            self.build(self.ROWS[:700] + [bad] + self.ROWS[700:])
+
+    def test_non_sequence_transition_fails_as_unpacking_does(self):
+        with pytest.raises(TypeError, match="cannot unpack non-iterable int object"):
+            self.build(self.ROWS + [5])
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (("p3", "a", "ghost"), "transition ('p3', 'a', 'ghost') uses an undeclared state"),
+            (("ghost", "b", "p3"), "transition ('ghost', 'b', 'p3') uses an undeclared state"),
+            (("p3", "c", "p4"), "transition ('p3', 'c', 'p4') uses an undeclared event"),
+        ],
+    )
+    def test_one_undeclared_name_is_named(self, bad, message):
+        with pytest.raises(ValueError) as caught:
+            self.build(self.ROWS + [list(bad)])
+        assert str(caught.value) == message
+
+
 class TestUnobservableReach:
     def test_all_observable_is_identity(self):
         a = aut(["p", "q"], AB, [("p", "a", "q")], ["p"])

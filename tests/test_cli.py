@@ -117,6 +117,7 @@ class TestVerify:
         ]
         errors = captured.err.splitlines()
         assert [line.split(": ")[1] for line in errors] == [missing, str(undecodable)]
+        assert [line.count(path) for line, path in zip(errors, files[1:3])] == [1, 1]
         assert main(["verify", "--notion", "cso", "--output", "json", *files]) == 2
         payload = json.loads(capsys.readouterr().out)
         assert list(payload) == ["results"]
@@ -327,6 +328,69 @@ class TestGen:
         assert main(["gen", "union", p1, p2]) == 0
         inst_path = write(tmp_path, "union.json", capsys.readouterr().out)
         assert main(["verify", "--notion", "cso", inst_path]) == 0
+
+    def test_union_names_the_bad_component(self, tmp_path, capsys):
+        moves = [["e", "0", "o"], ["e", "1", "o"], ["o", "0", "e"], ["o", "1", "e"]]
+        base = {
+            "alphabet": [{"name": "0", "observable": True}, {"name": "1", "observable": True}],
+            "states": ["e", "o"],
+            "initial": ["e"],
+            "marked": ["e"],
+            "transitions": moves,
+        }
+        good = write(tmp_path, "good.json", json.dumps(base))
+        other = write(tmp_path, "other.json", json.dumps({**base, "marked": ["o"]}))
+        malformed = write(tmp_path, "malformed.json", "{ nope")
+        ghost = write(tmp_path, "ghost.json", json.dumps(
+            {**base, "transitions": moves + [["o", "0", "ghost"]]}
+        ))
+        missing = str(tmp_path / "missing.json")
+        for bad, reason in (
+            (malformed, "malformed JSON ("),
+            (ghost, "transition ('o', '0', 'ghost') uses an undeclared state"),
+            (missing, "No such file or directory"),
+        ):
+            assert main(["gen", "union", good, bad, other]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1
+            assert captured.err.startswith(f"error: {bad}: {reason}")
+            assert captured.err.count(bad) == 1
+
+    def test_output_is_canonical_json(self, tmp_path, capsys):
+        """Every gadget's output, metadata included, is the text ``json.dumps``
+        gives for its own parse."""
+        dag = write(tmp_path, "dag.json", json.dumps(
+            {"vertices": 5, "edges": [[0, 1], [1, 2], [0, 3], [3, 4], [2, 4]], "s": 0, "t": 4}
+        ))
+        cnf = write(tmp_path, "demo.cnf", TWO_CLAUSE_DIMACS)
+        rng = make_rng("cli-canonical")
+        po = write(tmp_path, "po.json", dumps(instance_to_dict(CsoInstance(
+            Automaton(
+                ("p", "q", "r", "s"), ALPHABET_1OBS_1UO,
+                {("p", "a", "q"), ("p", "a", "r"), ("q", "u", "s"), ("r", "a", "s")},
+                {"p", "q"},
+            ),
+            frozenset({"q"}), frozenset({"r", "s"}),
+        ))))
+        dfas = [write(tmp_path, f"d{k}.json", dumps(automaton_to_dict(rand_dfa(rng))))
+                for k in range(3)]
+        lbo = write_instance(tmp_path, "lbo.json", gen_dag_weak_lbo(
+            Dag(4, frozenset({(0, 1), (1, 2), (0, 2)}), 0, 3)
+        ))
+        for argv, has_metadata in (
+            (["gen", "dag-unary-cso", dag], False),
+            (["gen", "po-det", po, "--chain-event", "a"], True),
+            (["gen", "cnf", cnf], False),
+            (["gen", "union", *dfas], True),
+            (["gen", "lbo2iso", lbo], True),
+        ):
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            payload = json.loads(out)
+            canonical = json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False)
+            assert out == canonical + "\n"
+            assert ("metadata" in payload) == has_metadata
 
     def test_cso2lbo_round(self, tmp_path, capsys):
         path = write_instance(tmp_path, "inst.json", gen_cnf_cso(TWO_CLAUSE))

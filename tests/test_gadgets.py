@@ -174,6 +174,37 @@ class TestDagGadgets:
             Dag(2, frozenset({(0, 1), (1, 0)}), 0, 1)
 
 
+class TestLargeDag:
+    """The edge checks run in bulk passes; the accepted inputs and the error
+    texts are those of one check per edge."""
+
+    CHAIN = [[i, i + 1] for i in range(1500)]
+
+    def test_list_typed_edges_are_accepted(self):
+        g = Dag(1501, self.CHAIN, 0, 1500)
+        assert g.edges == frozenset(map(tuple, self.CHAIN))
+        assert Dag(1501, iter(self.CHAIN), 0, 1500) == g
+
+    def test_non_integer_ends_convert_as_int_does(self):
+        g = Dag(1501, self.CHAIN + [[0.0, "2"], (True, 3)], 0, 1500)
+        assert {(0, 2), (1, 3)} <= g.edges
+        assert all(type(x) is int for e in g.edges for x in e)
+
+    @pytest.mark.parametrize("bad", [[4], [4, 5, 6]])
+    def test_wrong_arity_is_a_value_error(self, bad):
+        with pytest.raises(ValueError, match="values to unpack"):
+            Dag(1501, self.CHAIN + [bad], 0, 1500)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [([5, 1501], "edge (5, 1501) is out of range"), ([-1, 3], "edge (-1, 3) is out of range")],
+    )
+    def test_one_out_of_range_edge_is_named(self, bad, message):
+        with pytest.raises(ValueError) as caught:
+            Dag(1501, self.CHAIN[:800] + [bad] + self.CHAIN[800:], 0, 1500)
+        assert str(caught.value) == message
+
+
 def complete_dfa(states, moves, initial, marked):
     return Automaton(
         tuple(states), ALPHABET_BIN,

@@ -161,12 +161,41 @@ JSON_VALUES = st.recursive(
 )
 
 
+@st.composite
+def string_rows(draw):
+    """Arrays of string arrays, the shape the writer joins in one pass, and
+    its near misses: rows of one length or ragged, none or empty ones, lists
+    or tuples, and sometimes one member that is not a string."""
+    width = draw(st.integers(0, 3))
+    ragged = draw(st.booleans())
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        size = draw(st.integers(0, 3)) if ragged else width
+        row = draw(st.lists(JSON_TEXT, min_size=size, max_size=size))
+        rows.append(tuple(row) if draw(st.booleans()) else row)
+    if rows and draw(st.booleans()):
+        k = draw(st.integers(0, len(rows) - 1))
+        row = list(rows[k])
+        if row:
+            member = st.none() | st.integers() | st.lists(JSON_TEXT, max_size=2)
+            row[draw(st.integers(0, len(row) - 1))] = draw(member)
+            rows[k] = row
+    return tuple(rows) if draw(st.booleans()) else rows
+
+
 class TestDumps:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(JSON_VALUES)
     def test_matches_json_module(self, value):
         expected = json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
         assert dumps(value) == expected
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(string_rows())
+    def test_string_rows_match_json_module(self, rows):
+        for value in (rows, {"rows": rows, "nested": [rows, "x"]}):
+            expected = json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+            assert dumps(value) == expected
 
 
 class TestDagFormat:
