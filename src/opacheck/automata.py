@@ -90,14 +90,15 @@ class Automaton:
             and declared.issuperset(map(itemgetter(2), t))
             and events.issuperset(map(itemgetter(1), t))
         ):
-            for (p, e, q) in t:  # the first offender, for the message
+            # The least offender, so the message does not depend on the hash seed.
+            for (p, e, q) in sorted(t):
                 if p not in declared or q not in declared:
                     raise ValueError(f"transition ({p!r}, {e!r}, {q!r}) uses an undeclared state")
                 if e not in events:
                     raise ValueError(f"transition ({p!r}, {e!r}, {q!r}) uses an undeclared event")
-        for s in self.initial | self.marked:
-            if s not in declared:
-                raise ValueError(f"{s!r} is not a declared state")
+        undeclared = (self.initial | self.marked) - declared
+        if undeclared:
+            raise ValueError(f"{min(undeclared)!r} is not a declared state")
 
     @cached_property
     def events_by_name(self) -> dict[str, Event]:

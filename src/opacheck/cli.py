@@ -212,10 +212,19 @@ def _cmd_gen_cso2lbo(args) -> int:
 
 
 def _cmd_gen_lbo2iso(args) -> int:
+    import warnings
+
     from . import gadgets
 
     instance = jsonio.instance_from_dict(jsonio.load_json_file(args.file), "lbo")
-    result = gadgets.lbo_to_iso(instance)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # reported below as one line, like verify's warning
+        result = gadgets.lbo_to_iso(instance)
+    if result.trimmed:
+        print(
+            "warning: language-based opacity inputs were blocking; trimmed automatically",
+            file=sys.stderr,
+        )
     return _emit(jsonio.instance_to_dict(result.instance, metadata=result.metadata()))
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import opacheck
@@ -18,6 +19,7 @@ from opacheck import (
     LboInstance,
     gen_cnf_cso,
     gen_dag_weak_lbo,
+    lbo_to_iso,
 )
 from opacheck.cli import main
 from opacheck.jsonio import automaton_to_dict, dumps, instance_to_dict
@@ -179,18 +181,32 @@ class TestVerify:
 
 
 # Runs each argv through ``cli.main`` and prints one JSON list of
-# [exit code, stdout] pairs, with the timing line of JSON reports removed.
+# [exit code, stdout, stderr] triples, with the timing line of JSON reports removed.
 HASH_SEED_CHILD = """
 import contextlib, io, json, re, sys
 from opacheck import cli
 results = []
 for argv in json.loads(sys.argv[1]):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    results.append([code, re.sub(r'\\n *"time_seconds": [^\\n]*', '', out.getvalue())])
+    results.append([code, re.sub(r'\\n *"time_seconds": [^\\n]*', '', out.getvalue()),
+                    err.getvalue()])
 print(json.dumps(results))
 """
+
+
+def run_under_hash_seeds(commands):
+    """The child's results for ``commands`` under ``PYTHONHASHSEED`` 0 and 1."""
+    src = str(Path(opacheck.__file__).resolve().parent.parent)
+    runs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        runs.append(json.loads(subprocess.run(
+            [sys.executable, "-c", HASH_SEED_CHILD, json.dumps(commands)],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout))
+    return runs
 
 
 def hash_seed_commands(tmp_path):
@@ -236,20 +252,43 @@ def hash_seed_commands(tmp_path):
 class TestDeterminism:
     def test_output_bytes_do_not_depend_on_the_hash_seed(self, tmp_path):
         commands = hash_seed_commands(tmp_path)
-        src = str(Path(opacheck.__file__).resolve().parent.parent)
-        runs = []
-        for seed in ("0", "1"):
-            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
-            runs.append(subprocess.run(
-                [sys.executable, "-c", HASH_SEED_CHILD, json.dumps(commands)],
-                env=env, capture_output=True, text=True, check=True,
-            ).stdout)
+        runs = run_under_hash_seeds(commands)
         assert runs[0] == runs[1]
-        results = json.loads(runs[0])
+        results = runs[0]
         assert len(results) == len(commands)
         # the comparison covers violations with witnesses, not only empty output
-        assert {code for code, _ in results} == {0, 1}
-        assert sum("witness observation" in out for _, out in results) >= 5
+        assert {code for code, _, _ in results} == {0, 1}
+        assert sum("witness observation" in out for _, out, _ in results) >= 5
+
+    def test_validation_errors_name_the_least_offender(self, tmp_path):
+        # Each file has several offenders, so a message naming whichever one
+        # a set yields first would change with the hash seed.
+        def automaton(transitions=(), marked=()):
+            return {"alphabet": [{"name": "a", "observable": True}], "states": ["p", "q"],
+                    "initial": ["p"], "marked": list(marked), "transitions": list(transitions)}
+        zz = [f"zz{k}" for k in range(1, 6)]
+        files = {
+            "cso": [
+                {"automaton": automaton(transitions=[["p", "a", z] for z in zz]),
+                 "secret": ["p"], "nonsecret": []},
+                {"automaton": automaton(marked=zz), "secret": ["p"], "nonsecret": []},
+            ],
+            # undeclared finals and non-initial starts: two kinds of error
+            "ifso": [{"automaton": automaton(),
+                      "secret_pairs": [["p", z] for z in zz[:3]] + [["q", "p"], ["q", "q"]],
+                      "nonsecret_pairs": []}],
+        }
+        commands = [
+            ["verify", "--notion", notion, write(tmp_path, f"{notion}{n}.json", json.dumps(d))]
+            for notion, cases in files.items() for n, d in enumerate(cases)
+        ]
+        runs = run_under_hash_seeds(commands)
+        assert runs[0] == runs[1]
+        assert [(code, err.split(": ", 2)[2]) for code, _, err in runs[0]] == [
+            (2, "transition ('p', 'a', 'zz1') uses an undeclared state\n"),
+            (2, "'zz1' is not a declared state\n"),
+            (2, "pair ('p', 'zz1') uses an undeclared state\n"),
+        ]
 
 
 class TestGen:
@@ -314,6 +353,25 @@ class TestGen:
         query = payload["metadata"]["query_event"]
         query_edges = [t for t in payload["automaton"]["transitions"] if t[1] == query]
         assert len(query_edges) == 2  # one marked state per side
+
+    def test_lbo2iso_reports_trimming_in_one_line(self, tmp_path, capsys):
+        blocking = Automaton(("0", "1"), (Event("a"),), {("0", "a", "1")}, {"0"}, {"0"})
+        inst = LboInstance(blocking, blocking)  # state 1 reaches no marked state
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = lbo_to_iso(inst)
+        assert result.trimmed
+        expected = dumps(instance_to_dict(result.instance, metadata=result.metadata()))
+        path = write_instance(tmp_path, "lbo.json", inst)
+        for action in ("default", "error"):  # "error" is what ``python -W error`` sets
+            with warnings.catch_warnings():
+                warnings.simplefilter(action)
+                assert main(["gen", "lbo2iso", path]) == 0
+            out, err = capsys.readouterr()
+            assert out == expected
+            assert err == (
+                "warning: language-based opacity inputs were blocking; trimmed automatically\n"
+            )
 
     def test_union_gen_verifies(self, tmp_path, capsys):
         moves = [["e", "0", "o"], ["e", "1", "o"], ["o", "0", "e"], ["o", "1", "e"]]
@@ -464,3 +522,17 @@ class TestDot:
     def test_deep_json_exits_two(self, tmp_path, capsys):
         deep = write(tmp_path, "deep.json", DEEP_JSON)
         assert_input_error(["dot", deep], capsys)
+
+
+class TestReadme:
+    def test_quick_round_trip(self, tmp_path, capsys):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+        block = readme.split("A quick round trip:", 1)[1].split("```sh\n", 1)[1]
+        block = block.split("```", 1)[0]
+        dimacs = block.split("<<'EOF'\n", 1)[1].split("\nEOF\n", 1)[0] + "\n"
+        expected = [line[2:] for line in block.splitlines() if line.startswith("# ")]
+        assert len(expected) == 3
+        assert main(["gen", "cnf", write(tmp_path, "demo.cnf", dimacs)]) == 0
+        inst = write(tmp_path, "inst.json", capsys.readouterr().out)
+        assert main(["verify", "--notion", "cso", "--witness", inst]) == 1
+        assert capsys.readouterr().out.splitlines() == expected

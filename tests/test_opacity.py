@@ -15,6 +15,8 @@ from opacheck import (
     LengthSet,
     ObserverBlowup,
     PreconditionViolated,
+    Verdict,
+    Witness,
     gen_cnf_cso,
     inclusion_modulo_projection,
     observation_length_set,
@@ -284,6 +286,18 @@ class TestIso:
         # reversed roles are not opaque: observations a^k only from state 2
         v = verify_iso(IsoInstance(a, {"2"}, {"1"}))
         assert not v.holds and v.witness.observation == ("a",)
+
+    def test_witness_is_shortest_over_all_secret_initial_states(self):
+        # s1 fails only on aab, s2 already on b; the non-secret start reads a*.
+        a = aut(
+            ["s1", "x1", "x2", "x3", "s2", "y", "n"],
+            AB,
+            [("s1", "a", "x1"), ("x1", "a", "x2"), ("x2", "b", "x3"),
+             ("s2", "b", "y"), ("n", "a", "n")],
+            ["s1", "s2", "n"],
+        )
+        v = verify_iso(IsoInstance(a, {"s1", "s2"}, {"n"}))
+        assert v == Verdict(False, Witness(("b",), ("b",)))
 
     def test_iso_witness_replays(self):
         rng = make_rng("iso-replay")
