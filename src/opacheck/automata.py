@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from .errors import ObserverBlowup, PreconditionViolated
 
@@ -485,16 +485,18 @@ def trim(a: Automaton) -> Automaton:
 
 
 def realize_observation(
-    a: Automaton, targets: Iterable[str], observation: Observation
+    a: Automaton, targets: Iterable[str], observation: Observation, *,
+    initial: Optional[Iterable[str]] = None,
 ) -> tuple[str, ...]:
-    """Shortest full event string projecting to ``observation`` that reaches ``targets``.
+    """Shortest full event string projecting to ``observation`` that leads
+    from a state of ``initial`` (by default ``a.initial``) into ``targets``.
 
     Ties among shortest strings are broken by alphabet declaration order.
-    Raises ValueError when no run of ``a`` produces the observation and ends in
-    a target state.
+    Raises ValueError when no such run of ``a`` exists.
     """
     targets = frozenset(targets)
-    _require(targets <= set(a.states), "realize_observation: targets must be declared states")
+    initial = a.initial if initial is None else frozenset(initial)
+    _require(targets | initial <= set(a.states), "realize_observation: states must be declared")
     g = a._graph
     n = len(observation)
     width = n + 1  # node = state * width + number of observations read
@@ -510,7 +512,7 @@ def realize_observation(
             position += 1
         return [j * width + position for j in g.succ[k][q]]
 
-    starts = sorted(g.index[s] * width for s in a.initial)
+    starts = sorted(g.index[s] * width for s in initial)
     run = _lex_shortest_to_goal(starts, range(len(a.alphabet)), step, goal.__contains__)
     if run is None:
         raise ValueError("observation is not realizable by any run into the target set")
@@ -653,19 +655,24 @@ def inclusion_modulo_projection(
     """
     m1, m2 = frozenset(m1), frozenset(m2)
     _check_language_args(a1, m1, a2, m2)
+    return _inclusion(a1, a1.initial, m1, a2, a2.initial, m2, cap)
+
+
+def _inclusion(
+    a1: Automaton, initial1: Collection[str], m1: Collection[str],
+    a2: Automaton, initial2: Collection[str], m2: Collection[str], cap: int,
+) -> Verdict:
+    """:func:`inclusion_modulo_projection` with each side started in the
+    given states rather than its automaton's initial ones.  The arguments
+    are trusted; when ``a2 is a1`` one kernel serves both sides."""
     left = _EstimateKernel(a1, cap)
     right = left if a2 is a1 else _EstimateKernel(a2, cap)
-    obs = _least_difference(
-        left,
-        left.close(left.mask(a1.initial)),
-        left.mask(m1),
-        right,
-        right.start(),
-        right.mask(m2),
-    )
+    left_start = left.close(left.mask(initial1))
+    right_start = right.intern(right.close(right.mask(initial2)))
+    obs = _least_difference(left, left_start, left.mask(m1), right, right_start, right.mask(m2))
     if obs is None:
         return Verdict(True)
-    return Verdict(False, Witness(obs, realize_observation(a1, m1, obs)))
+    return Verdict(False, Witness(obs, realize_observation(a1, m1, obs, initial=initial1)))
 
 
 def intersection_nonempty_modulo_projection(

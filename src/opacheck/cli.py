@@ -100,7 +100,8 @@ def _cmd_verify(args) -> int:
                 overlap = instance.secret & instance.nonsecret
                 if overlap:
                     print(
-                        f"warning: {len(overlap)} state(s) are both secret and non-secret",
+                        f"warning: {path}: {len(overlap)} state(s) are both secret"
+                        " and non-secret",
                         file=sys.stderr,
                     )
             started = time.perf_counter()
@@ -292,24 +293,29 @@ def _cmd_oracle_enum_cso(args) -> int:
     return 0 if verdict.holds else 1
 
 
+def _dot_id(name: str) -> str:
+    """``name`` as a quoted DOT ID, with backslashes and double quotes escaped."""
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def _cmd_dot(args) -> int:
     data = jsonio.load_json_file(args.file)
     lines = ["digraph {", "  rankdir=LR;"]
     for role, a in _automata_in_file(data):
-        cluster = role.replace("automaton", "").strip("_") or None
+        cluster = role.replace("automaton", "").strip("_")
+        prefix = f"{cluster}:" if cluster else ""
         for s in sorted(a.states):
             shape = "doublecircle" if s in a.marked else "circle"
-            name = f"{cluster}:{s}" if cluster else s
-            lines.append(f'  "{name}" [shape={shape}];')
+            lines.append(f"  {_dot_id(prefix + s)} [shape={shape}];")
         for k, s in enumerate(sorted(a.initial)):
-            name = f"{cluster}:{s}" if cluster else s
-            lines.append(f'  "__start_{cluster or ""}{k}" [shape=point];')
-            lines.append(f'  "__start_{cluster or ""}{k}" -> "{name}";')
+            start = _dot_id(f"__start_{cluster}{k}")
+            lines.append(f"  {start} [shape=point];")
+            lines.append(f"  {start} -> {_dot_id(prefix + s)};")
         for (p, e, q) in sorted(a.transitions):
             style = "" if a.is_observable(e) else " style=dashed"
-            src = f"{cluster}:{p}" if cluster else p
-            dst = f"{cluster}:{q}" if cluster else q
-            lines.append(f'  "{src}" -> "{dst}" [label="{e}"{style}];')
+            lines.append(
+                f"  {_dot_id(prefix + p)} -> {_dot_id(prefix + q)} [label={_dot_id(e)}{style}];"
+            )
     lines.append("}")
     text = "\n".join(lines) + "\n"
     if args.out:

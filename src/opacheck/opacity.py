@@ -24,7 +24,8 @@ from .automata import (
     realize_observation,
     _bits,
     _EstimateKernel,
-    _least_difference,
+    _inclusion,
+    _reach,
 )
 from .errors import PreconditionViolated
 
@@ -343,43 +344,7 @@ def verify_iso(inst: IsoInstance, *, cap: int = DEFAULT_OBSERVER_CAP) -> Verdict
     alphabet declaration order.
     """
     a = inst.automaton
-    kernel = _EstimateKernel(a, cap)  # one kernel serves both sides
-    everything = kernel.mask(a.states)
-    secret_start = kernel.close(kernel.mask(inst.secret_initial))
-    nonsecret_start = kernel.intern(kernel.close(kernel.mask(inst.nonsecret_initial)))
-    obs = _least_difference(kernel, secret_start, everything, kernel, nonsecret_start, everything)
-    if obs is None:
-        return Verdict(True)
-    run = realize_observation(a.with_initial(inst.secret_initial), a.states, obs)
-    return Verdict(False, Witness(obs, run))
-
-
-def _pair_language_automaton(
-    a: Automaton, pairs: frozenset[tuple[str, str]]
-) -> tuple[Automaton, frozenset[str]]:
-    """Disjoint union of one copy of ``a`` per initial state of a pair, started
-    there and marked at every state that state is paired with.
-
-    Its language is the union of the pair languages: copies restarted in the
-    same state reach the same states, so one copy serves all of its pairs.
-    """
-    finals: dict[str, list[str]] = {}
-    for (i, f) in sorted(pairs):
-        finals.setdefault(i, []).append(f)
-    states: list[str] = []
-    transitions: set[tuple[str, str, str]] = set()
-    initial: set[str] = set()
-    marked: set[str] = set()
-    for k, (i, fs) in enumerate(finals.items()):
-        prefix = f"{k}:"
-        states.extend(prefix + s for s in a.states)
-        transitions.update((prefix + p, e, prefix + q) for (p, e, q) in a.transitions)
-        initial.add(prefix + i)
-        marked.update(prefix + f for f in fs)
-    return (
-        Automaton(tuple(states), a.alphabet, transitions, initial, marked),
-        frozenset(marked),
-    )
+    return _inclusion(a, inst.secret_initial, a.states, a, inst.nonsecret_initial, a.states, cap)
 
 
 def verify_ifso(inst: IfsoInstance, *, cap: int = DEFAULT_OBSERVER_CAP) -> Verdict:
@@ -387,13 +352,30 @@ def verify_ifso(inst: IfsoInstance, *, cap: int = DEFAULT_OBSERVER_CAP) -> Verdi
 
     Each pair (i, f) contributes the language of the automaton restarted in i
     and marked at f; the union of the secret pair languages must be included,
-    modulo projection, in the union of the non-secret pair languages.  One
-    copy of the automaton is materialized per distinct initial state of a
-    pair on each side.
+    modulo projection, in the union of the non-secret pair languages.  Both
+    sides run on one automaton that holds, per distinct initial state of a
+    pair, a copy of the part of ``inst.automaton`` reachable from it: copies
+    restarted in the same state reach the same states, so one copy serves
+    all of that state's pairs on both sides, and a final its start cannot
+    reach is dropped.  Each side starts in the copies of its own pairs'
+    initial states and is marked at their finals.
     """
-    a = inst.automaton
-    secret_auto, secret_marked = _pair_language_automaton(a, inst.secret_pairs)
-    nonsecret_auto, nonsecret_marked = _pair_language_automaton(a, inst.nonsecret_pairs)
-    return inclusion_modulo_projection(
-        secret_auto, secret_marked, nonsecret_auto, nonsecret_marked, cap=cap
-    )
+    a, g = inst.automaton, inst.automaton._graph
+    ends: dict[str, tuple[list[str], list[str]]] = {}  # i -> (secret finals, non-secret finals)
+    for side, pairs in enumerate((inst.secret_pairs, inst.nonsecret_pairs)):
+        for (i, f) in pairs:
+            ends.setdefault(i, ([], []))[side].append(f)
+    states, transitions, starts, marked = [], [], ([], []), ([], [])
+    for k, (i, finals) in enumerate(sorted(ends.items())):
+        kept = sorted(_reach([g.index[i]], g.succ))
+        name = {p: f"{k}:{a.states[p]}" for p in kept}
+        states.extend(name.values())
+        for e, row in zip(a.alphabet, g.succ):
+            transitions.extend((name[p], e.name, name[q]) for p in kept for q in row[p])
+        for side, fs in enumerate(finals):
+            if fs:
+                starts[side].append(name[g.index[i]])
+                reached = (g.index[f] for f in fs)
+                marked[side].extend(name[j] for j in reached if j in name)
+    copies = Automaton(tuple(states), a.alphabet, transitions, ())
+    return _inclusion(copies, starts[0], marked[0], copies, starts[1], marked[1], cap)

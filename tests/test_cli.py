@@ -138,6 +138,13 @@ class TestVerify:
         path = write_instance(tmp_path, "inst.json", overlapping)
         assert main(["verify", "--notion", "cso", path]) == 0
         assert "both secret and non-secret" in capsys.readouterr().err
+        other = write_instance(tmp_path, "other.json", overlapping)
+        assert main(["verify", "--notion", "cso", path, other]) == 0
+        count = len(overlapping.secret & overlapping.nonsecret)
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: {p}: {count} state(s) are both secret and non-secret"
+            for p in (path, other)
+        ]
 
     def test_multiple_files_aggregate_exit_code(self, tmp_path, capsys):
         inst = gen_cnf_cso(TWO_CLAUSE)
@@ -522,6 +529,21 @@ class TestDot:
     def test_deep_json_exits_two(self, tmp_path, capsys):
         deep = write(tmp_path, "deep.json", DEEP_JSON)
         assert_input_error(["dot", deep], capsys)
+
+    def test_quotes_and_backslashes_are_escaped(self, tmp_path, capsys):
+        a = Automaton(('p"x', "q\\"), (Event("a\\"),), {('p"x', "a\\", "q\\")}, {'p"x'}, {"q\\"})
+        path = write(tmp_path, "a.json", dumps(automaton_to_dict(a)))
+        assert main(["dot", path]) == 0
+        assert capsys.readouterr().out == (
+            'digraph {\n'
+            '  rankdir=LR;\n'
+            '  "p\\"x" [shape=circle];\n'
+            '  "q\\\\" [shape=doublecircle];\n'
+            '  "__start_0" [shape=point];\n'
+            '  "__start_0" -> "p\\"x";\n'
+            '  "p\\"x" -> "q\\\\" [label="a\\\\"];\n'
+            '}\n'
+        )
 
 
 class TestReadme:

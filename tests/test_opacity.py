@@ -1,6 +1,7 @@
 """Verifier tests: the five notions, fast paths, and cross-notion properties."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -392,6 +393,44 @@ class TestIfso:
                 assert outcome(lambda c: verify_ifso(inst, cap=c), cap) == expected
             transparent += not expected.holds
         assert shared > 10 and transparent > 10
+
+    def test_shared_start_and_unreachable_final(self):
+        # p starts a secret and a non-secret pair; s cannot reach its final q.
+        alphabet = (Event("a"), Event("b"), Event("u", observable=False))
+        a = aut(
+            ["p", "q", "r", "s", "t"],
+            alphabet,
+            [("p", "a", "q"), ("q", "u", "r"), ("r", "b", "t"), ("s", "a", "s")],
+            ["p", "s"],
+        )
+        inst = IfsoInstance(a, {("p", "t"), ("s", "q")}, {("p", "r"), ("s", "s")})
+        v = verify_ifso(inst)
+        assert v == Verdict(False, Witness(("a", "b"), ("a", "u", "b")))
+        assert replay("ifso", inst, v)
+        assert verify_ifso(IfsoInstance(a, inst.secret_pairs, {("p", "t")})).holds
+        assert verify_ifso(IfsoInstance(a, {("s", "q")}, frozenset())).holds
+
+    def test_memory_follows_what_each_start_reaches(self):
+        # A 400-state secret chain against 50 non-secret starts that each
+        # reach one state: a full copy per start would hold 51 x 500 states.
+        chain = [f"c{k}" for k in range(400)]
+        pairs = {(f"n{k}", f"m{k}") for k in range(50)}
+        a = aut(
+            chain + [s for pair in sorted(pairs) for s in pair],
+            (Event("a"),),
+            {(p, "a", q) for p, q in zip(chain, chain[1:])} | {(n, "a", m) for n, m in pairs},
+            {"c0"} | {n for n, _ in pairs},
+        )
+        inst = IfsoInstance(a, {("c0", "c399")}, pairs)
+        tracemalloc.start()
+        try:
+            v = verify_ifso(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert v == Verdict(False, Witness(("a",) * 399, ("a",) * 399))
+        assert replay("ifso", inst, v)
+        assert peak < 8 * 2**20
 
     def test_cso_embeds_into_ifso(self):
         rng = make_rng("cso-as-ifso")

@@ -24,6 +24,7 @@ from opacheck import (
     lbo_to_iso,
     observation_length_set,
     po_determinize,
+    realize_observation,
     verify_cso,
     verify_iso,
     verify_lbo,
@@ -164,6 +165,24 @@ def test_iso_equals_one_inclusion_over_all_secret_initial_states(a, data):
         rank = {e: k for k, e in enumerate(a.observable_events)}
         least = min(failing, key=lambda obs: (len(obs), [rank[e] for e in obs]))
         assert verdict.witness.observation == least  # so no longer than any of them
+
+
+@PROPERTY_SETTINGS
+@given(automata(), st.data())
+def test_realize_from_given_initial_states_equals_restarted_automaton(a, data):
+    initial = data.draw(st.frozensets(st.sampled_from(a.states)))
+    targets = data.draw(st.frozensets(st.sampled_from(a.states)))
+    obs = tuple(data.draw(st.lists(st.sampled_from(a.observable_events), max_size=3)))
+
+    def outcome(realize):
+        try:
+            return realize()
+        except ValueError:  # no run produces the observation
+            return None
+
+    run = outcome(lambda: realize_observation(a, targets, obs, initial=initial))
+    assert run == outcome(lambda: realize_observation(a.with_initial(initial), targets, obs))
+    assert (run is not None) == observation_feasible(a.with_initial(initial), targets, obs)
 
 
 @PROPERTY_SETTINGS
