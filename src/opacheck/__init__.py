@@ -41,7 +41,6 @@ from .opacity import (
     verify_cso,
     verify_cso_inclusion,
     verify_cso_observer,
-    verify_cso_unary_acyclic,
     verify_cso_unary_po,
     verify_ifso,
     verify_iso,
@@ -108,7 +107,6 @@ __all__ = [
     "verify_cso",
     "verify_cso_inclusion",
     "verify_cso_observer",
-    "verify_cso_unary_acyclic",
     "verify_cso_unary_po",
     "verify_ifso",
     "verify_iso",

@@ -5,7 +5,9 @@ events; the intruder sees a string only through the projection that erases the
 unobservable ones.  Every search over projected behaviour (the observer's
 estimates, projected inclusion and projected intersection) runs on one
 bitmask estimate kernel built over this single data model; none of them
-materializes a projected, determinized or product automaton.
+materializes a projected, determinized or product automaton.  A projected
+inclusion between partially ordered automata with one observable event
+needs no search: it compares their sets of observation lengths.
 
 All values are immutable after construction and every operation is a pure
 function of its inputs, so values can be shared freely across threads.
@@ -14,7 +16,7 @@ function of its inputs, so values can be shared freely across threads.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import itemgetter
 from typing import Collection, Iterable, Optional, Sequence
@@ -32,7 +34,9 @@ row for the empty estimate.
 
 Two searches ignore the cap: weak LBO's product search stores at most
 |Q1| x |Q2| pairs of states, and :func:`realize_observation` at most
-|Q| x (len(observation) + 1) nodes.
+|Q| x (len(observation) + 1) nodes.  Nor is an inclusion decided by length
+sets (:func:`_inclusion`) bounded: it keeps two ints per state and interns no
+estimates, so the observer can hit a cap that inclusion answers under.
 """
 
 Observation = tuple[str, ...]
@@ -186,8 +190,12 @@ class Witness:
 
 @dataclass(frozen=True)
 class Verdict:
+    """``algorithm`` names the code that decided: ``observer``, ``inclusion``,
+    ``unary-po`` or ``product``.  It takes no part in equality."""
+
     holds: bool
     witness: Optional[Witness] = None
+    algorithm: str = field(default="", compare=False)
 
 
 class _Graph:
@@ -664,15 +672,132 @@ def _inclusion(
 ) -> Verdict:
     """:func:`inclusion_modulo_projection` with each side started in the
     given states rather than its automaton's initial ones.  The arguments
-    are trusted; when ``a2 is a1`` one kernel serves both sides."""
-    left = _EstimateKernel(a1, cap)
-    right = left if a2 is a1 else _EstimateKernel(a2, cap)
-    left_start = left.close(left.mask(initial1))
-    right_start = right.intern(right.close(right.mask(initial2)))
-    obs = _least_difference(left, left_start, left.mask(m1), right, right_start, right.mask(m2))
+    are trusted.
+
+    When both sides are partially ordered with one observable event, the
+    inclusion is that of their observation length sets, and no kernel is
+    built (nor is the cap consulted).  Otherwise the estimate kernel decides
+    it; when ``a2 is a1`` one kernel serves both sides.
+    """
+    event = _unary_event(a1)
+    if event is not None and _unary_event(a2) is not None:
+        algorithm = "unary-po"
+        if a2 is a1 and initial2 == initial1:
+            left_lengths, right_lengths = _length_sets(a1, initial1, (m1, m2))
+        else:
+            [left_lengths] = _length_sets(a1, initial1, (m1,))
+            [right_lengths] = _length_sets(a2, initial2, (m2,))
+        k = left_lengths.min_uncovered(right_lengths)
+        obs = None if k is None else (event,) * k
+    else:
+        algorithm = "inclusion"
+        left = _EstimateKernel(a1, cap)
+        right = left if a2 is a1 else _EstimateKernel(a2, cap)
+        left_start = left.close(left.mask(initial1))
+        right_start = right.intern(right.close(right.mask(initial2)))
+        obs = _least_difference(left, left_start, left.mask(m1), right, right_start, right.mask(m2))
     if obs is None:
-        return Verdict(True)
-    return Verdict(False, Witness(obs, realize_observation(a1, m1, obs, initial=initial1)))
+        return Verdict(True, algorithm=algorithm)
+    return Verdict(False, Witness(obs, realize_observation(a1, m1, obs, initial=initial1)), algorithm)
+
+
+def _unary_event(a: Automaton) -> Optional[str]:
+    """``a``'s observable event if it is the only one and ``a`` is partially
+    ordered, else None.  The count goes first, so other automata build no order."""
+    events = a.observable_events
+    if len(events) == 1 and classify(a).partially_ordered:
+        return events[0]
+    return None
+
+
+@dataclass(frozen=True)
+class LengthSet:
+    """Semilinear set of observation lengths: a finite part plus at most one ray.
+
+    The denoted set is ``finite union [ray_start, infinity)``; finite points at
+    or beyond the ray are dropped on construction since they are redundant.
+    """
+
+    finite: frozenset[int]
+    ray_start: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        fin = frozenset(int(k) for k in self.finite)
+        if any(k < 0 for k in fin) or (self.ray_start is not None and self.ray_start < 0):
+            raise ValueError("observation lengths are non-negative")
+        if self.ray_start is not None:
+            fin = frozenset(k for k in fin if k < self.ray_start)
+        object.__setattr__(self, "finite", fin)
+
+    def __contains__(self, k: int) -> bool:
+        return k in self.finite or (self.ray_start is not None and k >= self.ray_start)
+
+    def issubset(self, other: "LengthSet") -> bool:
+        # A ray can only be covered by a ray starting no later; finite points
+        # may be covered by finite points or by the ray.
+        if self.ray_start is not None and (
+            other.ray_start is None or other.ray_start > self.ray_start
+        ):
+            return False
+        return all(k in other for k in self.finite)
+
+    def min_uncovered(self, other: "LengthSet") -> Optional[int]:
+        """Smallest length denoted here but missing from ``other`` (None if covered)."""
+        bound = 0
+        for v in (*self.finite, *other.finite, self.ray_start, other.ray_start):
+            if v is not None:
+                bound = max(bound, v + 1)
+        for k in range(bound + 1):
+            if k in self and k not in other:
+                return k
+        return None
+
+
+def _length_sets(
+    a: Automaton, initial: Iterable[str], target_sets: Iterable[Collection[str]]
+) -> list[LengthSet]:
+    """Observation lengths of the runs of a unary partially ordered automaton
+    from ``initial`` into each target set.
+
+    The finite parts collect runs that use no observable self-loop: one
+    dynamic programming pass over the self-loop-free transitions, which are
+    acyclic, in the topological order that :func:`classify` also reads, with
+    bit ``d`` of ``lengths[i]`` meaning "state ``i`` is reached after ``d``
+    observations" (unobservable self-loops contribute nothing).  A single ray
+    starts at the cheapest run through any observable self-loop, since that
+    loop can be pumped; the same pass keeps that cost per state.
+    """
+    g = a._graph
+    _require(g.order is not None, "length sets require a partially ordered automaton")
+    n = len(a.states)
+    lengths = [0] * n
+    # Fewest observations of a run that reaches the state through an observable
+    # self-loop; n, more than a self-loop-free run can make, means none.
+    pumped = [n] * n
+    for s in initial:
+        lengths[g.index[s]] = 1
+    weighted = [(int(g.observable[k]), row) for k, row in enumerate(g.succ)]
+    for u in g.order:
+        here = lengths[u]
+        if not here:
+            continue
+        if any(w and u in row[u] for w, row in weighted):
+            pumped[u] = (here & -here).bit_length() - 1  # the shortest run here
+        through = pumped[u]
+        for w, row in weighted:
+            for v in row[u]:
+                if v != u:
+                    lengths[v] |= here << w
+                    if through + w < pumped[v]:
+                        pumped[v] = through + w
+    out = []
+    for targets in target_sets:
+        reached, ray = 0, n
+        for t in targets:
+            reached |= lengths[g.index[t]]
+            ray = min(ray, pumped[g.index[t]])
+        out.append(LengthSet(frozenset(_bits(reached)), ray if ray < n else None))
+    return out
 
 
 def intersection_nonempty_modulo_projection(
@@ -710,6 +835,6 @@ def intersection_nonempty_modulo_projection(
     ]
     obs = _lex_shortest_to_goal(starts, range(len(left.events)), step, is_goal)
     if obs is None:
-        return Verdict(False)
+        return Verdict(False, algorithm="product")
     obs = tuple(left.events[k] for k in obs)
-    return Verdict(True, Witness(obs, realize_observation(a1, m1, obs)))
+    return Verdict(True, Witness(obs, realize_observation(a1, m1, obs)), "product")

@@ -18,7 +18,6 @@ from .opacity import (
     CSO_ALGORITHMS,
     CsoInstance,
     LboInstance,
-    select_cso_algorithm,
     verify_cso,
     verify_ifso,
     verify_iso,
@@ -64,17 +63,13 @@ def _witness_json(verdict: Verdict):
     }
 
 
-def _run_verification(args, instance):
+def _run_verification(args, instance) -> Verdict:
     if args.notion == "cso":
-        algorithm = select_cso_algorithm(instance) if args.algorithm == "auto" else args.algorithm
-        return verify_cso(instance, algorithm, cap=args.observer_cap), algorithm
-    if args.notion == "iso":
-        return verify_iso(instance, cap=args.observer_cap), "inclusion"
-    if args.notion == "ifso":
-        return verify_ifso(instance, cap=args.observer_cap), "inclusion"
-    if args.notion == "lbo":
-        return verify_lbo(instance, cap=args.observer_cap), "inclusion"
-    return verify_lbo_weak(instance), "product"
+        return verify_cso(instance, args.algorithm, cap=args.observer_cap)
+    if args.notion == "lbo-weak":
+        return verify_lbo_weak(instance)
+    verify = {"iso": verify_iso, "ifso": verify_ifso, "lbo": verify_lbo}[args.notion]
+    return verify(instance, cap=args.observer_cap)
 
 
 def _classification_json(instance) -> dict:
@@ -105,7 +100,7 @@ def _cmd_verify(args) -> int:
                         file=sys.stderr,
                     )
             started = time.perf_counter()
-            verdict, algorithm = _run_verification(args, instance)
+            verdict = _run_verification(args, instance)
             elapsed = time.perf_counter() - started
         except _INPUT_ERRORS as exc:
             print(_file_error(path, exc), file=sys.stderr)
@@ -117,7 +112,7 @@ def _cmd_verify(args) -> int:
                 {
                     "file": path,
                     "notion": args.notion,
-                    "algorithm": algorithm,
+                    "algorithm": verdict.algorithm,
                     "holds": verdict.holds,
                     "witness": _witness_json(verdict),
                     "classification": _classification_json(instance),
@@ -299,16 +294,20 @@ def _dot_id(name: str) -> str:
 
 
 def _cmd_dot(args) -> int:
+    from .gadgets import _FreshNames
+
     data = jsonio.load_json_file(args.file)
+    found = [(role.replace("automaton", "").strip("_"), a) for role, a in _automata_in_file(data)]
+    # Start markers are extra nodes, so their names must miss every state's.
+    names = _FreshNames(f"{c}:{s}" if c else s for c, a in found for s in a.states)
     lines = ["digraph {", "  rankdir=LR;"]
-    for role, a in _automata_in_file(data):
-        cluster = role.replace("automaton", "").strip("_")
+    for cluster, a in found:
         prefix = f"{cluster}:" if cluster else ""
         for s in sorted(a.states):
             shape = "doublecircle" if s in a.marked else "circle"
             lines.append(f"  {_dot_id(prefix + s)} [shape={shape}];")
         for k, s in enumerate(sorted(a.initial)):
-            start = _dot_id(f"__start_{cluster}{k}")
+            start = _dot_id(names.fresh(f"__start_{cluster}{k}"))
             lines.append(f"  {start} [shape=point];")
             lines.append(f"  {start} -> {_dot_id(prefix + s)};")
         for (p, e, q) in sorted(a.transitions):
@@ -339,7 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--witness", action="store_true", help="print the witness, if any")
     verify.add_argument("--observer-cap", type=int, default=DEFAULT_OBSERVER_CAP, help=(
         "most state estimates one subset search may build; lbo-weak ignores it and stores at "
-        "most |Q1|*|Q2| state pairs, witness realization at most |Q|*(|obs|+1) nodes"))
+        "most |Q1|*|Q2| state pairs, witness realization at most |Q|*(|obs|+1) nodes; unary-po "
+        "builds none, so --algorithm observer can hit a cap that auto and inclusion answer under"))
     verify.add_argument("--output", default="text", choices=("text", "json"))
     verify.add_argument("files", nargs="+")
     verify.set_defaults(func=_cmd_verify)

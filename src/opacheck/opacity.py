@@ -1,35 +1,38 @@
 """Decision procedures for the five opacity notions.
 
-Current-state opacity comes in two general algorithms (observer traversal and
-language inclusion, which always agree), both searches on the estimate kernel
-of :mod:`opacheck.automata`, plus one structural fast path for systems with a
-single observable event whose only cycles are self-loops (partially ordered
-automata), working on sets of observation lengths.  ``unary-acyclic`` is the
-same fast path restricted to acyclic automata.
+Current-state opacity comes in two general algorithms, observer traversal
+and language inclusion, which always agree.  CSO inclusion, LBO, ISO and
+IFSO are each one call of :func:`opacheck.automata._inclusion`, which runs a
+search on the estimate kernel, or, when both sides are partially ordered
+(their only cycles are self-loops) with a single observable event, compares
+sets of observation lengths instead.  ``unary-po`` is the CSO name of that
+length-set path; it refuses any other automaton.  Weak LBO runs the product
+search.  Every verdict names the algorithm that decided it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable
 
 from .automata import (
     DEFAULT_OBSERVER_CAP,
     Automaton,
+    LengthSet,
     Verdict,
     Witness,
-    classify,
     inclusion_modulo_projection,
     intersection_nonempty_modulo_projection,
     realize_observation,
-    _bits,
     _EstimateKernel,
     _inclusion,
+    _length_sets,
     _reach,
+    _unary_event,
 )
 from .errors import PreconditionViolated
 
-CSO_ALGORITHMS = ("auto", "observer", "inclusion", "unary-acyclic", "unary-po")
+CSO_ALGORITHMS = ("auto", "observer", "inclusion", "unary-po")
 
 
 @dataclass(frozen=True)
@@ -108,49 +111,6 @@ class IfsoInstance:
             raise ValueError(f"pair ({i!r}, {f!r}) must start in an initial state")
 
 
-@dataclass(frozen=True)
-class LengthSet:
-    """Semilinear set of observation lengths: a finite part plus at most one ray.
-
-    The denoted set is ``finite union [ray_start, infinity)``; finite points at
-    or beyond the ray are dropped on construction since they are redundant.
-    """
-
-    finite: frozenset[int]
-    ray_start: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        fin = frozenset(int(k) for k in self.finite)
-        if any(k < 0 for k in fin) or (self.ray_start is not None and self.ray_start < 0):
-            raise ValueError("observation lengths are non-negative")
-        if self.ray_start is not None:
-            fin = frozenset(k for k in fin if k < self.ray_start)
-        object.__setattr__(self, "finite", fin)
-
-    def __contains__(self, k: int) -> bool:
-        return k in self.finite or (self.ray_start is not None and k >= self.ray_start)
-
-    def issubset(self, other: "LengthSet") -> bool:
-        # A ray can only be covered by a ray starting no later; finite points
-        # may be covered by finite points or by the ray.
-        if self.ray_start is not None and (
-            other.ray_start is None or other.ray_start > self.ray_start
-        ):
-            return False
-        return all(k in other for k in self.finite)
-
-    def min_uncovered(self, other: "LengthSet") -> Optional[int]:
-        """Smallest length denoted here but missing from ``other`` (None if covered)."""
-        bound = 0
-        for v in (*self.finite, *other.finite, self.ray_start, other.ray_start):
-            if v is not None:
-                bound = max(bound, v + 1)
-        for k in range(bound + 1):
-            if k in self and k not in other:
-                return k
-        return None
-
-
 def verify_cso_observer(inst: CsoInstance, *, cap: int = DEFAULT_OBSERVER_CAP) -> Verdict:
     """Current-state opacity via the reachable estimates of the observer.
 
@@ -163,8 +123,8 @@ def verify_cso_observer(inst: CsoInstance, *, cap: int = DEFAULT_OBSERVER_CAP) -
     secret, nonsecret = kernel.mask(inst.secret), kernel.mask(inst.nonsecret)
     obs = kernel.search(kernel.start(), lambda x: x & secret and not x & nonsecret)
     if obs is None:
-        return Verdict(True)
-    return Verdict(False, Witness(obs, realize_observation(a, inst.secret, obs)))
+        return Verdict(True, algorithm="observer")
+    return Verdict(False, Witness(obs, realize_observation(a, inst.secret, obs)), "observer")
 
 
 def verify_cso_inclusion(inst: CsoInstance, *, cap: int = DEFAULT_OBSERVER_CAP) -> Verdict:
@@ -172,120 +132,34 @@ def verify_cso_inclusion(inst: CsoInstance, *, cap: int = DEFAULT_OBSERVER_CAP) 
 
     The automaton marked by the secret set must be included, modulo projection,
     in the automaton marked by the non-secret set.  Agrees with
-    :func:`verify_cso_observer` on every instance, witness included.
+    :func:`verify_cso_observer` on every instance, witness included.  On a
+    partially ordered automaton with one observable event it compares length
+    sets and ignores ``cap``.
     """
     a = inst.automaton
-    return inclusion_modulo_projection(a, inst.secret, a, inst.nonsecret, cap=cap)
-
-
-def _sole_observable_event(a: Automaton) -> Optional[str]:
-    events = a.observable_events
-    return events[0] if len(events) == 1 else None
-
-
-def verify_cso_unary_acyclic(inst: CsoInstance) -> Verdict:
-    """Fast path for acyclic automata with a single observable event.
-
-    The acyclic restriction of :func:`verify_cso_unary_po`: every acyclic
-    automaton is partially ordered, its length sets have no ray, and the
-    dynamic programming over the acyclic graph decides the inclusion.
-    """
-    a = inst.automaton
-    if _sole_observable_event(a) is None or not classify(a).acyclic:
-        raise PreconditionViolated(
-            "unary-acyclic requires an acyclic automaton with exactly one observable event"
-        )
-    return verify_cso_unary_po(inst)
-
-
-def _length_sets(a: Automaton, target_sets: Sequence[frozenset[str]]) -> list[LengthSet]:
-    """Observation lengths of runs into each target set of a unary partially ordered automaton.
-
-    The finite parts collect runs that use no observable self-loop: one
-    dynamic programming pass over the self-loop-free transitions, which are
-    acyclic, in the topological order that :func:`classify` also reads, with
-    bit ``d`` of ``lengths[i]`` meaning "state ``i`` is reached after ``d``
-    observations" (unobservable self-loops contribute nothing).  A single ray
-    starts at the cheapest run through any observable self-loop, since that
-    loop can be pumped; the same pass keeps that cost per state.
-    """
-    g = a._graph
-    if g.order is None:
-        raise PreconditionViolated("length sets require a partially ordered automaton")
-    n = len(a.states)
-    lengths = [0] * n
-    # Fewest observations of a run that reaches the state through an observable
-    # self-loop; n, more than a self-loop-free run can make, means none.
-    pumped = [n] * n
-    for s in a.initial:
-        lengths[g.index[s]] = 1
-    weighted = [(int(g.observable[k]), row) for k, row in enumerate(g.succ)]
-    for u in g.order:
-        here = lengths[u]
-        if not here:
-            continue
-        if any(w and u in row[u] for w, row in weighted):
-            pumped[u] = (here & -here).bit_length() - 1  # the shortest run here
-        through = pumped[u]
-        for w, row in weighted:
-            for v in row[u]:
-                if v != u:
-                    lengths[v] |= here << w
-                    if through + w < pumped[v]:
-                        pumped[v] = through + w
-    out = []
-    for targets in target_sets:
-        reached, ray = 0, n
-        for t in targets:
-            reached |= lengths[g.index[t]]
-            ray = min(ray, pumped[g.index[t]])
-        out.append(LengthSet(frozenset(_bits(reached)), ray if ray < n else None))
-    return out
+    return _inclusion(a, a.initial, inst.secret, a, a.initial, inst.nonsecret, cap)
 
 
 def observation_length_set(a: Automaton, targets: Iterable[str]) -> LengthSet:
     """Observation lengths of runs into ``targets`` for a unary partially ordered automaton."""
-    return _length_sets(a, [frozenset(targets)])[0]
+    return _length_sets(a, a.initial, [targets])[0]
 
 
 def verify_cso_unary_po(inst: CsoInstance) -> Verdict:
-    """Fast path for partially ordered automata with a single observable event.
-
-    Opaque iff the semilinear length set of the secret runs is contained in
-    that of the non-secret runs (a ray is covered only by a ray starting no
-    later).  The witness repeats the observable event for the smallest
-    uncovered length.
-    """
-    a = inst.automaton
-    event = _sole_observable_event(a)
-    if event is None or not classify(a).partially_ordered:
+    """:func:`verify_cso_inclusion` on a partially ordered automaton with a
+    single observable event, which it decides from observation length sets;
+    any other automaton raises :class:`PreconditionViolated`."""
+    if _unary_event(inst.automaton) is None:
         raise PreconditionViolated(
             "unary-po requires a partially ordered automaton with exactly one observable event"
         )
-    secret_set, nonsecret_set = _length_sets(a, (inst.secret, inst.nonsecret))
-    k = secret_set.min_uncovered(nonsecret_set)
-    if k is None:
-        return Verdict(True)
-    obs = (event,) * k
-    return Verdict(False, Witness(obs, realize_observation(a, inst.secret, obs)))
+    return verify_cso_inclusion(inst)
 
 
 def select_cso_algorithm(inst: CsoInstance) -> str:
-    """Routing used by ``verify_cso(..., "auto")``.
-
-    With one observable event, ``unary-acyclic`` for an acyclic automaton and
-    ``unary-po`` for any other partially ordered one (both run the same
-    length-set fast path); ``observer`` otherwise.  The routing reads the
-    automaton's one cached :func:`classify` report.
-    """
-    a = inst.automaton
-    if _sole_observable_event(a) is not None:
-        report = classify(a)
-        if report.acyclic:
-            return "unary-acyclic"
-        if report.partially_ordered:
-            return "unary-po"
-    return "observer"
+    """Routing used by ``verify_cso(..., "auto")``: ``unary-po`` for a partially
+    ordered automaton with one observable event, ``observer`` otherwise."""
+    return "observer" if _unary_event(inst.automaton) is None else "unary-po"
 
 
 def verify_cso(
@@ -305,8 +179,6 @@ def verify_cso(
         return verify_cso_observer(inst, cap=cap)
     if algorithm == "inclusion":
         return verify_cso_inclusion(inst, cap=cap)
-    if algorithm == "unary-acyclic":
-        return verify_cso_unary_acyclic(inst)
     return verify_cso_unary_po(inst)
 
 

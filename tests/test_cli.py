@@ -7,6 +7,8 @@ import sys
 import warnings
 from pathlib import Path
 
+import pytest
+
 import opacheck
 from opacheck import (
     Automaton,
@@ -17,7 +19,9 @@ from opacheck import (
     IfsoInstance,
     IsoInstance,
     LboInstance,
+    cso_to_lbo,
     gen_cnf_cso,
+    gen_dag_cso_unary,
     gen_dag_weak_lbo,
     lbo_to_iso,
 )
@@ -87,6 +91,23 @@ class TestVerify:
         assert report["algorithm"] == "observer"
         assert report["classification"]["acyclic"] is True
         assert report["time_seconds"] >= 0
+
+        # "algorithm" names the code that ran, for every notion
+        def algorithm(notion, instance, *options):
+            path = write_instance(tmp_path, f"{notion}.json", instance)
+            main(["verify", "--notion", notion, "--output", "json", *options, path])
+            return json.loads(capsys.readouterr().out)["algorithm"]
+
+        unary = gen_dag_cso_unary(Dag(3, frozenset({(0, 1), (1, 2)}), 0, 2))
+        assert algorithm("cso", unary) == "unary-po"
+        assert algorithm("cso", unary, "--algorithm", "inclusion") == "unary-po"
+        assert algorithm("cso", unary, "--algorithm", "observer") == "observer"
+        assert algorithm("lbo", cso_to_lbo(unary)) == "unary-po"
+        cnf = gen_cnf_cso(TWO_CLAUSE)
+        assert algorithm("cso", cnf) == "observer"
+        assert algorithm("lbo", cso_to_lbo(cnf)) == "inclusion"
+        weak = gen_dag_weak_lbo(Dag(2, frozenset({(0, 1)}), 0, 1))
+        assert algorithm("lbo-weak", weak) == "product"
 
     def test_algorithm_flag_only_for_cso(self, tmp_path, capsys):
         g = Dag(2, frozenset({(0, 1)}), 0, 1)
@@ -161,8 +182,11 @@ class TestVerify:
         # a self-loop is partially ordered but not acyclic
         loop = Automaton(("p",), (Event("a"),), {("p", "a", "p")}, {"p"})
         path = write_instance(tmp_path, "loop.json", CsoInstance(loop, {"p"}, frozenset()))
-        assert main(["verify", "--notion", "cso", "--algorithm", "unary-acyclic", path]) == 2
         assert main(["verify", "--notion", "cso", "--algorithm", "unary-po", path]) == 1
+        # the acyclic-only name was folded into unary-po and is no longer a choice
+        with pytest.raises(SystemExit) as refused:
+            main(["verify", "--notion", "cso", "--algorithm", "unary-acyclic", path])
+        assert refused.value.code == 2
 
     def test_verify_loads_no_generator_or_oracle_module(self, tmp_path):
         one = Automaton(("p",), (Event("a"),), set(), {"p"})
@@ -542,6 +566,21 @@ class TestDot:
             '  "__start_0" [shape=point];\n'
             '  "__start_0" -> "p\\"x";\n'
             '  "p\\"x" -> "q\\\\" [label="a\\\\"];\n'
+            '}\n'
+        )
+
+    def test_start_markers_miss_state_names(self, tmp_path, capsys):
+        a = Automaton(("__start_0", "q"), (Event("a"),), {("__start_0", "a", "q")}, {"__start_0"})
+        path = write(tmp_path, "a.json", dumps(automaton_to_dict(a)))
+        assert main(["dot", path]) == 0
+        assert capsys.readouterr().out == (
+            'digraph {\n'
+            '  rankdir=LR;\n'
+            '  "__start_0" [shape=circle];\n'
+            '  "q" [shape=circle];\n'
+            '  "__start_01" [shape=point];\n'
+            '  "__start_01" -> "__start_0";\n'
+            '  "__start_0" -> "q" [label="a"];\n'
             '}\n'
         )
 

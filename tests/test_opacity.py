@@ -25,7 +25,6 @@ from opacheck import (
     verify_cso,
     verify_cso_inclusion,
     verify_cso_observer,
-    verify_cso_unary_acyclic,
     verify_cso_unary_po,
     verify_ifso,
     verify_iso,
@@ -116,30 +115,33 @@ class TestCsoInclusion:
 
 
 class TestUnaryAcyclic:
+    """Acyclic inputs of the unary length-set path, where the sets have no ray."""
+
     def test_distance_two_target(self):
         from opacheck import Dag, gen_dag_cso_unary
 
         g = Dag(3, frozenset({(0, 1), (1, 2)}), 0, 2)
-        v = verify_cso_unary_acyclic(gen_dag_cso_unary(g))
+        v = verify_cso_unary_po(gen_dag_cso_unary(g))
         assert not v.holds and v.witness.observation == ("a", "a")
 
     def test_unreachable_secret_is_opaque(self):
         a = aut(["s", "t"], (Event("a"),), [], ["s"])
-        assert verify_cso_unary_acyclic(CsoInstance(a, {"t"}, frozenset())).holds
+        assert verify_cso_unary_po(CsoInstance(a, {"t"}, frozenset())).holds
 
     def test_precondition_enforced(self):
         a = aut(["p"], AB, [], ["p"])  # two observable events
         with pytest.raises(PreconditionViolated):
-            verify_cso_unary_acyclic(CsoInstance(a, frozenset(), frozenset()))
-        b = aut(["p"], (Event("a"),), [("p", "a", "p")], ["p"])  # self-loop
-        with pytest.raises(PreconditionViolated):
-            verify_cso_unary_acyclic(CsoInstance(b, frozenset(), frozenset()))
+            verify_cso_unary_po(CsoInstance(a, frozenset(), frozenset()))
+        b = aut(["p"], (Event("a"),), [("p", "a", "p")], ["p"])  # self-loop: partially ordered
+        inst = CsoInstance(b, {"p"}, frozenset())
+        v = verify_cso_unary_po(inst)
+        assert v == verify_cso_observer(inst) and not v.holds
 
     def test_agrees_with_observer(self):
         rng = make_rng("unary-acyclic-unit")
         for _ in range(120):
             inst = rand_cso(rng, ALPHABET_1OBS_1UO, max_states=6, structure="acyclic")
-            fast = verify_cso_unary_acyclic(inst)
+            fast = verify_cso_unary_po(inst)
             slow = verify_cso_observer(inst)
             assert fast == slow
 
@@ -174,8 +176,9 @@ class TestDispatch:
     def test_auto_routes_unary_acyclic(self):
         rng = make_rng("dispatch-acyclic")
         inst = rand_cso(rng, ALPHABET_1OBS_1UO, max_states=6, structure="acyclic")
-        assert select_cso_algorithm(inst) == "unary-acyclic"
+        assert select_cso_algorithm(inst) == "unary-po"
         assert verify_cso(inst) == verify_cso_observer(inst)
+        assert verify_cso(inst).algorithm == "unary-po"
 
     def test_forced_inapplicable_algorithm_raises(self):
         rng = make_rng("dispatch-binary")
@@ -204,6 +207,19 @@ class TestDispatch:
             verify_cso(inst, "observer", cap=1)
         with pytest.raises(ObserverBlowup):
             verify_cso(inst, "inclusion", cap=1)
+
+    def test_length_sets_answer_under_a_cap_the_observer_hits(self):
+        # Each estimate of an a-chain is one state, so the observer needs
+        # one per state; the length-set path interns none.
+        chain = [f"c{k}" for k in range(4)]
+        a = aut(chain, (Event("a"),), {(p, "a", q) for p, q in zip(chain, chain[1:])}, ["c0"])
+        inst = CsoInstance(a, {"c3"}, frozenset())
+        with pytest.raises(ObserverBlowup):
+            verify_cso(inst, "observer", cap=1)
+        expected = verify_cso(inst, "observer")
+        assert not expected.holds
+        assert verify_cso(inst, cap=1) == expected
+        assert verify_cso(inst, "inclusion", cap=1) == expected
 
     def test_observer_and_inclusion_finish_under_the_same_cap(self):
         # Satisfiable random 3-CNF gadgets, 8 variables and 20 clauses (189

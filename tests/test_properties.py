@@ -16,7 +16,10 @@ from hypothesis import strategies as st
 from opacheck import (
     Automaton,
     CsoInstance,
+    Event,
+    IfsoInstance,
     IsoInstance,
+    LboInstance,
     ObserverBlowup,
     cso_to_lbo,
     inclusion_modulo_projection,
@@ -26,6 +29,7 @@ from opacheck import (
     po_determinize,
     realize_observation,
     verify_cso,
+    verify_ifso,
     verify_iso,
     verify_lbo,
 )
@@ -212,13 +216,48 @@ def test_cso_to_lbo_to_iso_keeps_the_verdict(inst):
     assert verify_iso(reduction.instance).holds == verify_cso(inst).holds
 
 
+def unary_po_automaton(rng, **options) -> Automaton:
+    """A random partially ordered automaton over ``a`` and an unobservable
+    ``u``, with random self-loops on both."""
+    a = rand_automaton(rng, ALPHABET_1OBS_1UO, max_states=6, structure="po", **options)
+    loops = {(s, e, s) for s in a.states for e in ("a", "u") if rng.random() < 0.3}
+    return Automaton(a.states, a.alphabet, a.transitions | loops, a.initial, a.marked)
+
+
+def padded(a: Automaton) -> Automaton:
+    """``a`` with one more observable event that has no transitions: the same
+    languages, but no longer unary, so inclusion runs on the kernel."""
+    return Automaton(a.states, a.alphabet + (Event("z"),), a.transitions, a.initial, a.marked)
+
+
 @settings(PROPERTY_SETTINGS, max_examples=500)
 @given(st.randoms(use_true_random=False), st.data())
 def test_length_set_matches_membership_on_unary_po_automata(rng, data):
-    a = rand_automaton(rng, ALPHABET_1OBS_1UO, max_states=6, structure="po")
-    loops = {(s, e, s) for s in a.states for e in ("a", "u") if rng.random() < 0.3}
-    a = Automaton(a.states, a.alphabet, a.transitions | loops, a.initial, a.marked)
+    a = unary_po_automaton(rng)
     targets = data.draw(st.frozensets(st.sampled_from(a.states)))
     lengths = observation_length_set(a, targets)
     for k in range(2 * len(a.states) + 3):
         assert (k in lengths) == observation_feasible(a, targets, ("a",) * k)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@given(st.randoms(use_true_random=False), st.data())
+def test_length_sets_equal_the_kernel_for_every_inclusion_notion(rng, data):
+    a, b = unary_po_automaton(rng, initial_max=3), unary_po_automaton(rng)
+    states = st.frozensets(st.sampled_from(a.states))
+    starts = st.sampled_from(sorted(a.initial))
+    initials = st.frozensets(starts)
+    pairs = st.frozensets(st.tuples(starts, st.sampled_from(a.states)), max_size=4)
+    secret, nonsecret = data.draw(states), data.draw(states)
+    secret_initial, nonsecret_initial = data.draw(initials), data.draw(initials)
+    secret_pairs, nonsecret_pairs = data.draw(pairs), data.draw(pairs)
+    notions = (
+        lambda x, y: verify_cso(CsoInstance(x, secret, nonsecret), "inclusion"),
+        lambda x, y: verify_lbo(LboInstance(x, y)),
+        lambda x, y: verify_iso(IsoInstance(x, secret_initial, nonsecret_initial)),
+        lambda x, y: verify_ifso(IfsoInstance(x, secret_pairs, nonsecret_pairs)),
+    )
+    for decide in notions:
+        unary, kernel = decide(a, b), decide(padded(a), padded(b))
+        assert unary == kernel
+        assert (unary.algorithm, kernel.algorithm) == ("unary-po", "inclusion")
