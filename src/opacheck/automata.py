@@ -5,7 +5,9 @@ events; the intruder sees a string only through the projection that erases the
 unobservable ones.  Every search over projected behaviour (the observer's
 estimates, projected inclusion and projected intersection) runs on one
 bitmask estimate kernel built over this single data model; none of them
-materializes a projected, determinized or product automaton.  A projected
+materializes a projected, determinized or product automaton.  Inclusion,
+intersection and witness realization share one shortest-then-least search
+whose groups of states are bitmasks over state indices.  A projected
 inclusion between partially ordered automata with one observable event
 needs no search: it compares their sets of observation lengths.
 
@@ -32,11 +34,11 @@ rather than intern one more.  Inclusion pairs each estimate with the left
 automaton's states, so it keeps at most cap x (left states) pairs, plus one
 row for the empty estimate.
 
-Two searches ignore the cap: weak LBO's product search stores at most
-|Q1| x |Q2| pairs of states, and :func:`realize_observation` at most
-|Q| x (len(observation) + 1) nodes.  Nor is an inclusion decided by length
-sets (:func:`_inclusion`) bounded: it keeps two ints per state and interns no
-estimates, so the observer can hit a cap that inclusion answers under.
+Two searches ignore the cap: weak LBO's product keeps one mask of at most
+|Q1| bits per state of the second automaton, and :func:`realize_observation`
+one mask of at most |Q| bits per observation position.  Nor is an inclusion
+decided by length sets (:func:`_inclusion`) bounded: it keeps two ints per
+state, so the observer can hit a cap that inclusion answers under.
 """
 
 Observation = tuple[str, ...]
@@ -230,26 +232,32 @@ class _Graph:
     def order(self) -> Optional[list[int]]:
         """A topological order of the self-loop-free transitions, or None when
         they have a cycle (the automaton is not partially ordered)."""
-        return topological_order(
-            len(self.index),
-            [(i, j) for row in self.succ for i, qs in enumerate(row) for j in qs if i != j],
-        )
+        return topological_order(len(self.index), self.succ)
+
+    def mask(self, states: Iterable[str]) -> int:
+        """The bitmask of ``states`` over the state indices."""
+        out = 0
+        for s in states:
+            out |= 1 << self.index[s]
+        return out
 
 
-def topological_order(n: int, edges: Iterable[tuple[int, int]]) -> Optional[list[int]]:
-    """Kahn's algorithm over the nodes ``0 .. n-1``; returns None when the
-    edges have a cycle.  Repeated edges are allowed."""
+def topological_order(n: int, rows: Sequence[Sequence[Sequence[int]]]) -> Optional[list[int]]:
+    """Kahn's algorithm over the nodes ``0 .. n-1``, with edges given as in
+    :func:`_reach`; returns None when they have a cycle.  Self-loops are
+    ignored and repeated edges are allowed."""
     indegree = [0] * n
-    out: list[list[int]] = [[] for _ in range(n)]
-    for (u, v) in edges:
-        out[u].append(v)
-        indegree[v] += 1
+    for row in rows:
+        for i, targets in enumerate(row):
+            for j in targets:
+                indegree[j] += j != i
     order = [u for u in range(n) if indegree[u] == 0]
     for u in order:  # the loop also visits the nodes appended while it runs
-        for v in out[u]:
-            indegree[v] -= 1
-            if indegree[v] == 0:
-                order.append(v)
+        for row in rows:
+            for v in row[u]:
+                indegree[v] -= 1  # a self-loop takes u below 0, never back to it
+                if indegree[v] == 0:
+                    order.append(v)
     return order if len(order) == n else None
 
 
@@ -330,7 +338,7 @@ class _EstimateKernel:
     def __init__(self, a: Automaton, cap: int = DEFAULT_OBSERVER_CAP):
         g = a._graph
         self.automaton = a
-        self.index = g.index
+        self.mask = g.mask
         self.events = a.observable_events
         self.event_index = {e: k for k, e in enumerate(self.events)}
         self.closure = self._closures()
@@ -376,19 +384,6 @@ class _EstimateKernel:
             done[root] = True
         return closure
 
-    @cached_property
-    def targets(self) -> list[list[tuple[int, ...]]]:
-        """Per state and event index: the indices of the closed successors."""
-        return [
-            [tuple(_bits(row[i])) for row in self.rows] for i in range(len(self.index))
-        ]
-
-    def mask(self, states: Iterable[str]) -> int:
-        out = 0
-        for s in states:
-            out |= 1 << self.index[s]
-        return out
-
     def states(self, mask: int) -> tuple[str, ...]:
         return tuple(self.automaton.states[i] for i in reversed(_bits(mask)))
 
@@ -432,8 +427,9 @@ class _EstimateKernel:
             j = self._next[slot] = self.intern(self.post(self.masks[i], k))
         return j
 
-    def search(self, start: int, is_goal) -> Optional[Observation]:
-        """Breadth-first walk over the nonempty estimates reachable from ``start``.
+    def search(self, is_goal) -> Optional[Observation]:
+        """Breadth-first walk over the nonempty estimates reachable from the
+        initial one.
 
         Events are tried in declaration order and ``is_goal`` is tested on
         each estimate's mask when it is discovered, so the first hit is reached
@@ -442,6 +438,7 @@ class _EstimateKernel:
         them has then been interned.
         """
         # A plain id BFS: on _lex_least_label, with ids as groups, cso-observer ran 5-39 % slower.
+        start = self.start()
         if start == _EMPTY:
             return None
         if is_goal(self.masks[start]):
@@ -501,27 +498,39 @@ def realize_observation(
 
     Ties among shortest strings are broken by alphabet declaration order.
     Raises ValueError when no such run of ``a`` exists.
+
+    A group is a state mask with the number of observations read, which all
+    nodes first reached by one string share; ``reached[position]`` holds the
+    states reached so far at that position, at most |Q| bits per position.
     """
     targets = frozenset(targets)
     initial = a.initial if initial is None else frozenset(initial)
     _require(targets | initial <= set(a.states), "realize_observation: states must be declared")
     g = a._graph
     n = len(observation)
-    width = n + 1  # node = state * width + number of observations read
     # An undeclared event maps to -1 and matches no event.
     wanted = [g.event_index.get(e, -1) for e in observation]
-    goal = {g.index[t] * width + n for t in targets}
+    goal, start = g.mask(targets), g.mask(initial)
+    reached = [start] + [0] * n
 
-    def step(node: int, k: int):
-        q, position = divmod(node, width)
+    def extend(group: tuple[int, int], k: int):
+        states, position = group
         if g.observable[k]:
-            if position >= n or k != wanted[position]:
-                return ()
+            if position == n or k != wanted[position]:
+                return None, False
             position += 1
-        return [j * width + position for j in g.succ[k][q]]
+        row, out = g.succ[k], 0
+        for i in _bits(states):
+            for j in row[i]:
+                out |= 1 << j
+        fresh = out & ~reached[position]
+        if not fresh:
+            return None, False
+        reached[position] |= fresh
+        return (fresh, position), position == n and bool(fresh & goal)
 
-    starts = sorted(g.index[s] * width for s in initial)
-    run = _lex_shortest_to_goal(starts, range(len(a.alphabet)), step, goal.__contains__)
+    hit = n == 0 and bool(start & goal)
+    run = _lex_least_label(((start, 0), hit), range(len(a.alphabet)), extend)
     if run is None:
         raise ValueError("observation is not realizable by any run into the target set")
     return tuple(a.alphabet[k].name for k in run)
@@ -529,13 +538,13 @@ def realize_observation(
 
 def _lex_least_label(start, events, extend) -> Observation | None:
     """Minimal-length, then lexicographically minimal, event string that leads
-    from the ``start`` group to a goal node.
+    from the start group to a goal node.
 
     A group is the set of nodes first reached by one string, its label.
     ``extend(group, e)`` returns the nodes that ``e`` leads to from the group
     and that no earlier group reached, as a new group or None when there are
     none, and whether one of them is a goal; it keeps the record of reached
-    nodes itself.  The start group must hold no goal.
+    nodes itself.  ``start`` is the start group and whether it holds a goal.
 
     The search is breadth-first, and a layer lists its groups in increasing
     label order, each extended by every event in order.  Every node on a
@@ -544,8 +553,11 @@ def _lex_least_label(start, events, extend) -> Observation | None:
     and the first extension that reaches a goal carries the answer.  The
     search stops there.
     """
+    nodes, hit = start
+    if hit:
+        return ()
     parents: list[tuple[int, object]] = []  # group -> (parent group, event); -1 is the start
-    layer = [(-1, start)]
+    layer = [(-1, nodes)]
     while layer:
         next_layer = []
         for group, nodes in layer:
@@ -564,29 +576,6 @@ def _lex_least_label(start, events, extend) -> Observation | None:
     return None
 
 
-def _lex_shortest_to_goal(starts, events, step, is_goal) -> Observation | None:
-    """:func:`_lex_least_label` over explicit nodes: minimal-length, then
-    lexicographically minimal, string along which some walk from ``starts``
-    reaches a node satisfying ``is_goal``; ``step(node, e)`` lists successors."""
-    starts = list(dict.fromkeys(starts))
-    if any(is_goal(p) for p in starts):
-        return ()
-    seen = set(starts)
-
-    def extend(nodes, e):
-        fresh = []
-        for p in nodes:
-            for q in step(p, e):
-                if q not in seen:
-                    seen.add(q)
-                    fresh.append(q)
-                    if is_goal(q):
-                        return fresh, True
-        return fresh or None, False
-
-    return _lex_least_label(starts, events, extend)
-
-
 def _check_language_args(a1: Automaton, m1: frozenset[str], a2: Automaton, m2: frozenset[str]):
     _require(m1 <= set(a1.states), "marked set of the first automaton must be declared states")
     _require(m2 <= set(a2.states), "marked set of the second automaton must be declared states")
@@ -597,27 +586,27 @@ def _check_language_args(a1: Automaton, m1: frozenset[str], a2: Automaton, m2: f
 
 
 def _least_difference(
-    left: _EstimateKernel,
-    left_start: int,
-    m1: int,
-    right: _EstimateKernel,
-    right_start: int,
-    m2: int,
+    a1: Automaton, initial1: Collection[str], m1: Collection[str],
+    a2: Automaton, initial2: Collection[str], m2: Collection[str], cap: int,
 ) -> Optional[Observation]:
-    """Shortest, then least, observation in ``P(L(left, m1)) - P(L(right, m2))``.
+    """Shortest, then least, observation in ``P(L(a1, m1)) - P(L(a2, m2))``
+    with each side started in the given states, on the estimate kernel (one
+    kernel serves both sides when ``a2 is a1``).
 
-    ``left_start`` is the closed initial mask of the left automaton and
-    ``right_start`` the id of the right one's initial estimate; ``m1`` and
-    ``m2`` are marking masks.  The nodes are pairs of a left state and a
-    right estimate, and the nodes first reached by one observation share its
-    right estimate, so a group is a left-state mask with one estimate id.
-    Right estimates are interned as the search reaches them, which bounds the
-    pairs kept by the cap times the left states.  None means the inclusion
-    holds.
+    The nodes are pairs of a left state and a right estimate, and the nodes
+    first reached by one observation share its right estimate, so a group is
+    a left-state mask with one estimate id.  Right estimates are interned as
+    the search reaches them, which bounds the pairs kept by the cap times the
+    left states.  None means the inclusion holds.
     """
+    left = _EstimateKernel(a1, cap)
+    right = left if a2 is a1 else _EstimateKernel(a2, cap)
+    left_start = left.close(left.mask(initial1))
+    right_start = right.intern(right.close(right.mask(initial2)))
+    m1, m2 = left.mask(m1), right.mask(m2)
     right_event = [right.event_index[e] for e in left.events]
     masks = right.masks
-    reached: dict[int, int] = {}  # estimate id -> left states paired with it so far
+    reached = {right_start: left_start}  # estimate id -> left states paired with it so far
 
     def refutes(states: int, s: int) -> bool:
         return bool(states & m1) and (s == _EMPTY or not masks[s] & m2)
@@ -634,12 +623,8 @@ def _least_difference(
         reached[t] = reached.get(t, 0) | fresh
         return (fresh, t), refutes(fresh, t)
 
-    if not left_start:
-        return None
-    if refutes(left_start, right_start):
-        return ()
-    reached[right_start] = left_start
-    obs = _lex_least_label((left_start, right_start), range(len(left.events)), extend)
+    start = (left_start, right_start), refutes(left_start, right_start)
+    obs = _lex_least_label(start, range(len(left.events)), extend)
     return None if obs is None else tuple(left.events[k] for k in obs)
 
 
@@ -676,8 +661,9 @@ def _inclusion(
 
     When both sides are partially ordered with one observable event, the
     inclusion is that of their observation length sets, and no kernel is
-    built (nor is the cap consulted).  Otherwise the estimate kernel decides
-    it; when ``a2 is a1`` one kernel serves both sides.
+    built (nor is the cap consulted).  Otherwise :func:`_least_difference`
+    decides it.  Either search's tables are garbage before the witness is
+    realized.
     """
     event = _unary_event(a1)
     if event is not None and _unary_event(a2) is not None:
@@ -691,11 +677,7 @@ def _inclusion(
         obs = None if k is None else (event,) * k
     else:
         algorithm = "inclusion"
-        left = _EstimateKernel(a1, cap)
-        right = left if a2 is a1 else _EstimateKernel(a2, cap)
-        left_start = left.close(left.mask(initial1))
-        right_start = right.intern(right.close(right.mask(initial2)))
-        obs = _least_difference(left, left_start, left.mask(m1), right, right_start, right.mask(m2))
+        obs = _least_difference(a1, initial1, m1, a2, initial2, m2, cap)
     if obs is None:
         return Verdict(True, algorithm=algorithm)
     return Verdict(False, Witness(obs, realize_observation(a1, m1, obs, initial=initial1)), algorithm)
@@ -811,30 +793,44 @@ def intersection_nonempty_modulo_projection(
     """
     m1, m2 = frozenset(m1), frozenset(m2)
     _check_language_args(a1, m1, a2, m2)
-    left = _EstimateKernel(a1)
-    right = left if a2 is a1 else _EstimateKernel(a2)
-    n2 = len(right.index)
-    left_targets, right_targets = left.targets, right.targets
-    right_event = [right.event_index[e] for e in left.events]
-    marked1 = [s in m1 for s in a1.states]
-    marked2 = [s in m2 for s in a2.states]
-
-    def step(node: int, k: int):
-        x, y = divmod(node, n2)
-        ys = right_targets[y][right_event[k]]
-        return [x2 * n2 + y2 for x2 in left_targets[x][k] for y2 in ys]
-
-    def is_goal(node: int) -> bool:
-        x, y = divmod(node, n2)
-        return marked1[x] and marked2[y]
-
-    starts = [
-        x * n2 + y
-        for x in _bits(left.close(left.mask(a1.initial)))
-        for y in _bits(right.close(right.mask(a2.initial)))
-    ]
-    obs = _lex_shortest_to_goal(starts, range(len(left.events)), step, is_goal)
+    obs = _least_common(a1, m1, a2, m2)
     if obs is None:
         return Verdict(False, algorithm="product")
-    obs = tuple(left.events[k] for k in obs)
     return Verdict(True, Witness(obs, realize_observation(a1, m1, obs)), "product")
+
+
+def _least_common(
+    a1: Automaton, m1: Collection[str], a2: Automaton, m2: Collection[str]
+) -> Optional[Observation]:
+    """Shortest, then least, observation in ``P(L(a1, m1)) & P(L(a2, m2))``.
+
+    A group is a list of (right state, left-state mask) pairs, and
+    ``reached[y]`` holds the left states paired with right state ``y`` so
+    far: at most |Q1| bits per right state.  The left side steps by its
+    kernel's post-images, the right side by its kernel's closed-successor rows.
+    """
+    left = _EstimateKernel(a1)
+    right = left if a2 is a1 else _EstimateKernel(a2)
+    right_event = [right.event_index[e] for e in left.events]
+    m1, m2 = left.mask(m1), right.mask(m2)
+    start = left.close(left.mask(a1.initial))
+    reached = dict.fromkeys(_bits(right.close(right.mask(a2.initial))), start)
+
+    def extend(group: list[tuple[int, int]], k: int):
+        row, fresh_group = right.rows[right_event[k]], {}
+        for y, states in group:
+            states = left.post(states, k)
+            if not states:
+                continue
+            for y2 in _bits(row[y]):
+                fresh = states & ~reached.get(y2, 0)
+                if fresh:
+                    if fresh & m1 and m2 >> y2 & 1:
+                        return None, True
+                    reached[y2] = reached.get(y2, 0) | fresh
+                    fresh_group[y2] = fresh_group.get(y2, 0) | fresh
+        return list(fresh_group.items()) or None, False
+
+    hit = bool(start & m1) and any(m2 >> y & 1 for y in reached)
+    obs = _lex_least_label((list(reached.items()), hit), range(len(left.events)), extend)
+    return None if obs is None else tuple(left.events[k] for k in obs)

@@ -112,7 +112,10 @@ class Dag:
                     raise ValueError(f"edge ({u}, {v}) is out of range")
         if self.source not in vertices or self.target not in vertices:
             raise ValueError("source and target must be vertices")
-        if topological_order(self.vertex_count, self.edges) is None:
+        out: list[list[int]] = [[] for _ in vertices]
+        for (u, v) in self.edges:
+            out[u].append(v)
+        if any(u == v for (u, v) in self.edges) or topological_order(len(out), [out]) is None:
             raise ValueError("edge relation must be acyclic")
 
 

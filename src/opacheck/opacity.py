@@ -119,9 +119,9 @@ def verify_cso_observer(inst: CsoInstance, *, cap: int = DEFAULT_OBSERVER_CAP) -
     alphabet declaration order) reaching a violating estimate.
     """
     a = inst.automaton
-    kernel = _EstimateKernel(a, cap)
-    secret, nonsecret = kernel.mask(inst.secret), kernel.mask(inst.nonsecret)
-    obs = kernel.search(kernel.start(), lambda x: x & secret and not x & nonsecret)
+    secret, nonsecret = a._graph.mask(inst.secret), a._graph.mask(inst.nonsecret)
+    # The kernel is garbage once its search returns, before the run is realized.
+    obs = _EstimateKernel(a, cap).search(lambda x: x & secret and not x & nonsecret)
     if obs is None:
         return Verdict(True, algorithm="observer")
     return Verdict(False, Witness(obs, realize_observation(a, inst.secret, obs)), "observer")

@@ -1,6 +1,7 @@
 """Core data model and language machinery tests."""
 
 import ast
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -26,7 +27,7 @@ from opacheck import (
 )
 from opacheck import automata
 from opacheck.automata import _EMPTY, _EstimateKernel
-from opacheck.oracles import enum_languages_projected, observation_feasible
+from opacheck.oracles import enum_languages_projected, observation_feasible, string_reaches
 
 from helpers import ALPHABET_2OBS_1UO, make_rng, rand_automaton
 
@@ -42,7 +43,7 @@ A_UO = (Event("a", observable=False),)
 def explored(a, cap=opacheck.DEFAULT_OBSERVER_CAP):
     """An estimate kernel of ``a`` that has interned every reachable estimate."""
     kernel = _EstimateKernel(a, cap)
-    kernel.search(kernel.start(), lambda mask: False)
+    kernel.search(lambda mask: False)
     return kernel
 
 
@@ -498,3 +499,21 @@ class TestRealizeObservation:
         a = aut(["p"], AB, [], ["p"])
         with pytest.raises(ValueError):
             realize_observation(a, {"p"}, ("a",))
+
+    def test_memory_is_one_mask_per_position(self):
+        # A 150-state ring read for 150 observations: 150 x 151 pairs of a
+        # state and a position, while the search keeps one mask per position.
+        n = 150
+        ring = [f"r{i}" for i in range(n)]
+        edges = {(ring[i], "a", ring[j]) for i in range(n) for j in ((i + 1) % n, (7 * i + 3) % n)}
+        edges |= {(ring[i], "u", ring[(11 * i + 5) % n]) for i in range(0, n, 3)}
+        a = aut(ring, (Event("a"), Event("u", observable=False)), edges, ["r0"])
+        tracemalloc.start()
+        try:
+            run = realize_observation(a, {"r17"}, ("a",) * n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert project_string(a, run) == ("a",) * n
+        assert string_reaches(a, {"r17"}, run)
+        assert peak < 2**19

@@ -9,6 +9,7 @@ from opacheck import (
     Automaton,
     CnfFormula,
     CsoInstance,
+    Dag,
     Event,
     IfsoInstance,
     IsoInstance,
@@ -19,6 +20,7 @@ from opacheck import (
     Verdict,
     Witness,
     gen_cnf_cso,
+    gen_dag_weak_lbo,
     inclusion_modulo_projection,
     observation_length_set,
     select_cso_algorithm,
@@ -284,6 +286,22 @@ class TestLboWeak:
             inst = rand_trim_lbo(rng, ALPHABET_2OBS_1UO, max_states=5)
             flipped = LboInstance(inst.nonsecret_automaton, inst.secret_automaton)
             assert verify_lbo_weak(inst).holds == verify_lbo_weak(flipped).holds
+
+    def test_memory_is_one_mask_per_state(self):
+        # Every vertex of a 200-vertex DAG reaches the next three: the two
+        # automata have about 200 x 200 pairs of states, while the product
+        # search keeps one mask of left states per right state.
+        edges = {(i, j) for i in range(200) for j in (i + 1, i + 2, i + 3) if j < 200}
+        inst = gen_dag_weak_lbo(Dag(200, edges, 0, 199))
+        tracemalloc.start()
+        try:
+            v = verify_lbo_weak(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert v == Verdict(True, Witness(("a",) * 67, ("a",) * 67))
+        assert replay("lbo-weak", inst, v)
+        assert peak < 2**20
 
 
 class TestIso:

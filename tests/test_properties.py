@@ -4,12 +4,14 @@ Inputs come from ``helpers.rand_automaton`` seeded by Hypothesis, over two
 observable events and one unobservable event; an explicit unobservable cycle
 may be added so that closures over cycles are always exercised.  Minimality
 of witnesses is checked by enumerating observations with the membership-only
-``oracles.observation_feasible``.
+``oracles.observation_feasible``, and that of realized runs by enumerating
+strings with ``oracles.string_reaches``.
 """
 
 import itertools
 import warnings
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,7 +35,12 @@ from opacheck import (
     verify_iso,
     verify_lbo,
 )
-from opacheck.oracles import enum_cso_acyclic, enum_languages_projected, observation_feasible
+from opacheck.oracles import (
+    enum_cso_acyclic,
+    enum_languages_projected,
+    observation_feasible,
+    string_reaches,
+)
 
 from helpers import ALPHABET_1OBS_1UO, ALPHABET_2OBS_1UO, rand_automaton
 
@@ -75,6 +82,31 @@ def first_difference(a1, m1, a2, m2, max_length):
         if observation_feasible(a1, m1, obs) and not observation_feasible(a2, m2, obs):
             return obs
     return None
+
+
+def first_common(a1, m1, a2, m2, max_length):
+    """Least observation of ``P(L(a1, m1)) & P(L(a2, m2))`` up to ``max_length``, by enumeration."""
+    for obs in observations(a1, max_length):
+        if observation_feasible(a1, m1, obs) and observation_feasible(a2, m2, obs):
+            return obs
+    return None
+
+
+def strings_observed_as(a: Automaton, obs, length: int):
+    """Every full string of ``length`` events whose projection is ``obs``, in
+    alphabet declaration order."""
+    if length == 0:
+        if not obs:
+            yield ()
+        return
+    for e in a.alphabet:
+        if not e.observable:
+            rest = obs if length > len(obs) else None
+        else:
+            rest = obs[1:] if obs[:1] == (e.name,) else None
+        if rest is not None:
+            for tail in strings_observed_as(a, rest, length - 1):
+                yield (e.name, *tail)
 
 
 def cso_outcome(inst, algorithm, cap):
@@ -124,6 +156,21 @@ def test_inclusion_witness_replays_and_is_least(a1, a2):
     assert observation_feasible(a1, a1.marked, obs)
     assert not observation_feasible(a2, a2.marked, obs)
     assert first_difference(a1, a1.marked, a2, a2.marked, len(obs)) == obs
+
+
+@PROPERTY_SETTINGS
+@given(automata(), automata())
+def test_intersection_witness_replays_and_is_least(a1, a2):
+    verdict = intersection_nonempty_modulo_projection(a1, a1.marked, a2, a2.marked)
+    if not verdict.holds:
+        assert first_common(a1, a1.marked, a2, a2.marked, 3) is None
+        return
+    obs, run = verdict.witness.observation, verdict.witness.secret_run
+    assert observation_feasible(a1, a1.marked, obs)
+    assert observation_feasible(a2, a2.marked, obs)
+    assert first_common(a1, a1.marked, a2, a2.marked, len(obs)) == obs
+    assert run in strings_observed_as(a1, obs, len(run))
+    assert string_reaches(a1, a1.marked, run)
 
 
 @PROPERTY_SETTINGS
@@ -187,6 +234,26 @@ def test_realize_from_given_initial_states_equals_restarted_automaton(a, data):
     run = outcome(lambda: realize_observation(a, targets, obs, initial=initial))
     assert run == outcome(lambda: realize_observation(a.with_initial(initial), targets, obs))
     assert (run is not None) == observation_feasible(a.with_initial(initial), targets, obs)
+
+
+@PROPERTY_SETTINGS
+@given(automata(), st.data())
+def test_realized_run_is_the_least_one(a, data):
+    targets = data.draw(st.frozensets(st.sampled_from(a.states)))
+    obs = tuple(data.draw(st.lists(st.sampled_from(a.observable_events), max_size=3)))
+    if not observation_feasible(a, targets, obs):
+        with pytest.raises(ValueError):
+            realize_observation(a, targets, obs)
+        return
+    run = realize_observation(a, targets, obs)
+    # Shortest first, then in alphabet order, up to the run's own length.
+    least = next(
+        string
+        for length in range(len(run) + 1)
+        for string in strings_observed_as(a, obs, length)
+        if string_reaches(a, targets, string)
+    )
+    assert run == least
 
 
 @PROPERTY_SETTINGS
