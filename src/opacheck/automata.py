@@ -6,8 +6,9 @@ unobservable ones.  Every search over projected behaviour (the observer's
 estimates, projected inclusion and projected intersection) runs on one
 bitmask estimate kernel built over this single data model; none of them
 materializes a projected, determinized or product automaton.  Inclusion,
-intersection and witness realization share one shortest-then-least search
-whose groups of states are bitmasks over state indices.  A projected
+intersection and witness realization share one shortest-then-least search,
+which keeps one bitmask of left states per right node: an estimate, a state
+of the second automaton or an observation position.  A projected
 inclusion between partially ordered automata with one observable event
 needs no search: it compares their sets of observation lengths.
 
@@ -30,15 +31,16 @@ DEFAULT_OBSERVER_CAP = 2**20
 
 Every subset search (the observer, projected inclusion and the notions built
 on it) interns the estimates it reaches and raises :class:`ObserverBlowup`
-rather than intern one more.  Inclusion pairs each estimate with the left
-automaton's states, so it keeps at most cap x (left states) pairs, plus one
-row for the empty estimate.
+rather than intern one more.
 
-Two searches ignore the cap: weak LBO's product keeps one mask of at most
-|Q1| bits per state of the second automaton, and :func:`realize_observation`
-one mask of at most |Q| bits per observation position.  Nor is an inclusion
-decided by length sets (:func:`_inclusion`) bounded: it keeps two ints per
-state, so the observer can hit a cap that inclusion answers under.
+Inclusion, weak LBO's product and :func:`realize_observation` run one search
+that keeps one mask of left states per right node.  Inclusion's right nodes
+are the interned estimates and the empty one, at most cap + 1.  Weak LBO's
+are the states of the second automaton, at most |Q2|, and realization's the
+observation positions, at most |obs| + 1; these two build no estimates and
+ignore the cap.  Nor is an inclusion decided by length sets
+(:func:`_inclusion`) bounded: it keeps two ints per state, so the observer
+can hit a cap that inclusion answers under.
 """
 
 Observation = tuple[str, ...]
@@ -298,6 +300,8 @@ def unobservable_reach(a: Automaton, states: Iterable[str]) -> frozenset[str]:
 
 def project_string(a: Automaton, string: Iterable[str]) -> Observation:
     """Apply the observation projection to a full event string."""
+    string = tuple(string)
+    _require(set(string) <= a.events_by_name.keys(), "project_string: events must be declared")
     return tuple(e for e in string if a.is_observable(e))
 
 
@@ -499,9 +503,7 @@ def realize_observation(
     Ties among shortest strings are broken by alphabet declaration order.
     Raises ValueError when no such run of ``a`` exists.
 
-    A group is a state mask with the number of observations read, which all
-    nodes first reached by one string share; ``reached[position]`` holds the
-    states reached so far at that position, at most |Q| bits per position.
+    The search's right nodes are the numbers of observations read.
     """
     targets = frozenset(targets)
     initial = a.initial if initial is None else frozenset(initial)
@@ -510,68 +512,78 @@ def realize_observation(
     n = len(observation)
     # An undeclared event maps to -1 and matches no event.
     wanted = [g.event_index.get(e, -1) for e in observation]
-    goal, start = g.mask(targets), g.mask(initial)
-    reached = [start] + [0] * n
+    goal = g.mask(targets)
 
-    def extend(group: tuple[int, int], k: int):
-        states, position = group
+    def move(position: int, states: int, k: int):
         if g.observable[k]:
             if position == n or k != wanted[position]:
-                return None, False
+                return (), 0
             position += 1
         row, out = g.succ[k], 0
         for i in _bits(states):
             for j in row[i]:
                 out |= 1 << j
-        fresh = out & ~reached[position]
-        if not fresh:
-            return None, False
-        reached[position] |= fresh
-        return (fresh, position), position == n and bool(fresh & goal)
+        return (position,), out
 
-    hit = n == 0 and bool(start & goal)
-    run = _lex_least_label(((start, 0), hit), range(len(a.alphabet)), extend)
+    def is_goal(position: int, states: int) -> bool:
+        return position == n and bool(states & goal)
+
+    run = _lex_least_label({0: g.mask(initial)}, range(len(a.alphabet)), move, is_goal)
     if run is None:
         raise ValueError("observation is not realizable by any run into the target set")
     return tuple(a.alphabet[k].name for k in run)
 
 
-def _lex_least_label(start, events, extend) -> Observation | None:
+def _lex_least_label(start: dict[int, int], events, move, is_goal) -> Optional[tuple]:
     """Minimal-length, then lexicographically minimal, event string that leads
     from the start group to a goal node.
 
-    A group is the set of nodes first reached by one string, its label.
-    ``extend(group, e)`` returns the nodes that ``e`` leads to from the group
-    and that no earlier group reached, as a new group or None when there are
-    none, and whether one of them is a goal; it keeps the record of reached
-    nodes itself.  ``start`` is the start group and whether it holds a goal.
+    A node pairs a right node ``y`` with a left state, and a group maps right
+    nodes to masks of left states; ``start`` is the start group.
+    ``move(y, mask, e)`` returns the right nodes that ``e`` leads to from
+    ``y``'s left states ``mask``, and the mask of left states each of them
+    gets.  ``is_goal(y, mask)`` tells whether left states first reached under
+    ``y`` hold a goal.  The search alone keeps the nodes reached so far, as
+    one left-state mask per right node, so no node is moved from twice.
 
     The search is breadth-first, and a layer lists its groups in increasing
-    label order, each extended by every event in order.  Every node on a
-    shortest walk sits at its own shortest depth, so a group's label is the
-    least shortest label of each of its nodes, the next layer is again sorted,
-    and the first extension that reaches a goal carries the answer.  The
-    search stops there.
+    label order, each extended by every event in order, where a group holds
+    the nodes first reached by its label.  Every node on a shortest walk sits
+    at its own shortest depth, so a group's label is the least shortest label
+    of each of its nodes, the next layer is again sorted, and the first
+    extension that reaches a goal carries the answer.  The search stops there.
     """
-    nodes, hit = start
-    if hit:
+    if any(is_goal(y, mask) for y, mask in start.items()):
         return ()
+    reached = dict(start)  # right node -> left states paired with it so far
     parents: list[tuple[int, object]] = []  # group -> (parent group, event); -1 is the start
-    layer = [(-1, nodes)]
+    layer = [(-1, start)]
     while layer:
         next_layer = []
         for group, nodes in layer:
+            nodes = tuple(nodes.items())
             for e in events:
-                fresh, hit = extend(nodes, e)
-                if hit:
-                    label = [e]
-                    while group >= 0:
-                        group, e = parents[group]
-                        label.append(e)
-                    return tuple(reversed(label))
-                if fresh is not None:
+                fresh_group = None
+                for y, mask in nodes:
+                    ys, mask2 = move(y, mask, e)
+                    for y2 in ys:
+                        old = reached.get(y2, 0)
+                        fresh = mask2 & ~old
+                        if not fresh:
+                            continue
+                        if is_goal(y2, fresh):
+                            label = [e]
+                            while group >= 0:
+                                group, e = parents[group]
+                                label.append(e)
+                            return tuple(reversed(label))
+                        reached[y2] = old | fresh
+                        if fresh_group is None:
+                            fresh_group = {}
+                        fresh_group[y2] = fresh_group.get(y2, 0) | fresh
+                if fresh_group is not None:
                     parents.append((group, e))
-                    next_layer.append((len(parents) - 1, fresh))
+                    next_layer.append((len(parents) - 1, fresh_group))
         layer = next_layer
     return None
 
@@ -593,38 +605,24 @@ def _least_difference(
     with each side started in the given states, on the estimate kernel (one
     kernel serves both sides when ``a2 is a1``).
 
-    The nodes are pairs of a left state and a right estimate, and the nodes
-    first reached by one observation share its right estimate, so a group is
-    a left-state mask with one estimate id.  Right estimates are interned as
-    the search reaches them, which bounds the pairs kept by the cap times the
-    left states.  None means the inclusion holds.
+    The search's right nodes are estimate ids, interned as the search reaches
+    them, which bounds them by the cap plus the empty estimate.  None means
+    the inclusion holds.
     """
     left = _EstimateKernel(a1, cap)
     right = left if a2 is a1 else _EstimateKernel(a2, cap)
-    left_start = left.close(left.mask(initial1))
-    right_start = right.intern(right.close(right.mask(initial2)))
     m1, m2 = left.mask(m1), right.mask(m2)
     right_event = [right.event_index[e] for e in left.events]
-    masks = right.masks
-    reached = {right_start: left_start}  # estimate id -> left states paired with it so far
 
-    def refutes(states: int, s: int) -> bool:
-        return bool(states & m1) and (s == _EMPTY or not masks[s] & m2)
-
-    def extend(group: tuple[int, int], k: int):
-        states, s = group
+    def move(s: int, states: int, k: int):
         states = left.post(states, k)
-        if not states:
-            return None, False
-        t = right.step(s, right_event[k])
-        fresh = states & ~reached.get(t, 0)
-        if not fresh:
-            return None, False
-        reached[t] = reached.get(t, 0) | fresh
-        return (fresh, t), refutes(fresh, t)
+        return ((right.step(s, right_event[k]),), states) if states else ((), 0)
 
-    start = (left_start, right_start), refutes(left_start, right_start)
-    obs = _lex_least_label(start, range(len(left.events)), extend)
+    def refutes(s: int, states: int) -> bool:
+        return bool(states & m1) and (s == _EMPTY or not right.masks[s] & m2)
+
+    start = {right.intern(right.close(right.mask(initial2))): left.close(left.mask(initial1))}
+    obs = _lex_least_label(start, range(len(left.events)), move, refutes)
     return None if obs is None else tuple(left.events[k] for k in obs)
 
 
@@ -804,33 +802,29 @@ def _least_common(
 ) -> Optional[Observation]:
     """Shortest, then least, observation in ``P(L(a1, m1)) & P(L(a2, m2))``.
 
-    A group is a list of (right state, left-state mask) pairs, and
-    ``reached[y]`` holds the left states paired with right state ``y`` so
-    far: at most |Q1| bits per right state.  The left side steps by its
-    kernel's post-images, the right side by its kernel's closed-successor rows.
+    The search's right nodes are the states of ``a2``.  The left side steps
+    by its kernel's post-images, the right side by its kernel's
+    closed-successor rows.
     """
     left = _EstimateKernel(a1)
     right = left if a2 is a1 else _EstimateKernel(a2)
     right_event = [right.event_index[e] for e in left.events]
     m1, m2 = left.mask(m1), right.mask(m2)
+    targets = [[None] * len(a2.states) for _ in left.events]  # right.rows' members, as met
+
+    def move(y: int, states: int, k: int):
+        states = left.post(states, k)
+        if not states:
+            return (), 0
+        row = targets[k]
+        if row[y] is None:
+            row[y] = _bits(right.rows[right_event[k]][y])
+        return row[y], states
+
+    def is_goal(y: int, states: int) -> bool:
+        return bool(states & m1) and bool(m2 >> y & 1)
+
     start = left.close(left.mask(a1.initial))
-    reached = dict.fromkeys(_bits(right.close(right.mask(a2.initial))), start)
-
-    def extend(group: list[tuple[int, int]], k: int):
-        row, fresh_group = right.rows[right_event[k]], {}
-        for y, states in group:
-            states = left.post(states, k)
-            if not states:
-                continue
-            for y2 in _bits(row[y]):
-                fresh = states & ~reached.get(y2, 0)
-                if fresh:
-                    if fresh & m1 and m2 >> y2 & 1:
-                        return None, True
-                    reached[y2] = reached.get(y2, 0) | fresh
-                    fresh_group[y2] = fresh_group.get(y2, 0) | fresh
-        return list(fresh_group.items()) or None, False
-
-    hit = bool(start & m1) and any(m2 >> y & 1 for y in reached)
-    obs = _lex_least_label((list(reached.items()), hit), range(len(left.events)), extend)
+    start = dict.fromkeys(_bits(right.close(right.mask(a2.initial))), start)
+    obs = _lex_least_label(start, range(len(left.events)), move, is_goal)
     return None if obs is None else tuple(left.events[k] for k in obs)

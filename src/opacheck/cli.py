@@ -337,10 +337,11 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--algorithm", default="auto", choices=CSO_ALGORITHMS)
     verify.add_argument("--witness", action="store_true", help="print the witness, if any")
     verify.add_argument("--observer-cap", type=int, default=DEFAULT_OBSERVER_CAP, help=(
-        "most state estimates one subset search may build; lbo-weak ignores it and keeps a mask "
-        "of at most |Q1| bits per state of the second automaton, witness realization one of at "
-        "most |Q| bits per observation position; unary-po builds none, so --algorithm observer "
-        "can hit a cap that auto and inclusion answer under"))
+        "most state estimates one subset search may build; searches keep one mask of left "
+        "states per right node: per estimate in inclusion (at most cap + 1), per state of the "
+        "second automaton in lbo-weak, per observation position in realization (these two ignore "
+        "the cap); unary-po builds none, so --algorithm observer can hit a cap that auto and "
+        "inclusion answer under"))
     verify.add_argument("--output", default="text", choices=("text", "json"))
     verify.add_argument("files", nargs="+")
     verify.set_defaults(func=_cmd_verify)

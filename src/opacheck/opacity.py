@@ -28,6 +28,7 @@ from .automata import (
     _inclusion,
     _length_sets,
     _reach,
+    _require,
     _unary_event,
 )
 from .errors import PreconditionViolated
@@ -142,6 +143,8 @@ def verify_cso_inclusion(inst: CsoInstance, *, cap: int = DEFAULT_OBSERVER_CAP) 
 
 def observation_length_set(a: Automaton, targets: Iterable[str]) -> LengthSet:
     """Observation lengths of runs into ``targets`` for a unary partially ordered automaton."""
+    targets = frozenset(targets)
+    _require(targets <= set(a.states), "observation_length_set: states must be declared")
     return _length_sets(a, a.initial, [targets])[0]
 
 

@@ -197,6 +197,11 @@ class TestProject:
         assert observation_feasible(a, {"3"}, ("a", "a"))
         assert not observation_feasible(a, {"3"}, ("a", "b", "a"))
 
+    def test_undeclared_event_rejected(self):
+        a = aut(["p"], AB, [], ["p"])
+        with pytest.raises(PreconditionViolated, match="project_string: events must be declared"):
+            project_string(a, ["a", "zz"])
+
     def test_projection_is_a_morphism(self):
         rng = make_rng("projection-morphism")
         a = rand_automaton(rng, ALPHABET_2OBS_1UO, max_states=4)
@@ -335,6 +340,50 @@ class TestProduct:
                 least = min(common, key=lambda w: (len(w), [rank[e] for e in w]))
                 assert v.witness.observation == least
                 assert project_string(a1, v.witness.secret_run) == least
+
+
+class TestLexLeastLabel:
+    """The pair search itself, on hand-built integer graphs: right nodes are
+    ints and left states are bits of a mask."""
+
+    def test_left_state_is_kept_under_each_right_node(self):
+        # Left state 1 is reached under right node 1 by event 0 and under right
+        # node 2 by event 1; only the second pairing is a goal.
+        def move(y, mask, e):
+            return ((1 + e,), 0b10) if y == 0 else ((), 0)
+
+        def is_goal(y, mask):
+            return y == 2 and bool(mask & 0b10)
+
+        assert automata._lex_least_label({0: 0b01}, range(2), move, is_goal) == (1,)
+
+    def test_pair_reached_again_is_not_moved_again(self):
+        # Left states 0 -> 1 -> 2 -> 0 under event 0, and 0 -> 2 under event 1,
+        # all under right node 0: state 2 is reached by "1" and again by "00".
+        calls = []
+
+        def move(y, mask, e):
+            calls.append((y, mask, e))
+            if e == 0:
+                return (y,), (mask << 1 | mask >> 2) & 0b111
+            return ((y,), 0b100) if mask & 0b001 else ((), 0)
+
+        result = automata._lex_least_label({0: 0b001}, range(2), move, lambda y, mask: False)
+        assert result is None
+        assert calls == [(0, 0b001, 0), (0, 0b001, 1), (0, 0b010, 0), (0, 0b010, 1),
+                         (0, 0b100, 0), (0, 0b100, 1)]
+
+    def test_ties_go_to_the_earlier_event(self):
+        # A binary tree numbered from 1, where event e leads from y to 2y + e:
+        # node 5 is reached by "01" and node 6 by "10", both goals.
+        def move(y, mask, e):
+            return (2 * y + e,), 1
+
+        def is_goal(y, mask):
+            return y in (5, 6)
+
+        assert automata._lex_least_label({1: 1}, range(2), move, is_goal) == (0, 1)
+        assert automata._lex_least_label({1: 1}, (1, 0), move, is_goal) == (1, 0)
 
 
 class TestInclusion:

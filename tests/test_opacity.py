@@ -161,6 +161,13 @@ class TestUnaryPo:
         v = verify_cso_unary_po(CsoInstance(a, {"t"}, {"v"}))
         assert not v.holds and v.witness.observation == ("a",)
 
+    def test_undeclared_target_rejected(self):
+        a = aut(["s"], (Event("a"),), [], ["s"])
+        with pytest.raises(
+            PreconditionViolated, match="observation_length_set: states must be declared"
+        ):
+            observation_length_set(a, {"zz"})
+
     def test_state_with_both_statuses_covers_itself(self):
         a = aut(["s", "t"], (Event("a"),), [("s", "a", "t")], ["s"])
         assert verify_cso_unary_po(CsoInstance(a, {"t"}, {"t"})).holds

@@ -8,6 +8,7 @@ of witnesses is checked by enumerating observations with the membership-only
 strings with ``oracles.string_reaches``.
 """
 
+import dataclasses
 import itertools
 import warnings
 
@@ -35,6 +36,7 @@ from opacheck import (
     verify_iso,
     verify_lbo,
 )
+from opacheck.automata import _inclusion
 from opacheck.oracles import (
     enum_cso_acyclic,
     enum_languages_projected,
@@ -171,6 +173,28 @@ def test_intersection_witness_replays_and_is_least(a1, a2):
     assert first_common(a1, a1.marked, a2, a2.marked, len(obs)) == obs
     assert run in strings_observed_as(a1, obs, len(run))
     assert string_reaches(a1, a1.marked, run)
+
+
+@PROPERTY_SETTINGS
+@given(automata(), st.data(), st.integers(min_value=1, max_value=4))
+def test_one_shared_kernel_decides_as_two_kernels_do(a, data, cap):
+    # With a2 is a1 one kernel serves both sides, so the left step and
+    # right.step share its post-image members cache; a copy gets its own.
+    copy = dataclasses.replace(a)
+    assert copy == a and copy is not a
+    states = st.frozensets(st.sampled_from(a.states))
+    m1, m2, initial1, initial2 = (data.draw(states) for _ in range(4))
+    for decide in (inclusion_modulo_projection, intersection_nonempty_modulo_projection):
+        shared, separate = decide(a, m1, a, m2), decide(a, m1, copy, m2)
+        assert (shared, shared.algorithm) == (separate, separate.algorithm)
+
+    def outcome(a2):
+        try:
+            return _inclusion(a, initial1, m1, a2, initial2, m2, cap)
+        except ObserverBlowup:
+            return "cap hit"
+
+    assert outcome(a) == outcome(copy)
 
 
 @PROPERTY_SETTINGS
