@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 from . import jsonio
 from .automata import DEFAULT_OBSERVER_CAP, Automaton, Verdict, classify
@@ -17,7 +17,6 @@ from .errors import OpacheckError
 from .opacity import (
     CSO_ALGORITHMS,
     CsoInstance,
-    LboInstance,
     verify_cso,
     verify_ifso,
     verify_iso,
@@ -46,12 +45,12 @@ def _file_error(path: str, exc: Exception) -> str:
     return f"error: {path}: {reason}"
 
 
-def _render_string(alphabet_names, string) -> str:
-    if not string:
-        return "ε"
-    if all(len(name) == 1 for name in alphabet_names):
-        return "".join(string)
-    return ".".join(string)
+def _print_witness(prefix: str, automaton: Automaton, witness) -> None:
+    """Print the witness's observation and run, with event names joined by
+    "." unless each is one character, and an empty string as "ε"."""
+    sep = "" if all(len(e.name) == 1 for e in automaton.alphabet) else "."
+    for label, string in (("observation", witness.observation), ("string", witness.secret_run)):
+        print(f"{prefix}witness {label}: {sep.join(string) or 'ε'}")
 
 
 def _witness_json(verdict: Verdict):
@@ -73,12 +72,11 @@ def _run_verification(args, instance) -> Verdict:
 
 
 def _classification_json(instance) -> dict:
-    if isinstance(instance, LboInstance):
-        return {
-            "secret_automaton": asdict(classify(instance.secret_automaton)),
-            "nonsecret_automaton": asdict(classify(instance.nonsecret_automaton)),
-        }
-    return asdict(classify(instance.automaton))
+    """One report per automaton field, keyed by its name, or the report
+    itself when the one field is ``automaton``."""
+    reports = {name: asdict(classify(getattr(instance, name)))
+               for name in jsonio.automaton_fields(instance)}
+    return reports.get("automaton", reports)
 
 
 def _cmd_verify(args) -> int:
@@ -124,14 +122,8 @@ def _cmd_verify(args) -> int:
             status = "holds" if verdict.holds else "violated"
             print(f"{prefix}{NOTION_TITLES[args.notion]}: {status}")
             if args.witness and verdict.witness is not None:
-                if isinstance(instance, LboInstance):
-                    names = [e.name for e in instance.secret_automaton.alphabet]
-                else:
-                    names = [e.name for e in instance.automaton.alphabet]
-                print(f"{prefix}witness observation: "
-                      f"{_render_string(names, verdict.witness.observation)}")
-                print(f"{prefix}witness string: "
-                      f"{_render_string(names, verdict.witness.secret_run)}")
+                first = getattr(instance, jsonio.automaton_fields(instance)[0])
+                _print_witness(prefix, first, verdict.witness)
     if args.output == "json":
         payload = reports[0] if len(reports) == 1 and len(args.files) == 1 else reports
         print(jsonio.dumps(payload) if isinstance(payload, dict)
@@ -139,9 +131,17 @@ def _cmd_verify(args) -> int:
     return max(codes) if codes else 2
 
 
-def _read_text(path: str) -> str:
+def _read_dimacs(path: str):
     with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+        return jsonio.parse_dimacs(handle.read())
+
+
+def _read_dag(path: str):
+    return jsonio.dag_from_dict(jsonio.load_json_file(path))
+
+
+def _read_cso(path: str):
+    return jsonio.instance_from_dict(jsonio.load_json_file(path), "cso")
 
 
 def _emit(payload: dict) -> int:
@@ -149,25 +149,12 @@ def _emit(payload: dict) -> int:
     return 0
 
 
-def _cmd_gen_cnf(args) -> int:
+def _cmd_gen(args) -> int:
+    """Read ``args.file`` with ``args.reader`` and write the instance that the
+    gadget named ``args.gadget`` builds from it."""
     from . import gadgets
 
-    formula = jsonio.parse_dimacs(_read_text(args.file))
-    return _emit(jsonio.instance_to_dict(gadgets.gen_cnf_cso(formula)))
-
-
-def _cmd_gen_dag_weak_lbo(args) -> int:
-    from . import gadgets
-
-    dag = jsonio.dag_from_dict(jsonio.load_json_file(args.file))
-    return _emit(jsonio.instance_to_dict(gadgets.gen_dag_weak_lbo(dag)))
-
-
-def _cmd_gen_dag_unary_cso(args) -> int:
-    from . import gadgets
-
-    dag = jsonio.dag_from_dict(jsonio.load_json_file(args.file))
-    return _emit(jsonio.instance_to_dict(gadgets.gen_dag_cso_unary(dag)))
+    return _emit(jsonio.instance_to_dict(getattr(gadgets, args.gadget)(args.reader(args.file))))
 
 
 def _cmd_gen_union(args) -> int:
@@ -191,20 +178,11 @@ def _cmd_gen_po_det(args) -> int:
     if "secret" in data:
         instance = jsonio.instance_from_dict(data, "cso")
         result = gadgets.po_determinize(instance.automaton, args.chain_event)
-        transformed = CsoInstance(result.automaton, instance.secret, instance.nonsecret)
-        return _emit(jsonio.instance_to_dict(transformed, metadata=result.metadata()))
-    automaton = jsonio.automaton_from_dict(data)
-    result = gadgets.po_determinize(automaton, args.chain_event)
-    return _emit(
-        {"automaton": jsonio.automaton_to_dict(result.automaton), "metadata": result.metadata()}
-    )
-
-
-def _cmd_gen_cso2lbo(args) -> int:
-    from . import gadgets
-
-    instance = jsonio.instance_from_dict(jsonio.load_json_file(args.file), "cso")
-    return _emit(jsonio.instance_to_dict(gadgets.cso_to_lbo(instance)))
+        out = jsonio.instance_to_dict(replace(instance, automaton=result.automaton))
+    else:
+        result = gadgets.po_determinize(jsonio.automaton_from_dict(data), args.chain_event)
+        out = {"automaton": jsonio.automaton_to_dict(result.automaton)}
+    return _emit({**out, "metadata": result.metadata()})
 
 
 def _cmd_gen_lbo2iso(args) -> int:
@@ -224,22 +202,24 @@ def _cmd_gen_lbo2iso(args) -> int:
     return _emit(jsonio.instance_to_dict(result.instance, metadata=result.metadata()))
 
 
-def _automata_in_file(data: dict) -> list[tuple[str, Automaton]]:
+def _automata_in_file(path: str) -> list[tuple[str, Automaton]]:
+    """The automata of an automaton file, or of an instance file of any
+    notion, by key.  The notion with the most automata is tried first."""
+    data = jsonio.load_json_file(path)
     if "states" in data:
         return [("automaton", jsonio.automaton_from_dict(data))]
-    if "secret_automaton" in data:
-        return [
-            ("secret_automaton", jsonio.automaton_from_dict(data["secret_automaton"])),
-            ("nonsecret_automaton", jsonio.automaton_from_dict(data["nonsecret_automaton"])),
-        ]
-    if "automaton" in data:
-        return [("automaton", jsonio.automaton_from_dict(data["automaton"]))]
+    kinds = map(jsonio.automaton_fields, jsonio.INSTANCE_CLASSES.values())
+    for names in sorted(kinds, key=len, reverse=True):
+        if any(name in data for name in names):
+            missing = [name for name in names if name not in data]
+            if missing:
+                raise jsonio.ParseError(f"instance is missing keys: {missing}")
+            return [(name, jsonio.automaton_from_dict(data[name])) for name in names]
     raise jsonio.ParseError("file contains neither an automaton nor an instance")
 
 
 def _cmd_classify(args) -> int:
-    data = jsonio.load_json_file(args.file)
-    found = _automata_in_file(data)
+    found = _automata_in_file(args.file)
     if args.output == "json":
         return _emit({role: asdict(classify(a)) for role, a in found})
     for role, automaton in found:
@@ -256,8 +236,7 @@ def _cmd_classify(args) -> int:
 def _cmd_oracle_sat(args) -> int:
     from . import oracles
 
-    formula = jsonio.parse_dimacs(_read_text(args.file))
-    assignment = oracles.brute_sat(formula)
+    assignment = oracles.brute_sat(_read_dimacs(args.file))
     if assignment is None:
         print("UNSAT")
         return 1
@@ -269,8 +248,7 @@ def _cmd_oracle_sat(args) -> int:
 def _cmd_oracle_dag_reach(args) -> int:
     from . import oracles
 
-    dag = jsonio.dag_from_dict(jsonio.load_json_file(args.file))
-    reachable = oracles.dag_reachable(dag)
+    reachable = oracles.dag_reachable(_read_dag(args.file))
     print("reachable" if reachable else "unreachable")
     return 0 if reachable else 1
 
@@ -278,13 +256,11 @@ def _cmd_oracle_dag_reach(args) -> int:
 def _cmd_oracle_enum_cso(args) -> int:
     from . import oracles
 
-    instance = jsonio.instance_from_dict(jsonio.load_json_file(args.file), "cso")
+    instance = _read_cso(args.file)
     verdict = oracles.enum_cso_acyclic(instance)
     print(f"{NOTION_TITLES['cso']}: {'holds' if verdict.holds else 'violated'}")
     if args.witness and verdict.witness is not None:
-        names = [e.name for e in instance.automaton.alphabet]
-        print(f"witness observation: {_render_string(names, verdict.witness.observation)}")
-        print(f"witness string: {_render_string(names, verdict.witness.secret_run)}")
+        _print_witness("", instance.automaton, verdict.witness)
     return 0 if verdict.holds else 1
 
 
@@ -296,8 +272,8 @@ def _dot_id(name: str) -> str:
 def _cmd_dot(args) -> int:
     from .gadgets import _FreshNames
 
-    data = jsonio.load_json_file(args.file)
-    found = [(role.replace("automaton", "").strip("_"), a) for role, a in _automata_in_file(data)]
+    found = [(role.replace("automaton", "").strip("_"), a)
+             for role, a in _automata_in_file(args.file)]
     # Start markers are extra nodes, so their names must miss every state's.
     names = _FreshNames(f"{c}:{s}" if c else s for c, a in found for s in a.states)
     lines = ["digraph {", "  rankdir=LR;"]
@@ -348,16 +324,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate instances from classic hard problems")
     gen_sub = gen.add_subparsers(dest="kind", required=True)
-    for kind, func, help_text in (
-        ("cnf", _cmd_gen_cnf, "DIMACS file to a CSO instance (opaque iff unsatisfiable)"),
-        ("dag-weak-lbo", _cmd_gen_dag_weak_lbo, "DAG to a weak-opacity instance"),
-        ("dag-unary-cso", _cmd_gen_dag_unary_cso, "DAG to a unary acyclic CSO instance"),
-        ("cso2lbo", _cmd_gen_cso2lbo, "CSO instance to an equivalent LBO instance"),
-        ("lbo2iso", _cmd_gen_lbo2iso, "LBO instance to an equivalent ISO instance"),
+    # each single-file generator: its input reader and the gadgets function it runs
+    for kind, reader, gadget, help_text in (
+        ("cnf", _read_dimacs, "gen_cnf_cso",
+         "DIMACS file to a CSO instance (opaque iff unsatisfiable)"),
+        ("dag-weak-lbo", _read_dag, "gen_dag_weak_lbo", "DAG to a weak-opacity instance"),
+        ("dag-unary-cso", _read_dag, "gen_dag_cso_unary", "DAG to a unary acyclic CSO instance"),
+        ("cso2lbo", _read_cso, "cso_to_lbo", "CSO instance to an equivalent LBO instance"),
     ):
         p = gen_sub.add_parser(kind, help=help_text)
         p.add_argument("file")
-        p.set_defaults(func=func)
+        p.set_defaults(func=_cmd_gen, reader=reader, gadget=gadget)
+    lbo2iso = gen_sub.add_parser("lbo2iso", help="LBO instance to an equivalent ISO instance")
+    lbo2iso.add_argument("file")
+    lbo2iso.set_defaults(func=_cmd_gen_lbo2iso)
     union = gen_sub.add_parser("union", help="DFA files to a CSO instance (opaque iff union universal)")
     union.add_argument("files", nargs="+")
     union.set_defaults(func=_cmd_gen_union)

@@ -13,11 +13,16 @@ keys are rejected.
 
 The reader checks the shape of those arrays in bulk passes and leaves the
 making of tuples to the constructors, which make them once.
+
+An instance file's keys are exactly the fields of its notion's class in
+``INSTANCE_CLASSES`` (and an optional ``metadata`` object).  Both directions
+loop over those fields, so no other table describes an instance.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from itertools import chain, repeat
 from json.encoder import encode_basestring
 from typing import TYPE_CHECKING, Any
@@ -29,15 +34,14 @@ from .opacity import CsoInstance, IfsoInstance, IsoInstance, LboInstance
 if TYPE_CHECKING:
     from .gadgets import CnfFormula, Dag
 
-NOTIONS = ("cso", "iso", "ifso", "lbo", "lbo-weak")
+# The instance class of each notion.  Its fields are the keys of the
+# notion's instance file, and a field's name gives its kind: an automaton
+# when it ends in "automaton", a set of [initial, marked] pairs when it ends
+# in "_pairs", and a set of state names otherwise.
+INSTANCE_CLASSES = {"cso": CsoInstance, "iso": IsoInstance, "ifso": IfsoInstance,
+                    "lbo": LboInstance, "lbo-weak": LboInstance}
 
 _AUTOMATON_KEYS = {"alphabet", "states", "initial", "marked", "transitions"}
-_INSTANCE_KEYS = {
-    "cso": {"automaton", "secret", "nonsecret"},
-    "iso": {"automaton", "secret_initial", "nonsecret_initial"},
-    "ifso": {"automaton", "secret_pairs", "nonsecret_pairs"},
-    "lbo": {"secret_automaton", "nonsecret_automaton"},
-}
 
 
 def _check_keys(d: dict, required: set[str], what: str, optional: set[str] = frozenset()):
@@ -115,65 +119,40 @@ def _pair_list(value: Any, what: str) -> list[tuple[str, str]]:
     return list(map(tuple, value))
 
 
+def _read_field(name: str, value: Any):
+    if name.endswith("automaton"):
+        return automaton_from_dict(value)
+    if name.endswith("_pairs"):
+        return frozenset(_pair_list(value, name))
+    return frozenset(_string_list(value, name))
+
+
+def automaton_fields(instance) -> list[str]:
+    """The names of the automaton fields of an instance or instance class."""
+    return [f.name for f in fields(instance) if f.name.endswith("automaton")]
+
+
 def instance_from_dict(d: dict, notion: str):
-    """Parse the instance JSON for a notion ("lbo-weak" shares the "lbo" format)."""
-    if notion not in NOTIONS:
+    """Parse the instance JSON for a notion: its keys are the fields of the
+    notion's class, read in declaration order."""
+    cls = INSTANCE_CLASSES.get(notion)
+    if cls is None:
         raise ParseError(f"unknown notion {notion!r}")
-    kind = "lbo" if notion == "lbo-weak" else notion
-    _check_keys(d, _INSTANCE_KEYS[kind], f"{notion} instance", optional={"metadata"})
+    names = [f.name for f in fields(cls)]
+    _check_keys(d, set(names), f"{notion} instance", optional={"metadata"})
     try:
-        if kind == "cso":
-            return CsoInstance(
-                automaton_from_dict(d["automaton"]),
-                frozenset(_string_list(d["secret"], "secret")),
-                frozenset(_string_list(d["nonsecret"], "nonsecret")),
-            )
-        if kind == "iso":
-            return IsoInstance(
-                automaton_from_dict(d["automaton"]),
-                frozenset(_string_list(d["secret_initial"], "secret_initial")),
-                frozenset(_string_list(d["nonsecret_initial"], "nonsecret_initial")),
-            )
-        if kind == "ifso":
-            return IfsoInstance(
-                automaton_from_dict(d["automaton"]),
-                frozenset(_pair_list(d["secret_pairs"], "secret_pairs")),
-                frozenset(_pair_list(d["nonsecret_pairs"], "nonsecret_pairs")),
-            )
-        return LboInstance(
-            automaton_from_dict(d["secret_automaton"]),
-            automaton_from_dict(d["nonsecret_automaton"]),
-        )
+        return cls(*[_read_field(name, d[name]) for name in names])
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
 
 def instance_to_dict(instance, metadata: dict | None = None) -> dict:
-    if isinstance(instance, CsoInstance):
-        out = {
-            "automaton": automaton_to_dict(instance.automaton),
-            "secret": sorted(instance.secret),
-            "nonsecret": sorted(instance.nonsecret),
-        }
-    elif isinstance(instance, IsoInstance):
-        out = {
-            "automaton": automaton_to_dict(instance.automaton),
-            "secret_initial": sorted(instance.secret_initial),
-            "nonsecret_initial": sorted(instance.nonsecret_initial),
-        }
-    elif isinstance(instance, IfsoInstance):
-        out = {
-            "automaton": automaton_to_dict(instance.automaton),
-            "secret_pairs": sorted(instance.secret_pairs),
-            "nonsecret_pairs": sorted(instance.nonsecret_pairs),
-        }
-    elif isinstance(instance, LboInstance):
-        out = {
-            "secret_automaton": automaton_to_dict(instance.secret_automaton),
-            "nonsecret_automaton": automaton_to_dict(instance.nonsecret_automaton),
-        }
-    else:
+    if not isinstance(instance, tuple(INSTANCE_CLASSES.values())):
         raise TypeError(f"cannot serialize {type(instance).__name__}")
+    out = {}
+    for f in fields(instance):
+        value = getattr(instance, f.name)
+        out[f.name] = automaton_to_dict(value) if f.name.endswith("automaton") else sorted(value)
     if metadata is not None:
         out["metadata"] = metadata
     return out

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from opacheck import (
     IfsoInstance,
     IsoInstance,
     LboInstance,
+    classify,
     cso_to_lbo,
     gen_cnf_cso,
     gen_dag_cso_unary,
@@ -108,6 +110,31 @@ class TestVerify:
         assert algorithm("lbo", cso_to_lbo(cnf)) == "inclusion"
         weak = gen_dag_weak_lbo(Dag(2, frozenset({(0, 1)}), 0, 1))
         assert algorithm("lbo-weak", weak) == "product"
+
+    def test_json_classification_is_flat_or_keyed_by_automaton(self, tmp_path, capsys):
+        # one automaton gives a flat report; LBO's two give one report per automaton
+        cnf = gen_cnf_cso(TWO_CLAUSE)
+        a = cnf.automaton
+        pair = (sorted(a.initial)[0], sorted(a.states)[0])
+        lbo = cso_to_lbo(cnf)
+        flat = {
+            "cso": cnf,
+            "iso": IsoInstance(a, a.initial, frozenset()),
+            "ifso": IfsoInstance(a, {pair}, frozenset()),
+        }
+        for notion, instance in flat.items():
+            path = write_instance(tmp_path, f"{notion}.json", instance)
+            main(["verify", "--notion", notion, "--output", "json", path])
+            report = json.loads(capsys.readouterr().out)
+            assert report["classification"] == asdict(classify(a))
+        for notion in ("lbo", "lbo-weak"):
+            path = write_instance(tmp_path, f"{notion}.json", lbo)
+            main(["verify", "--notion", notion, "--output", "json", path])
+            report = json.loads(capsys.readouterr().out)
+            assert report["classification"] == {
+                "secret_automaton": asdict(classify(lbo.secret_automaton)),
+                "nonsecret_automaton": asdict(classify(lbo.nonsecret_automaton)),
+            }
 
     def test_algorithm_flag_only_for_cso(self, tmp_path, capsys):
         g = Dag(2, frozenset({(0, 1)}), 0, 1)
@@ -520,6 +547,28 @@ class TestClassify:
         assert_input_error(["classify", deep], capsys)
 
 
+    def test_lbo_file_reports_each_automaton(self, tmp_path, capsys):
+        lbo = cso_to_lbo(gen_cnf_cso(TWO_CLAUSE))
+        path = write_instance(tmp_path, "lbo.json", lbo)
+        assert main(["classify", path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 10
+        assert all(line.startswith("secret_automaton: ") for line in lines[:5])
+        assert all(line.startswith("nonsecret_automaton: ") for line in lines[5:])
+        assert main(["classify", "--output", "json", path]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "secret_automaton": asdict(classify(lbo.secret_automaton)),
+            "nonsecret_automaton": asdict(classify(lbo.nonsecret_automaton)),
+        }
+
+    def test_half_lbo_file_exits_two(self, tmp_path, capsys):
+        a = gen_cnf_cso(TWO_CLAUSE).automaton
+        path = write(tmp_path, "half.json", dumps({"secret_automaton": automaton_to_dict(a)}))
+        assert main(["classify", path]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: instance is missing keys: ['nonsecret_automaton']\n"
+
+
 class TestOracleCommands:
     def test_sat(self, tmp_path, capsys):
         path = write(tmp_path, "demo.cnf", TWO_CLAUSE_DIMACS)
@@ -553,6 +602,24 @@ class TestDot:
     def test_deep_json_exits_two(self, tmp_path, capsys):
         deep = write(tmp_path, "deep.json", DEEP_JSON)
         assert_input_error(["dot", deep], capsys)
+
+    def test_lbo_file_names_nodes_by_side(self, tmp_path, capsys):
+        lbo = cso_to_lbo(gen_cnf_cso(TWO_CLAUSE))
+        path = write_instance(tmp_path, "lbo.json", lbo)
+        assert main(["dot", path]) == 0
+        out = capsys.readouterr().out
+        for side, a in (("secret", lbo.secret_automaton), ("nonsecret", lbo.nonsecret_automaton)):
+            for s in a.states:
+                shape = "doublecircle" if s in a.marked else "circle"
+                assert f'  "{side}:{s}" [shape={shape}];\n' in out
+        assert '"a0"' not in out
+
+    def test_half_lbo_file_exits_two(self, tmp_path, capsys):
+        a = gen_cnf_cso(TWO_CLAUSE).automaton
+        path = write(tmp_path, "half.json", dumps({"secret_automaton": automaton_to_dict(a)}))
+        assert main(["dot", path]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: instance is missing keys: ['nonsecret_automaton']\n"
 
     def test_quotes_and_backslashes_are_escaped(self, tmp_path, capsys):
         a = Automaton(('p"x', "q\\"), (Event("a\\"),), {('p"x', "a\\", "q\\")}, {'p"x'}, {"q\\"})

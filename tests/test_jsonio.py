@@ -147,6 +147,61 @@ class TestInstanceFormat:
         assert instance_from_dict(instance_to_dict(inst), "ifso") == inst
 
 
+def instance_dict(notion, **changes):
+    """A valid instance file of ``notion`` over the sample automaton, with
+    each key in ``changes`` set to its value, or dropped when it is None."""
+    a = sample_automaton_dict()
+    d = {
+        "cso": {"automaton": a, "secret": ["q"], "nonsecret": ["p"]},
+        "iso": {"automaton": a, "secret_initial": ["p"], "nonsecret_initial": []},
+        "ifso": {"automaton": a, "secret_pairs": [["p", "q"]], "nonsecret_pairs": []},
+        "lbo": {"secret_automaton": a, "nonsecret_automaton": a},
+    }["lbo" if notion == "lbo-weak" else notion]
+    d.update(changes)
+    return {key: value for key, value in d.items() if value is not None}
+
+
+@pytest.mark.parametrize("notion, changes, message", [
+    ("cso", {"nonsecret": None}, "cso instance is missing keys: ['nonsecret']"),
+    ("cso", {"secret_initial": []}, "cso instance has unknown keys: ['secret_initial']"),
+    ("cso", {"secret": [1]}, "secret must be an array of strings"),
+    ("cso", {"automaton": [], "secret": 1}, "automaton must be a JSON object"),
+    ("iso", {"secret_initial": None}, "iso instance is missing keys: ['secret_initial']"),
+    ("iso", {"secret": []}, "iso instance has unknown keys: ['secret']"),
+    ("iso", {"secret_initial": "p"}, "secret_initial must be an array of strings"),
+    ("iso", {"secret_initial": 1, "nonsecret_initial": 1},
+     "secret_initial must be an array of strings"),
+    ("ifso", {"nonsecret_pairs": None}, "ifso instance is missing keys: ['nonsecret_pairs']"),
+    ("ifso", {"secret_initial": []}, "ifso instance has unknown keys: ['secret_initial']"),
+    ("ifso", {"nonsecret_pairs": [["p"]]},
+     "nonsecret_pairs must contain [initial, marked] string pairs"),
+    ("ifso", {"secret_pairs": {}},
+     "secret_pairs must be an array of [initial, marked] pairs"),
+    ("lbo", {"nonsecret_automaton": None},
+     "lbo instance is missing keys: ['nonsecret_automaton']"),
+    ("lbo", {"automaton": {}}, "lbo instance has unknown keys: ['automaton']"),
+    ("lbo", {"secret_automaton": []}, "automaton must be a JSON object"),
+    ("lbo-weak", {"secret_automaton": None},
+     "lbo-weak instance is missing keys: ['secret_automaton']"),
+    ("lbo-weak", {"secret": []}, "lbo-weak instance has unknown keys: ['secret']"),
+    ("lbo-weak", {"nonsecret_automaton": "a"}, "automaton must be a JSON object"),
+])
+def test_instance_errors_per_notion(notion, changes, message):
+    assert instance_from_dict(instance_dict(notion), notion) is not None
+    with pytest.raises(ParseError) as caught:
+        instance_from_dict(instance_dict(notion, **changes), notion)
+    assert str(caught.value) == message
+
+
+def test_unknown_notion_and_unknown_instance_type():
+    with pytest.raises(ParseError) as caught:
+        instance_from_dict(instance_dict("cso"), "xso")
+    assert str(caught.value) == "unknown notion 'xso'"
+    with pytest.raises(TypeError) as caught:
+        instance_to_dict(object())
+    assert str(caught.value) == "cannot serialize object"
+
+
 # Strings stress escaping: quotes, backslashes, control characters, non-ASCII
 # (including a character outside the basic multilingual plane).
 JSON_TEXT = st.text(alphabet=st.sampled_from('ab"\\/\n\t\x00\x1f\x7f é€𝄞\u2028'), max_size=6)
