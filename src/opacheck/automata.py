@@ -538,13 +538,24 @@ def _lex_least_label(start: dict[int, int], events, move, is_goal) -> Optional[t
     """Minimal-length, then lexicographically minimal, event string that leads
     from the start group to a goal node.
 
-    A node pairs a right node ``y`` with a left state, and a group maps right
-    nodes to masks of left states; ``start`` is the start group.
-    ``move(y, mask, e)`` returns the right nodes that ``e`` leads to from
-    ``y``'s left states ``mask``, and the mask of left states each of them
-    gets.  ``is_goal(y, mask)`` tells whether left states first reached under
-    ``y`` hold a goal.  The search alone keeps the nodes reached so far, as
-    one left-state mask per right node, so no node is moved from twice.
+    A node pairs a right node ``y`` with a left state.  A group is a list of
+    (right node, mask of left states) pairs, and ``start`` maps right nodes
+    to the start group's masks.  ``move(y, mask, e)`` returns the right nodes
+    that ``e`` leads to from ``y``'s left states ``mask``, and the mask of
+    left states each of them gets.  ``is_goal(y, mask)`` tells whether left
+    states first reached under ``y`` hold a goal.  The search alone keeps
+    the nodes reached so far, as one left-state mask per right node, so no
+    node is moved from twice.
+
+    Both callbacks must distribute over unions of masks under one right
+    node: ``move(y, m | m2, e)`` leads to the union of what ``m`` and ``m2``
+    lead to, and ``is_goal(y, m | m2)`` holds when it holds for ``m`` or for
+    ``m2``.  Inclusion and weak LBO step by the left kernel's post-image and
+    realization ORs successor rows, and each goal test asks that the mask
+    meet a set and a test on the right node hold.  So a group lists its
+    pairs as they are found, and a right node reached twice in one
+    extension, which only the product's several right nodes allow, gets two
+    pairs with disjoint masks instead of one merged mask.
 
     The search is breadth-first, and a layer lists its groups in increasing
     label order, each extended by every event in order, where a group holds
@@ -557,14 +568,13 @@ def _lex_least_label(start: dict[int, int], events, move, is_goal) -> Optional[t
         return ()
     reached = dict(start)  # right node -> left states paired with it so far
     parents: list[tuple[int, object]] = []  # group -> (parent group, event); -1 is the start
-    layer = [(-1, start)]
+    layer = [(-1, list(start.items()))]
     while layer:
         next_layer = []
-        for group, nodes in layer:
-            nodes = tuple(nodes.items())
+        for group, pairs in layer:
             for e in events:
-                fresh_group = None
-                for y, mask in nodes:
+                fresh_pairs = []
+                for y, mask in pairs:
                     ys, mask2 = move(y, mask, e)
                     for y2 in ys:
                         old = reached.get(y2, 0)
@@ -578,12 +588,10 @@ def _lex_least_label(start: dict[int, int], events, move, is_goal) -> Optional[t
                                 label.append(e)
                             return tuple(reversed(label))
                         reached[y2] = old | fresh
-                        if fresh_group is None:
-                            fresh_group = {}
-                        fresh_group[y2] = fresh_group.get(y2, 0) | fresh
-                if fresh_group is not None:
+                        fresh_pairs.append((y2, fresh))
+                if fresh_pairs:
                     parents.append((group, e))
-                    next_layer.append((len(parents) - 1, fresh_group))
+                    next_layer.append((len(parents) - 1, fresh_pairs))
         layer = next_layer
     return None
 
@@ -711,15 +719,6 @@ class LengthSet:
 
     def __contains__(self, k: int) -> bool:
         return k in self.finite or (self.ray_start is not None and k >= self.ray_start)
-
-    def issubset(self, other: "LengthSet") -> bool:
-        # A ray can only be covered by a ray starting no later; finite points
-        # may be covered by finite points or by the ray.
-        if self.ray_start is not None and (
-            other.ray_start is None or other.ray_start > self.ray_start
-        ):
-            return False
-        return all(k in other for k in self.finite)
 
     def min_uncovered(self, other: "LengthSet") -> Optional[int]:
         """Smallest length denoted here but missing from ``other`` (None if covered)."""

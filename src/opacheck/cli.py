@@ -175,7 +175,7 @@ def _cmd_gen_po_det(args) -> int:
     from . import gadgets
 
     data = jsonio.load_json_file(args.file)
-    if "secret" in data:
+    if "automaton" in data:  # a CSO instance file; a bare automaton has no such key
         instance = jsonio.instance_from_dict(data, "cso")
         result = gadgets.po_determinize(instance.automaton, args.chain_event)
         out = jsonio.instance_to_dict(replace(instance, automaton=result.automaton))

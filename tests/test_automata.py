@@ -1,6 +1,7 @@
 """Core data model and language machinery tests."""
 
 import ast
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -67,6 +68,21 @@ class TestPublicSurface:
         assert sources
         for path in sources:
             ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+    def test_sources_import_only_opacheck_and_the_standard_library(self):
+        # the package promises to need nothing beyond the standard library
+        foreign = {}
+        for path in sorted(Path(opacheck.__file__).parent.glob("*.py")):
+            names = set()
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+                if isinstance(node, ast.Import):
+                    names.update(alias.name.partition(".")[0] for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names.add(node.module.partition(".")[0])
+            names -= {"opacheck", *sys.stdlib_module_names}
+            if names:
+                foreign[path.name] = sorted(names)
+        assert foreign == {}
 
     def test_integer_graph_is_built_on_first_use(self):
         a = aut(["p", "q"], AB, [("p", "a", "q")], ["p"])

@@ -403,6 +403,13 @@ class TestGen:
         assert payload["secret"] == ["q"] and payload["nonsecret"] == ["r"]
         assert payload["metadata"]["encoding"]
 
+    def test_po_det_names_the_missing_key_of_a_cso_file(self, tmp_path, capsys):
+        automaton = {"alphabet": [{"name": "a", "observable": True}], "states": ["p"],
+                     "initial": ["p"], "marked": [], "transitions": []}
+        path = write(tmp_path, "inst.json", json.dumps({"automaton": automaton, "nonsecret": []}))
+        assert main(["gen", "po-det", path, "--chain-event", "a"]) == 2
+        assert capsys.readouterr().err == "error: cso instance is missing keys: ['secret']\n"
+
     def test_lbo2iso_adds_one_query_transition_per_marked_state(self, tmp_path, capsys):
         g = Dag(3, frozenset({(0, 1), (1, 2)}), 0, 2)
         path = write_instance(tmp_path, "lbo.json", gen_dag_weak_lbo(g))

@@ -60,9 +60,9 @@ class TestLengthSet:
         assert 3 in ls and 4 in ls and 2 not in ls
 
     def test_ray_covered_only_by_earlier_ray(self):
-        assert LengthSet(frozenset(), 4).issubset(LengthSet(frozenset(), 3))
-        assert not LengthSet(frozenset(), 3).issubset(LengthSet(frozenset(), 4))
-        assert not LengthSet(frozenset(), 3).issubset(LengthSet(frozenset(range(100))))
+        assert LengthSet(frozenset(), 4).min_uncovered(LengthSet(frozenset(), 3)) is None
+        assert LengthSet(frozenset(), 3).min_uncovered(LengthSet(frozenset(), 4)) == 3
+        assert LengthSet(frozenset(), 3).min_uncovered(LengthSet(frozenset(range(100)))) == 100
 
     def test_min_uncovered(self):
         a = LengthSet(frozenset({0, 2}), 5)

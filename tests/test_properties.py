@@ -5,7 +5,9 @@ observable events and one unobservable event; an explicit unobservable cycle
 may be added so that closures over cycles are always exercised.  Minimality
 of witnesses is checked by enumerating observations with the membership-only
 ``oracles.observation_feasible``, and that of realized runs by enumerating
-strings with ``oracles.string_reaches``.
+strings with ``oracles.string_reaches``.  The pair search under them,
+``_lex_least_label``, is also checked on its own, on drawn move relations
+against plain subset simulation.
 """
 
 import dataclasses
@@ -36,7 +38,7 @@ from opacheck import (
     verify_iso,
     verify_lbo,
 )
-from opacheck.automata import _inclusion
+from opacheck.automata import _inclusion, _lex_least_label
 from opacheck.oracles import (
     enum_cso_acyclic,
     enum_languages_projected,
@@ -278,6 +280,72 @@ def test_realized_run_is_the_least_one(a, data):
         if string_reaches(a, targets, string)
     )
     assert run == least
+
+
+@st.composite
+def pair_searches(draw):
+    """A move relation on nodes (right node y, left bit b), a start group and
+    a goal set of nodes, over up to three right nodes, left bits and events.
+
+    Under each event, right node y leads to a drawn set of right nodes, and
+    its left bit b to a drawn mask of left bits; the edges ((y, b), (y2, b2))
+    are all their combinations, which is the shape a ``move`` returning one
+    mask for all its right nodes can describe, and makes it distribute over
+    unions of masks.
+    """
+    rights, width, events = (draw(st.integers(1, 3)) for _ in range(3))
+    right_sets = st.frozensets(st.integers(0, rights - 1))
+    masks = st.integers(0, 2**width - 1)
+    steps = [
+        [(sorted(draw(right_sets)), [draw(masks) for _ in range(width)]) for _ in range(rights)]
+        for _ in range(events)
+    ]
+    start = draw(st.dictionaries(st.integers(0, rights - 1), masks, min_size=1))
+    goal = draw(st.frozensets(st.tuples(st.integers(0, rights - 1), st.integers(0, width - 1))))
+    return width, steps, start, goal
+
+
+@PROPERTY_SETTINGS
+@given(pair_searches())
+def test_pair_search_finds_the_least_label_of_subset_simulation(search):
+    width, steps, start, goal = search
+    events = range(len(steps))
+
+    def move(y, mask, k):
+        right, left = steps[k][y]
+        out = 0
+        for b in range(width):
+            if mask >> b & 1:
+                out |= left[b]
+        return right, out
+
+    def is_goal(y, mask):
+        return any(mask >> b & 1 for (z, b) in goal if z == y)
+
+    edges = [
+        {((y, b), (y2, b2)) for y, (right, left) in enumerate(row) for b in range(width)
+         for y2 in right for b2 in range(width) if left[b] >> b2 & 1}
+        for row in steps
+    ]
+    # Labels in shortlex order, each with the nodes it reaches from the start;
+    # a label whose node set an earlier one of its length reached is dropped,
+    # since every extension of it loses to the same extension of that one.
+    layer = [((), frozenset((y, b) for y, mask in start.items()
+                            for b in range(width) if mask >> b & 1))]
+    expected = None
+    for _ in range(len(steps[0]) * width + 1):  # a shortest label visits no node twice
+        expected = next((label for label, nodes in layer if nodes & goal), None)
+        if expected is not None:
+            break
+        seen, next_layer = set(), []
+        for label, nodes in layer:
+            for k in events:
+                reached = frozenset(t for (s, t) in edges[k] if s in nodes)
+                if reached and reached not in seen:
+                    seen.add(reached)
+                    next_layer.append((label + (k,), reached))
+        layer = next_layer
+    assert _lex_least_label(start, events, move, is_goal) == expected
 
 
 @PROPERTY_SETTINGS
