@@ -21,6 +21,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import repeat
 from operator import itemgetter
 from typing import Collection, Iterable, Optional, Sequence
 
@@ -86,6 +87,8 @@ class Automaton:
         self._validate()
 
     def _validate(self) -> None:
+        if not all(map(isinstance, self.states, repeat(str))):
+            raise ValueError("state names must be strings")
         declared = set(self.states)
         if len(declared) != len(self.states):
             raise ValueError("state names must be unique")

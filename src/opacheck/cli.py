@@ -38,11 +38,18 @@ NOTION_TITLES = {
 _INPUT_ERRORS = (OpacheckError, ValueError, OSError)
 
 
-def _file_error(path: str, exc: Exception) -> str:
-    """The ``error:`` line for a file that could not be read or parsed.  An
-    OSError's text already names the file, so only its reason follows."""
-    reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
-    return f"error: {path}: {reason}"
+def _read(path: str, parse):
+    """What ``parse`` makes of the JSON object in ``path`` (of its text, for
+    :func:`jsonio.parse_dimacs`).  An input error is raised again as ``PATH:
+    reason``, with only an OSError's reason, since its text names the file."""
+    try:
+        if parse is jsonio.parse_dimacs:
+            with open(path, "r", encoding="utf-8") as handle:
+                return parse(handle.read())
+        return parse(jsonio.load_json_file(path))
+    except _INPUT_ERRORS as exc:
+        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+        raise OpacheckError(f"{path}: {reason}") from exc
 
 
 def _print_witness(prefix: str, automaton: Automaton, witness) -> None:
@@ -86,22 +93,27 @@ def _cmd_verify(args) -> int:
         raise ValueError("--observer-cap must be positive")
     reports = []
     codes = []
+
+    def check(path: str, data: dict):
+        # Run inside _read, so an error of the verification names the file too.
+        instance = jsonio.instance_from_dict(data, args.notion)
+        if isinstance(instance, CsoInstance):
+            overlap = instance.secret & instance.nonsecret
+            if overlap:
+                print(
+                    f"warning: {path}: {len(overlap)} state(s) are both secret"
+                    " and non-secret",
+                    file=sys.stderr,
+                )
+        started = time.perf_counter()
+        verdict = _run_verification(args, instance)
+        return instance, verdict, time.perf_counter() - started
+
     for path in args.files:
         try:
-            instance = jsonio.instance_from_dict(jsonio.load_json_file(path), args.notion)
-            if isinstance(instance, CsoInstance):
-                overlap = instance.secret & instance.nonsecret
-                if overlap:
-                    print(
-                        f"warning: {path}: {len(overlap)} state(s) are both secret"
-                        " and non-secret",
-                        file=sys.stderr,
-                    )
-            started = time.perf_counter()
-            verdict = _run_verification(args, instance)
-            elapsed = time.perf_counter() - started
+            instance, verdict, elapsed = _read(path, lambda data: check(path, data))
         except _INPUT_ERRORS as exc:
-            print(_file_error(path, exc), file=sys.stderr)
+            print(f"error: {exc}", file=sys.stderr)
             codes.append(2)
             continue
         codes.append(0 if verdict.holds else 1)
@@ -131,17 +143,12 @@ def _cmd_verify(args) -> int:
     return max(codes) if codes else 2
 
 
-def _read_dimacs(path: str):
-    with open(path, "r", encoding="utf-8") as handle:
-        return jsonio.parse_dimacs(handle.read())
+def _cso(data: dict) -> CsoInstance:
+    return jsonio.instance_from_dict(data, "cso")
 
 
-def _read_dag(path: str):
-    return jsonio.dag_from_dict(jsonio.load_json_file(path))
-
-
-def _read_cso(path: str):
-    return jsonio.instance_from_dict(jsonio.load_json_file(path), "cso")
+def _lbo(data: dict):
+    return jsonio.instance_from_dict(data, "lbo")
 
 
 def _emit(payload: dict) -> int:
@@ -150,63 +157,45 @@ def _emit(payload: dict) -> int:
 
 
 def _cmd_gen(args) -> int:
-    """Read ``args.file`` with ``args.reader`` and write the instance that the
-    gadget named ``args.gadget`` builds from it."""
-    from . import gadgets
-
-    return _emit(jsonio.instance_to_dict(getattr(gadgets, args.gadget)(args.reader(args.file))))
-
-
-def _cmd_gen_union(args) -> int:
-    from . import gadgets
-
-    components = []
-    for path in args.files:
-        try:
-            components.append(jsonio.automaton_from_dict(jsonio.load_json_file(path)))
-        except _INPUT_ERRORS as exc:
-            print(_file_error(path, exc), file=sys.stderr)
-            return 2
-    result = gadgets.gen_union_universality_cso(components)
-    return _emit(jsonio.instance_to_dict(result.instance, metadata=result.metadata()))
-
-
-def _cmd_gen_po_det(args) -> int:
-    from . import gadgets
-
-    data = jsonio.load_json_file(args.file)
-    if "automaton" in data:  # a CSO instance file; a bare automaton has no such key
-        instance = jsonio.instance_from_dict(data, "cso")
-        result = gadgets.po_determinize(instance.automaton, args.chain_event)
-        out = jsonio.instance_to_dict(replace(instance, automaton=result.automaton))
-    else:
-        result = gadgets.po_determinize(jsonio.automaton_from_dict(data), args.chain_event)
-        out = {"automaton": jsonio.automaton_to_dict(result.automaton)}
-    return _emit({**out, "metadata": result.metadata()})
-
-
-def _cmd_gen_lbo2iso(args) -> int:
+    """Read the files with ``args.parse``, run the gadget named
+    ``args.gadget`` on them (on the list of them for ``union``) and write its
+    instance, with the result's metadata when it has any.  Each warning the
+    gadget raises is printed as one ``warning:`` line."""
     import warnings
 
     from . import gadgets
 
-    instance = jsonio.instance_from_dict(jsonio.load_json_file(args.file), "lbo")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # reported below as one line, like verify's warning
-        result = gadgets.lbo_to_iso(instance)
-    if result.trimmed:
-        print(
-            "warning: language-based opacity inputs were blocking; trimmed automatically",
-            file=sys.stderr,
-        )
-    return _emit(jsonio.instance_to_dict(result.instance, metadata=result.metadata()))
+    found = [_read(path, args.parse) for path in args.files]
+    gadget = getattr(gadgets, args.gadget)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = gadget(found) if args.kind == "union" else gadget(*found)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
+    metadata = result.metadata() if hasattr(result, "metadata") else None
+    return _emit(jsonio.instance_to_dict(getattr(result, "instance", result), metadata))
 
 
-def _automata_in_file(path: str) -> list[tuple[str, Automaton]]:
+def _cmd_gen_po_det(args) -> int:
+    """Determinize the automaton of an automaton file or of a CSO file, and
+    write the same kind of file with the result's metadata."""
+    from . import gadgets
+
+    found = _read(args.file, lambda data: _cso(data) if jsonio.is_instance_file(data)
+                  else jsonio.automaton_from_dict(data))
+    automaton = getattr(found, "automaton", found)
+    result = gadgets.po_determinize(automaton, args.chain_event)
+    if found is automaton:
+        out = jsonio.automaton_to_dict(result.automaton)
+    else:
+        out = jsonio.instance_to_dict(replace(found, automaton=result.automaton))
+    return _emit({**out, "metadata": result.metadata()})
+
+
+def _automata(data: dict) -> list[tuple[str, Automaton]]:
     """The automata of an automaton file, or of an instance file of any
     notion, by key.  The notion with the most automata is tried first."""
-    data = jsonio.load_json_file(path)
-    if "states" in data:
+    if not jsonio.is_instance_file(data):
         return [("automaton", jsonio.automaton_from_dict(data))]
     kinds = map(jsonio.automaton_fields, jsonio.INSTANCE_CLASSES.values())
     for names in sorted(kinds, key=len, reverse=True):
@@ -219,7 +208,7 @@ def _automata_in_file(path: str) -> list[tuple[str, Automaton]]:
 
 
 def _cmd_classify(args) -> int:
-    found = _automata_in_file(args.file)
+    found = _read(args.file, _automata)
     if args.output == "json":
         return _emit({role: asdict(classify(a)) for role, a in found})
     for role, automaton in found:
@@ -236,7 +225,7 @@ def _cmd_classify(args) -> int:
 def _cmd_oracle_sat(args) -> int:
     from . import oracles
 
-    assignment = oracles.brute_sat(_read_dimacs(args.file))
+    assignment = oracles.brute_sat(_read(args.file, jsonio.parse_dimacs))
     if assignment is None:
         print("UNSAT")
         return 1
@@ -248,7 +237,7 @@ def _cmd_oracle_sat(args) -> int:
 def _cmd_oracle_dag_reach(args) -> int:
     from . import oracles
 
-    reachable = oracles.dag_reachable(_read_dag(args.file))
+    reachable = oracles.dag_reachable(_read(args.file, jsonio.dag_from_dict))
     print("reachable" if reachable else "unreachable")
     return 0 if reachable else 1
 
@@ -256,7 +245,7 @@ def _cmd_oracle_dag_reach(args) -> int:
 def _cmd_oracle_enum_cso(args) -> int:
     from . import oracles
 
-    instance = _read_cso(args.file)
+    instance = _read(args.file, _cso)
     verdict = oracles.enum_cso_acyclic(instance)
     print(f"{NOTION_TITLES['cso']}: {'holds' if verdict.holds else 'violated'}")
     if args.witness and verdict.witness is not None:
@@ -273,7 +262,7 @@ def _cmd_dot(args) -> int:
     from .gadgets import _FreshNames
 
     found = [(role.replace("automaton", "").strip("_"), a)
-             for role, a in _automata_in_file(args.file)]
+             for role, a in _read(args.file, _automata)]
     # Start markers are extra nodes, so their names must miss every state's.
     names = _FreshNames(f"{c}:{s}" if c else s for c, a in found for s in a.states)
     lines = ["digraph {", "  rankdir=LR;"]
@@ -324,23 +313,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate instances from classic hard problems")
     gen_sub = gen.add_subparsers(dest="kind", required=True)
-    # each single-file generator: its input reader and the gadgets function it runs
-    for kind, reader, gadget, help_text in (
-        ("cnf", _read_dimacs, "gen_cnf_cso",
+    # each generator: how many files it reads, their parser, the gadget it runs
+    for kind, nargs, parse, gadget, help_text in (
+        ("cnf", 1, jsonio.parse_dimacs, "gen_cnf_cso",
          "DIMACS file to a CSO instance (opaque iff unsatisfiable)"),
-        ("dag-weak-lbo", _read_dag, "gen_dag_weak_lbo", "DAG to a weak-opacity instance"),
-        ("dag-unary-cso", _read_dag, "gen_dag_cso_unary", "DAG to a unary acyclic CSO instance"),
-        ("cso2lbo", _read_cso, "cso_to_lbo", "CSO instance to an equivalent LBO instance"),
+        ("dag-weak-lbo", 1, jsonio.dag_from_dict, "gen_dag_weak_lbo",
+         "DAG to a weak-opacity instance"),
+        ("dag-unary-cso", 1, jsonio.dag_from_dict, "gen_dag_cso_unary",
+         "DAG to a unary acyclic CSO instance"),
+        ("cso2lbo", 1, _cso, "cso_to_lbo", "CSO instance to an equivalent LBO instance"),
+        ("lbo2iso", 1, _lbo, "lbo_to_iso", "LBO instance to an equivalent ISO instance"),
+        ("union", "+", jsonio.automaton_from_dict, "gen_union_universality_cso",
+         "DFA files to a CSO instance (opaque iff union universal)"),
     ):
         p = gen_sub.add_parser(kind, help=help_text)
-        p.add_argument("file")
-        p.set_defaults(func=_cmd_gen, reader=reader, gadget=gadget)
-    lbo2iso = gen_sub.add_parser("lbo2iso", help="LBO instance to an equivalent ISO instance")
-    lbo2iso.add_argument("file")
-    lbo2iso.set_defaults(func=_cmd_gen_lbo2iso)
-    union = gen_sub.add_parser("union", help="DFA files to a CSO instance (opaque iff union universal)")
-    union.add_argument("files", nargs="+")
-    union.set_defaults(func=_cmd_gen_union)
+        p.add_argument("files", nargs=nargs, metavar="file" if nargs == 1 else None)
+        p.set_defaults(func=_cmd_gen, parse=parse, gadget=gadget)
     po_det = gen_sub.add_parser("po-det", help="determinize a partially ordered automaton or CSO instance")
     po_det.add_argument("file")
     po_det.add_argument("--chain-event", required=True,

@@ -536,7 +536,8 @@ def lbo_to_iso(inst: LboInstance) -> IsoReduction:
         tuple(states),
         inst.secret_automaton.alphabet + (Event(query),),
         transitions,
-        secret_initial | nonsecret_initial,
+        # With both languages empty, the secret sink is the initial state a file needs.
+        secret_initial | nonsecret_initial or {secret_sink},
     )
     instance = IsoInstance(combined, frozenset(secret_initial), frozenset(nonsecret_initial))
     return IsoReduction(instance, query, secret_sink, nonsecret_sink, trimmed)

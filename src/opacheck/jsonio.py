@@ -14,9 +14,11 @@ keys are rejected.
 The reader checks the shape of those arrays in bulk passes and leaves the
 making of tuples to the constructors, which make them once.
 
-An instance file's keys are exactly the fields of its notion's class in
-``INSTANCE_CLASSES`` (and an optional ``metadata`` object).  Both directions
-loop over those fields, so no other table describes an instance.
+An input file is an instance file when it has a key ending in ``automaton``,
+and an automaton file otherwise; either may carry a ``metadata`` object, which
+the readers ignore.  An instance file's keys are exactly the fields of its
+notion's class in ``INSTANCE_CLASSES``.  Both directions loop over those
+fields, so no other table describes an instance.
 """
 
 from __future__ import annotations
@@ -72,8 +74,13 @@ def _row_width(value: list | tuple) -> int | None:
     return widths.pop()
 
 
+def is_instance_file(d: dict) -> bool:
+    """Whether the JSON object ``d`` is an instance file (has an automaton field)."""
+    return any(key.endswith("automaton") for key in d)
+
+
 def automaton_from_dict(d: dict) -> Automaton:
-    _check_keys(d, _AUTOMATON_KEYS, "automaton")
+    _check_keys(d, _AUTOMATON_KEYS, "automaton", optional={"metadata"})
     alphabet = []
     if not isinstance(d["alphabet"], list):
         raise ParseError("alphabet must be an array")

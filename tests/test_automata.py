@@ -118,6 +118,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             aut(["p"], AB, [], ["q"])
 
+    def test_state_names_must_be_strings(self):
+        # each of these used to be accepted, and the writer then failed on it
+        for name in (1, None, b"p", ("p",)):
+            with pytest.raises(ValueError, match="state names must be strings"):
+                aut(["p", name], AB, [], ["p"])
+        # the empty name is legal: JSON files may use it
+        assert aut([""], AB, [("", "a", "")], [""]).states == ("",)
+
 
 class TestLargeConstruction:
     """Construction checks a large transition set in bulk passes; the

@@ -28,7 +28,13 @@ from opacheck import (
     lbo_to_iso,
 )
 from opacheck.cli import main
-from opacheck.jsonio import automaton_to_dict, dumps, instance_to_dict
+from opacheck.jsonio import (
+    automaton_from_dict,
+    automaton_to_dict,
+    dumps,
+    instance_from_dict,
+    instance_to_dict,
+)
 
 from helpers import ALPHABET_1OBS_1UO, ALPHABET_2OBS_1UO, make_rng, rand_automaton, rand_dfa
 
@@ -56,6 +62,40 @@ def assert_input_error(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+# Every command that reads files, as the arguments before the file, and
+# whether the file is DIMACS rather than JSON.
+READING_COMMANDS = [
+    (["verify", "--notion", "cso"], False),
+    (["gen", "cnf"], True),
+    (["gen", "dag-weak-lbo"], False),
+    (["gen", "dag-unary-cso"], False),
+    (["gen", "cso2lbo"], False),
+    (["gen", "lbo2iso"], False),
+    (["gen", "union"], False),
+    (["gen", "po-det", "--chain-event", "a"], False),
+    (["classify"], False),
+    (["dot"], False),
+    (["oracle", "sat"], True),
+    (["oracle", "dag-reach"], False),
+    (["oracle", "enum-cso"], False),
+]
+
+
+@pytest.mark.parametrize("problem", ["missing", "malformed"])
+@pytest.mark.parametrize(
+    "command, dimacs", READING_COMMANDS, ids=[" ".join(c[:2]) for c, _ in READING_COMMANDS]
+)
+def test_every_reading_command_names_the_file(tmp_path, capsys, command, dimacs, problem):
+    path = str(tmp_path / "input")
+    if problem == "malformed":
+        write(tmp_path, "input", "p cnf 1 1\n1 x 0\n" if dimacs else "{ nope")
+    assert main([*command, path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ") and captured.err.count("\n") == 1
+    assert captured.err.count(path) == 1
 
 
 class TestVerify:
@@ -379,8 +419,9 @@ class TestGen:
         path = write(tmp_path, "a.json", json.dumps(d))
         assert main(["gen", "po-det", path, "--chain-event", "0"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["automaton"] == d
-        assert payload["metadata"]["unobservable_event"] is None
+        metadata = payload.pop("metadata")
+        assert payload == d  # an automaton file, with its metadata next to its keys
+        assert metadata["unobservable_event"] is None
 
     def test_po_det_on_instance_keeps_status_sets(self, tmp_path, capsys):
         d = {
@@ -408,7 +449,41 @@ class TestGen:
                      "initial": ["p"], "marked": [], "transitions": []}
         path = write(tmp_path, "inst.json", json.dumps({"automaton": automaton, "nonsecret": []}))
         assert main(["gen", "po-det", path, "--chain-event", "a"]) == 2
-        assert capsys.readouterr().err == "error: cso instance is missing keys: ['secret']\n"
+        assert capsys.readouterr().err == (
+            f"error: {path}: cso instance is missing keys: ['secret']\n"
+        )
+
+    def test_po_det_on_its_own_output_changes_nothing(self, tmp_path, capsys):
+        a = Automaton(
+            ("p", "q", "r"), ALPHABET_1OBS_1UO,
+            {("p", "a", "q"), ("p", "a", "r"), ("q", "u", "r")}, {"p", "q"},
+        )
+        path = write(tmp_path, "a.json", dumps(automaton_to_dict(a)))
+        assert main(["gen", "po-det", path, "--chain-event", "a"]) == 0
+        once = capsys.readouterr().out
+        assert json.loads(once)["metadata"]["encoding"]
+        assert main(["gen", "po-det", write(tmp_path, "once.json", once),
+                     "--chain-event", "a"]) == 0
+        twice = json.loads(capsys.readouterr().out)
+        metadata = twice.pop("metadata")
+        assert twice == {k: v for k, v in json.loads(once).items() if k != "metadata"}
+        assert metadata == {"encoding": [], "initial_chain": [], "unobservable_event": None}
+
+    def test_po_det_output_of_a_dfa_is_a_union_component(self, tmp_path, capsys):
+        base = {
+            "alphabet": [{"name": "0", "observable": True}, {"name": "1", "observable": True}],
+            "states": ["p", "q"],
+            "initial": ["p"],
+            "transitions": [["p", "0", "q"], ["p", "1", "p"], ["q", "0", "q"], ["q", "1", "q"]],
+        }
+        first = write(tmp_path, "first.json", json.dumps({**base, "marked": ["p"]}))
+        second = write(tmp_path, "second.json", json.dumps({**base, "marked": ["q"]}))
+        assert main(["gen", "po-det", first, "--chain-event", "0"]) == 0
+        det = write(tmp_path, "det.json", capsys.readouterr().out)
+        assert main(["gen", "union", det, second]) == 0
+        from_det = capsys.readouterr()
+        assert main(["gen", "union", first, second]) == 0
+        assert from_det == capsys.readouterr()
 
     def test_lbo2iso_adds_one_query_transition_per_marked_state(self, tmp_path, capsys):
         g = Dag(3, frozenset({(0, 1), (1, 2)}), 0, 2)
@@ -482,31 +557,37 @@ class TestGen:
 
     def test_output_is_canonical_json(self, tmp_path, capsys):
         """Every gadget's output, metadata included, is the text ``json.dumps``
-        gives for its own parse."""
+        gives for its own parse, and the reader of its kind reads it back to
+        the same text."""
         dag = write(tmp_path, "dag.json", json.dumps(
             {"vertices": 5, "edges": [[0, 1], [1, 2], [0, 3], [3, 4], [2, 4]], "s": 0, "t": 4}
         ))
         cnf = write(tmp_path, "demo.cnf", TWO_CLAUSE_DIMACS)
         rng = make_rng("cli-canonical")
-        po = write(tmp_path, "po.json", dumps(instance_to_dict(CsoInstance(
-            Automaton(
-                ("p", "q", "r", "s"), ALPHABET_1OBS_1UO,
-                {("p", "a", "q"), ("p", "a", "r"), ("q", "u", "s"), ("r", "a", "s")},
-                {"p", "q"},
-            ),
-            frozenset({"q"}), frozenset({"r", "s"}),
-        ))))
+        po_automaton = Automaton(
+            ("p", "q", "r", "s"), ALPHABET_1OBS_1UO,
+            {("p", "a", "q"), ("p", "a", "r"), ("q", "u", "s"), ("r", "a", "s")},
+            {"p", "q"},
+        )
+        po = write_instance(
+            tmp_path, "po.json", CsoInstance(po_automaton, frozenset({"q"}), frozenset({"r", "s"}))
+        )
+        po_file = write(tmp_path, "po-automaton.json", dumps(automaton_to_dict(po_automaton)))
         dfas = [write(tmp_path, f"d{k}.json", dumps(automaton_to_dict(rand_dfa(rng))))
                 for k in range(3)]
         lbo = write_instance(tmp_path, "lbo.json", gen_dag_weak_lbo(
             Dag(4, frozenset({(0, 1), (1, 2), (0, 2)}), 0, 3)
         ))
-        for argv, has_metadata in (
-            (["gen", "dag-unary-cso", dag], False),
-            (["gen", "po-det", po, "--chain-event", "a"], True),
-            (["gen", "cnf", cnf], False),
-            (["gen", "union", *dfas], True),
-            (["gen", "lbo2iso", lbo], True),
+        # each command, whether it writes metadata, and the kind of file it writes
+        for argv, has_metadata, kind in (
+            (["gen", "dag-unary-cso", dag], False, "cso"),
+            (["gen", "dag-weak-lbo", dag], False, "lbo-weak"),
+            (["gen", "po-det", po, "--chain-event", "a"], True, "cso"),
+            (["gen", "po-det", po_file, "--chain-event", "a"], True, "automaton"),
+            (["gen", "cnf", cnf], False, "cso"),
+            (["gen", "cso2lbo", po], False, "lbo"),
+            (["gen", "union", *dfas], True, "cso"),
+            (["gen", "lbo2iso", lbo], True, "iso"),
         ):
             assert main(argv) == 0
             out = capsys.readouterr().out
@@ -514,6 +595,12 @@ class TestGen:
             canonical = json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False)
             assert out == canonical + "\n"
             assert ("metadata" in payload) == has_metadata
+            metadata = payload.get("metadata")
+            if kind == "automaton":
+                again = {**automaton_to_dict(automaton_from_dict(payload)), "metadata": metadata}
+            else:
+                again = instance_to_dict(instance_from_dict(payload, kind), metadata)
+            assert dumps(again) == out
 
     def test_cso2lbo_round(self, tmp_path, capsys):
         path = write_instance(tmp_path, "inst.json", gen_cnf_cso(TWO_CLAUSE))
@@ -573,7 +660,7 @@ class TestClassify:
         path = write(tmp_path, "half.json", dumps({"secret_automaton": automaton_to_dict(a)}))
         assert main(["classify", path]) == 2
         err = capsys.readouterr().err
-        assert err == "error: instance is missing keys: ['nonsecret_automaton']\n"
+        assert err == f"error: {path}: instance is missing keys: ['nonsecret_automaton']\n"
 
 
 class TestOracleCommands:
@@ -626,7 +713,7 @@ class TestDot:
         path = write(tmp_path, "half.json", dumps({"secret_automaton": automaton_to_dict(a)}))
         assert main(["dot", path]) == 2
         err = capsys.readouterr().err
-        assert err == "error: instance is missing keys: ['nonsecret_automaton']\n"
+        assert err == f"error: {path}: instance is missing keys: ['nonsecret_automaton']\n"
 
     def test_quotes_and_backslashes_are_escaped(self, tmp_path, capsys):
         a = Automaton(('p"x', "q\\"), (Event("a\\"),), {('p"x', "a\\", "q\\")}, {'p"x'}, {"q\\"})

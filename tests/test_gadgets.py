@@ -2,6 +2,7 @@
 equivalence, cross-checked against the brute-force oracles."""
 
 import itertools
+import json
 import tracemalloc
 
 import pytest
@@ -32,7 +33,7 @@ from opacheck import (
     verify_lbo_weak,
 )
 from opacheck.gadgets import MAX_GADGET_STATES, _FreshNames
-from opacheck.jsonio import dag_from_dict, parse_dimacs
+from opacheck.jsonio import dag_from_dict, dumps, instance_from_dict, instance_to_dict, parse_dimacs
 from opacheck.oracles import brute_sat, dag_reachable, enum_languages_projected
 
 from helpers import (
@@ -493,6 +494,21 @@ class TestLboToIso:
             result = lbo_to_iso(LboInstance(no_marked, nonsecret))
         assert result.instance.secret_initial == frozenset()
         assert verify_iso(result.instance).holds
+
+    def test_both_languages_empty_gives_a_file_that_holds(self):
+        # trimming leaves no state on either side, and a file must name an
+        # initial state: the secret sink is one, in neither initial set
+        alphabet = (Event("a"),)
+        no_marked = Automaton(("0", "1"), alphabet, {("0", "a", "1")}, {"0", "1"})
+        with pytest.warns(UserWarning):
+            result = lbo_to_iso(LboInstance(no_marked, no_marked))
+        inst = result.instance
+        assert inst.secret_initial == inst.nonsecret_initial == frozenset()
+        assert inst.automaton.initial == {result.secret_sink}
+        text = dumps(instance_to_dict(inst))
+        assert dumps(instance_to_dict(instance_from_dict(json.loads(text), "iso"))) == text
+        assert verify_lbo(LboInstance(no_marked, no_marked)).holds
+        assert verify_iso(inst).holds
 
     def test_query_event_name_falls_back_on_collision(self):
         alphabet = (Event("@"), Event("x"))
