@@ -18,10 +18,9 @@ function of its inputs, so values can be shared freely across threads.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import Collection, Iterable, Optional, Sequence
 
@@ -61,6 +60,8 @@ class Event:
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
             raise ValueError("event name must be a non-empty string")
+        if not isinstance(self.observable, bool):
+            raise ValueError("event observability must be a boolean")
 
 
 @dataclass(frozen=True)
@@ -96,19 +97,21 @@ class Automaton:
         if len(events) != len(self.alphabet):
             raise ValueError("event names must be unique within one alphabet")
         t = self.transitions
-        if not (
+        undeclared = (self.initial | self.marked) - declared
+        if undeclared or not (
             declared.issuperset(map(itemgetter(0), t))
             and declared.issuperset(map(itemgetter(2), t))
             and events.issuperset(map(itemgetter(1), t))
         ):
-            # The least offender, so the message does not depend on the hash seed.
+            # The least offender, so the message does not depend on the hash seed.  A
+            # name that is not a string is never declared, and would not order.
+            if not all(map(isinstance, chain(undeclared, chain.from_iterable(t)), repeat(str))):
+                raise ValueError("names in transitions, initial and marked must be strings")
             for (p, e, q) in sorted(t):
                 if p not in declared or q not in declared:
                     raise ValueError(f"transition ({p!r}, {e!r}, {q!r}) uses an undeclared state")
                 if e not in events:
                     raise ValueError(f"transition ({p!r}, {e!r}, {q!r}) uses an undeclared event")
-        undeclared = (self.initial | self.marked) - declared
-        if undeclared:
             raise ValueError(f"{min(undeclared)!r} is not a declared state")
 
     @cached_property
@@ -128,16 +131,13 @@ class Automaton:
 
     @cached_property
     def _structure(self) -> StructureReport:
-        po = self._graph.order is not None
+        g = self._graph
+        po = g.order is not None
         # A cycle is a self-loop or a cycle of the self-loop-free transitions.
-        acyclic = po and all(p != q for (p, _, q) in self.transitions)
-        deterministic = len(self.initial) == 1 and all(
-            len(targets) <= 1 for row in self._graph.succ for targets in row
-        )
+        acyclic = po and not g.loops
+        deterministic = len(self.initial) == 1 and not g.branching
         observable = len(self.observable_events)
-        return StructureReport(
-            deterministic, acyclic, po, observable, len(self.alphabet) - observable
-        )
+        return StructureReport(deterministic, acyclic, po, observable, len(self.alphabet) - observable)
 
     def is_observable(self, event: str) -> bool:
         return self.events_by_name[event].observable
@@ -207,31 +207,32 @@ class Verdict:
 
 class _Graph:
     """An automaton's transitions on integers: the one place that decides how
-    states and events are indexed.
+    states and events are indexed, built in one pass over the transitions.
 
     States are indexed in declaration order and events in alphabet order.
-    ``succ[k][i]`` holds the targets of state ``i`` under event ``k`` in
-    increasing order, and ``observable[k]`` tells whether event ``k`` is
-    observable.
+    ``succ[k][i]`` lists the targets of state ``i`` under event ``k``, and
+    ``observable[k]`` tells whether event ``k`` is observable.  The same
+    pass records ``loops``, which maps each state with a self-loop to
+    whether one of them is on an observable event, and ``branching``:
+    whether some state has two targets under one event.
     """
 
     def __init__(self, a: Automaton):
         index = self.index = {s: i for i, s in enumerate(a.states)}
         event_index = self.event_index = {e.name: k for k, e in enumerate(a.alphabet)}
         self.observable = tuple(e.observable for e in a.alphabet)
-        empty: tuple[int, ...] = ()
-        succ: list[list[Sequence[int]]] = [[empty] * len(a.states) for _ in a.alphabet]
+        succ: list[list[Sequence[int]]] = [[()] * len(a.states) for _ in a.alphabet]
+        loops, branching = {}, False
         for (p, e, q) in a.transitions:
-            row, i = succ[event_index[e]], index[p]
+            row, i, j = succ[event_index[e]], index[p], index[q]
             if row[i]:
-                row[i].append(index[q])
+                row[i].append(j)
+                branching = True
             else:
-                row[i] = [index[q]]
-        for row in succ:
-            for targets in row:
-                if len(targets) > 1:
-                    targets.sort()
-        self.succ = succ
+                row[i] = [j]
+            if i == j:
+                loops[i] = loops.get(i, False) or self.observable[event_index[e]]
+        self.succ, self.loops, self.branching = succ, loops, branching
 
     @cached_property
     def order(self) -> Optional[list[int]]:
@@ -436,13 +437,14 @@ class _EstimateKernel:
 
     def search(self, is_goal) -> Optional[Observation]:
         """Breadth-first walk over the nonempty estimates reachable from the
-        initial one.
+        initial one, on a fresh kernel.
 
         Events are tried in declaration order and ``is_goal`` is tested on
         each estimate's mask when it is discovered, so the first hit is reached
         by the shortest, then lexicographically least, observation, which is
         returned.  None means no reachable estimate is a goal; every one of
-        them has then been interned.
+        them has then been interned.  Ids are interned in discovery order, so
+        ``masks`` is the walk's queue.
         """
         # A plain id BFS: on _lex_least_label, with ids as groups, cso-observer ran 5-39 % slower.
         start = self.start()
@@ -451,23 +453,19 @@ class _EstimateKernel:
         if is_goal(self.masks[start]):
             return ()
         width = len(self.events)
-        parent = {start: -1}  # id -> slot (parent id * width + event index) it was found by
-        queue = deque([start])
-        while queue:
-            i = queue.popleft()
-            mask = self.masks[i]
+        parent = [-1]  # id -> slot (parent id * width + event index) it was found by
+        for i, mask in enumerate(self.masks):  # also visits the ids interned while it runs
             for k in range(width):
                 j = self.intern(self.post(mask, k))
-                if j == _EMPTY or j in parent:
+                if j < len(parent):  # _EMPTY or found before: a new id is len(parent)
                     continue
-                parent[j] = i * width + k
+                parent.append(i * width + k)
                 if is_goal(self.masks[j]):
                     path: list[str] = []
                     while parent[j] >= 0:
                         j, k = divmod(parent[j], width)
                         path.append(self.events[k])
                     return tuple(reversed(path))
-                queue.append(j)
         return None
 
 
@@ -763,7 +761,7 @@ def _length_sets(
         here = lengths[u]
         if not here:
             continue
-        if any(w and u in row[u] for w, row in weighted):
+        if g.loops.get(u):
             pumped[u] = (here & -here).bit_length() - 1  # the shortest run here
         through = pumped[u]
         for w, row in weighted:

@@ -9,7 +9,8 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import asdict, replace
+from contextlib import contextmanager
+from dataclasses import asdict, fields, replace
 
 from . import jsonio
 from .automata import DEFAULT_OBSERVER_CAP, Automaton, Verdict, classify
@@ -38,18 +39,25 @@ NOTION_TITLES = {
 _INPUT_ERRORS = (OpacheckError, ValueError, OSError)
 
 
+@contextmanager
+def _naming(path: str):
+    """Raise an input error of the block again as ``PATH: reason``, with only
+    an OSError's reason, since its text names the file."""
+    try:
+        yield
+    except _INPUT_ERRORS as exc:
+        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+        raise OpacheckError(f"{path}: {reason}") from exc
+
+
 def _read(path: str, parse):
     """What ``parse`` makes of the JSON object in ``path`` (of its text, for
-    :func:`jsonio.parse_dimacs`).  An input error is raised again as ``PATH:
-    reason``, with only an OSError's reason, since its text names the file."""
-    try:
+    :func:`jsonio.parse_dimacs`), with its input errors named by the path."""
+    with _naming(path):
         if parse is jsonio.parse_dimacs:
             with open(path, "r", encoding="utf-8") as handle:
                 return parse(handle.read())
         return parse(jsonio.load_json_file(path))
-    except _INPUT_ERRORS as exc:
-        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
-        raise OpacheckError(f"{path}: {reason}") from exc
 
 
 def _print_witness(prefix: str, automaton: Automaton, witness) -> None:
@@ -194,7 +202,8 @@ def _cmd_gen_po_det(args) -> int:
 
 def _automata(data: dict) -> list[tuple[str, Automaton]]:
     """The automata of an automaton file, or of an instance file of any
-    notion, by key.  The notion with the most automata is tried first."""
+    notion, by key.  The notion with the most automata is tried first; an
+    instance file that has the automaton keys of none names its unknown keys."""
     if not jsonio.is_instance_file(data):
         return [("automaton", jsonio.automaton_from_dict(data))]
     kinds = map(jsonio.automaton_fields, jsonio.INSTANCE_CLASSES.values())
@@ -204,7 +213,9 @@ def _automata(data: dict) -> list[tuple[str, Automaton]]:
             if missing:
                 raise jsonio.ParseError(f"instance is missing keys: {missing}")
             return [(name, jsonio.automaton_from_dict(data[name])) for name in names]
-    raise jsonio.ParseError("file contains neither an automaton nor an instance")
+    known = {f.name for cls in jsonio.INSTANCE_CLASSES.values() for f in fields(cls)}
+    unknown = sorted(set(data) - known - {"metadata"})
+    raise jsonio.ParseError(f"instance has unknown keys: {unknown}")
 
 
 def _cmd_classify(args) -> int:
@@ -283,7 +294,7 @@ def _cmd_dot(args) -> int:
     lines.append("}")
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
+        with _naming(args.out), open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)

@@ -10,8 +10,9 @@ class ObserverBlowup(OpacheckError):
 
     The cap counts the nonempty estimates a search interns, whichever search
     it is (observer, projected inclusion, ISO, IFSO, LBO), so a search that
-    answers keeps at most cap estimates, and inclusion at most cap times the
-    left automaton's states in pairs (plus those with the empty estimate).
+    answers keeps at most cap estimates.  Inclusion keeps one mask of left
+    states per right node, and its right nodes are the interned estimates and
+    the empty one: at most cap + 1 masks.
     """
 
     def __init__(self, cap: int):

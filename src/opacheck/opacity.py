@@ -13,6 +13,7 @@ search.  Every verdict names the algorithm that decided it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterable
 
 from .automata import (
@@ -106,6 +107,8 @@ class IfsoInstance:
             if i not in initial or f not in declared
         ]
         if bad:  # the least offender, so the message does not depend on the hash seed
+            if not all(map(isinstance, chain.from_iterable(bad), repeat(str))):
+                raise ValueError("names in pairs must be strings")  # they would not order
             i, f = min(bad)
             if i not in declared or f not in declared:
                 raise ValueError(f"pair ({i!r}, {f!r}) uses an undeclared state")

@@ -126,6 +126,24 @@ class TestValidation:
         # the empty name is legal: JSON files may use it
         assert aut([""], AB, [("", "a", "")], [""]).states == ("",)
 
+    def test_names_in_transitions_initial_and_marked_must_be_strings(self):
+        # each of these raised a TypeError from the least-offender search
+        cases = [
+            ([("p", 1, "p"), ("p", "b", "p")], {"p"}, ()),
+            ([("p", "a", 1), ("p", "a", "q")], {"p"}, ()),
+            ([(None, "a", "p"), ("q", "a", "p")], {"p"}, ()),
+            ([], {1, "x"}, ()),
+            ([], {"p"}, {1, "x"}),
+        ]
+        for transitions, initial, marked in cases:
+            with pytest.raises(ValueError, match="names in transitions, initial and marked"):
+                Automaton(("p", "q"), AB, transitions, initial, marked)
+
+    def test_observability_must_be_a_boolean(self):
+        for observable in ("no", 0, 1, None):
+            with pytest.raises(ValueError, match="event observability must be a boolean"):
+                Event("a", observable=observable)
+
 
 class TestLargeConstruction:
     """Construction checks a large transition set in bulk passes; the

@@ -337,6 +337,7 @@ def hash_seed_commands(tmp_path):
                 path = write_instance(tmp_path, f"{notion}{k}_{n}.json", inst)
                 commands.append(["verify", "--notion", notion, "--output", "json", path])
                 commands.append(["verify", "--notion", notion, "--witness", path])
+                commands.append(["classify", "--output", "json", path])
         commands.append(["gen", "lbo2iso", write_instance(tmp_path, f"l{k}.json", LboInstance(a, b))])
         po = rand_automaton(rng, ALPHABET_2OBS_1UO, max_states=6, structure="po", initial_max=3)
         po_path = write(tmp_path, f"po{k}.json", dumps(automaton_to_dict(po)))
@@ -662,6 +663,14 @@ class TestClassify:
         err = capsys.readouterr().err
         assert err == f"error: {path}: instance is missing keys: ['nonsecret_automaton']\n"
 
+    def test_unknown_automaton_key_is_named(self, tmp_path, capsys):
+        # a key ending in "automaton" makes an instance file; this one is no field
+        path = write(tmp_path, "my.json", '{"my_automaton": {}, "metadata": {}, "secret": []}')
+        for command in ("classify", "dot"):
+            assert main([command, path]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: {path}: instance has unknown keys: ['my_automaton']\n"
+
 
 class TestOracleCommands:
     def test_sat(self, tmp_path, capsys):
@@ -714,6 +723,14 @@ class TestDot:
         assert main(["dot", path]) == 2
         err = capsys.readouterr().err
         assert err == f"error: {path}: instance is missing keys: ['nonsecret_automaton']\n"
+
+    def test_failed_write_names_the_output_file(self, tmp_path, capsys):
+        path = write_instance(tmp_path, "inst.json", gen_cnf_cso(TWO_CLAUSE))
+        out = str(tmp_path / "missing" / "out.dot")
+        assert main(["dot", path, "-o", out]) == 2
+        assert capsys.readouterr().err == f"error: {out}: No such file or directory\n"
+        assert main(["dot", path, "-o", str(tmp_path / "out.dot")]) == 0
+        assert (tmp_path / "out.dot").read_text("utf-8").startswith("digraph {")
 
     def test_quotes_and_backslashes_are_escaped(self, tmp_path, capsys):
         a = Automaton(('p"x', "q\\"), (Event("a\\"),), {('p"x', "a\\", "q\\")}, {'p"x'}, {"q\\"})

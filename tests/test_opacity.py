@@ -451,6 +451,14 @@ class TestIfso:
         assert verify_ifso(IfsoInstance(a, inst.secret_pairs, {("p", "t")})).holds
         assert verify_ifso(IfsoInstance(a, {("s", "q")}, frozenset())).holds
 
+    def test_pair_names_must_be_strings(self):
+        # two bad pairs of mixed types used to raise a TypeError from min()
+        a = aut(["p", "q"], AB, [], ["p"])
+        for bad in ({(1, "p"), ("p", 2)}, {("p", None), (b"p", "q")}):
+            for secret, nonsecret in ((bad, set()), ({("p", "q")}, bad)):
+                with pytest.raises(ValueError, match="names in pairs must be strings"):
+                    IfsoInstance(a, secret, nonsecret)
+
     def test_memory_follows_what_each_start_reaches(self):
         # A 400-state secret chain against 50 non-secret starts that each
         # reach one state: a full copy per start would hold 51 x 500 states.

@@ -13,6 +13,7 @@ against plain subset simulation.
 import dataclasses
 import itertools
 import warnings
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from opacheck import (
     IsoInstance,
     LboInstance,
     ObserverBlowup,
+    classify,
     cso_to_lbo,
     inclusion_modulo_projection,
     intersection_nonempty_modulo_projection,
@@ -111,6 +113,34 @@ def strings_observed_as(a: Automaton, obs, length: int):
         if rest is not None:
             for tail in strings_observed_as(a, rest, length - 1):
                 yield (e.name, *tail)
+
+
+def has_cycle(a: Automaton) -> bool:
+    """Whether the self-loop-free transitions of ``a`` have a cycle, by a
+    colored depth-first search."""
+    succ = {s: [q for (p, _, q) in a.transitions if p == s and q != s] for s in a.states}
+    color = dict.fromkeys(a.states, "white")
+
+    def reaches_grey(p) -> bool:
+        color[p] = "grey"
+        for q in succ[p]:
+            if color[q] == "grey" or (color[q] == "white" and reaches_grey(q)):
+                return True
+        color[p] = "black"
+        return False
+
+    return any(color[s] == "white" and reaches_grey(s) for s in a.states)
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from(("any", "acyclic", "po")).flatmap(automata))
+def test_classify_equals_a_recomputation_from_the_transitions(a):
+    report = classify(a)
+    assert report.partially_ordered == (not has_cycle(a))
+    self_loop = any(p == q for (p, _, q) in a.transitions)
+    assert report.acyclic == (report.partially_ordered and not self_loop)
+    targets = Counter((p, e) for (p, e, _) in a.transitions)
+    assert report.deterministic == (len(a.initial) == 1 and max(targets.values(), default=1) == 1)
 
 
 def cso_outcome(inst, algorithm, cap):
