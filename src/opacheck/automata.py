@@ -31,7 +31,10 @@ DEFAULT_OBSERVER_CAP = 2**20
 
 Every subset search (the observer, projected inclusion and the notions built
 on it) interns the estimates it reaches and raises :class:`ObserverBlowup`
-rather than intern one more.
+rather than intern one more.  For current-state opacity on a partially
+ordered automaton, the kernel's states are the classes of the bisimulation
+that respects the secret and non-secret sets, so the cap counts estimates
+of classes; the observer and inclusion still intern the same ones.
 
 Inclusion, weak LBO's product and :func:`realize_observation` run one search
 that keeps one mask of left states per right node.  Inclusion's right nodes
@@ -324,6 +327,83 @@ def _bits(mask: int) -> list[int]:
 _EMPTY = -1
 
 
+def _closures(
+    n: int, succ: Sequence[Sequence[Sequence[int]]], observable: Sequence[bool]
+) -> list[int]:
+    """The closure of each node ``0 .. n-1`` under the rows ``succ[k]`` of
+    the unobservable events ``k``, as a bitmask."""
+    adjacency: dict[int, list[int]] = {}  # unobservable successors, where there are any
+    for k, row in enumerate(succ):
+        if not observable[k]:
+            for i, targets in enumerate(row):
+                if targets:
+                    adjacency.setdefault(i, []).extend(targets)
+    closure = [1 << i for i in range(n)]
+    # A finished closure is complete, so a search that meets its node
+    # takes it whole instead of walking on.
+    done = [i not in adjacency for i in range(n)]
+    for root in adjacency:
+        mask, seen, todo = closure[root], {root}, [root]
+        while todo:
+            for q in adjacency.get(todo.pop(), ()):
+                if done[q]:
+                    mask |= closure[q]
+                elif q not in seen:
+                    seen.add(q)
+                    mask |= closure[q]
+                    todo.append(q)
+        closure[root] = mask
+        done[root] = True
+    return closure
+
+
+def _bisimulation(g: _Graph, respect: Iterable[Collection[str]]) -> Optional[list[int]]:
+    """The class of each state under a strong bisimulation of the partially
+    ordered graph ``g``, or None when every class is a single state.
+
+    Every event is its own label, unobservable ones included, and the
+    states of one class agree on membership in each set of ``respect``.
+    One pass in reverse topological order gives each state a signature:
+    its memberships and, per event, the classes of its targets, all of which
+    come later in the order, with a self-loop as a marker for the state's
+    own class.  States with one signature share a class.  Two members of a
+    class then have targets in the same classes under every event, so the
+    partition is stable.
+    """
+    flags = [0] * len(g.index)
+    for bit, states in enumerate(respect):
+        for s in states:
+            flags[g.index[s]] |= 1 << bit
+    classes = [0] * len(flags)
+    ids: dict[tuple, int] = {}
+    rows = g.succ
+    for u in reversed(g.order):
+        signature = [flags[u]]
+        for row in rows:
+            targets = row[u]
+            if len(targets) == 1:
+                j = targets[0]
+                signature.append(-1 if j == u else classes[j])
+            elif targets:
+                found = frozenset([-1 if j == u else classes[j] for j in targets])
+                signature.append(found if len(found) > 1 else next(iter(found)))
+            else:
+                signature.append(None)
+        classes[u] = ids.setdefault(tuple(signature), len(ids))
+    return None if len(ids) == len(classes) else classes
+
+
+def _quotient(
+    succ: Sequence[Sequence[Sequence[int]]], classes: list[int], n: int
+) -> list[list[list[int]]]:
+    """The rows ``succ`` over the classes ``0 .. n-1`` of a stable
+    partition: one member's targets, by class, stand for every member's."""
+    member = [0] * n
+    for i, c in enumerate(classes):
+        member[c] = i
+    return [[[classes[j] for j in row[i]] for i in member] for row in succ]
+
+
 class _EstimateKernel:
     """Subset construction of one automaton, with estimates as int bitmasks.
 
@@ -336,6 +416,14 @@ class _EstimateKernel:
     post-image was taken are kept, since searches take the post-images of one
     mask under every event in turn.
 
+    ``respect`` lists sets of states that the searches tell apart, such as
+    the secret and non-secret sets of current-state opacity.  When it is
+    given and the automaton is partially ordered, the kernel is built over
+    the classes of :func:`_bisimulation` instead of the states, so bit ``i``
+    stands for class ``i``: a class set commutes with every post-image and
+    decides whether an estimate meets each set of ``respect``, and one class
+    estimate stands for every estimate with the same classes.
+
     Estimates reached by a search are interned on demand as small int ids, in
     discovery order, and their successors are memoized.  At most ``cap``
     nonempty estimates are interned; one more raises :class:`ObserverBlowup`.
@@ -343,15 +431,23 @@ class _EstimateKernel:
     belongs to the public entry points.
     """
 
-    def __init__(self, a: Automaton, cap: int = DEFAULT_OBSERVER_CAP):
+    def __init__(
+        self, a: Automaton, cap: int = DEFAULT_OBSERVER_CAP,
+        respect: Sequence[Collection[str]] = (),
+    ):
         g = a._graph
         self.automaton = a
-        self.mask = g.mask
+        self.classes = _bisimulation(g, respect) if respect and g.order is not None else None
+        if self.classes is None:
+            n, succ = len(g.index), g.succ
+        else:
+            n = max(self.classes) + 1
+            succ = _quotient(g.succ, self.classes, n)
         self.events = a.observable_events
         self.event_index = {e: k for k, e in enumerate(self.events)}
-        self.closure = self._closures()
+        self.closure = _closures(n, succ, g.observable)
         self.rows = []
-        for k, row in enumerate(g.succ):
+        for k, row in enumerate(succ):
             if g.observable[k]:
                 closed = []
                 for targets in row:
@@ -366,34 +462,22 @@ class _EstimateKernel:
         self._next: dict[int, int] = {}  # id * len(events) + k -> successor id
         self._members_of, self._members = 0, []
 
-    def _closures(self) -> list[int]:
+    def mask(self, states: Iterable[str]) -> int:
+        """The bitmask of ``states`` over the kernel's states or classes."""
         g = self.automaton._graph
-        adjacency: dict[int, list[int]] = {}  # unobservable successors, where there are any
-        for k, row in enumerate(g.succ):
-            if not g.observable[k]:
-                for i, targets in enumerate(row):
-                    if targets:
-                        adjacency.setdefault(i, []).extend(targets)
-        closure = [1 << i for i in range(len(g.index))]
-        # A finished closure is complete, so a search that meets its state
-        # takes it whole instead of walking on.
-        done = [i not in adjacency for i in range(len(g.index))]
-        for root in adjacency:
-            mask, seen, todo = closure[root], {root}, [root]
-            while todo:
-                for q in adjacency.get(todo.pop(), ()):
-                    if done[q]:
-                        mask |= closure[q]
-                    elif q not in seen:
-                        seen.add(q)
-                        mask |= closure[q]
-                        todo.append(q)
-            closure[root] = mask
-            done[root] = True
-        return closure
+        if self.classes is None:
+            return g.mask(states)
+        out = 0
+        for s in states:
+            out |= 1 << self.classes[g.index[s]]
+        return out
 
     def states(self, mask: int) -> tuple[str, ...]:
-        return tuple(self.automaton.states[i] for i in reversed(_bits(mask)))
+        """The states ``mask`` stands for, in declaration order."""
+        names = self.automaton.states
+        if self.classes is None:
+            return tuple(names[i] for i in reversed(_bits(mask)))
+        return tuple(s for s, c in zip(names, self.classes) if mask >> c & 1)
 
     def close(self, mask: int) -> int:
         out = 0
@@ -609,16 +693,19 @@ def _check_language_args(a1: Automaton, m1: frozenset[str], a2: Automaton, m2: f
 def _least_difference(
     a1: Automaton, initial1: Collection[str], m1: Collection[str],
     a2: Automaton, initial2: Collection[str], m2: Collection[str], cap: int,
+    respect: Sequence[Collection[str]] = (),
 ) -> Optional[Observation]:
     """Shortest, then least, observation in ``P(L(a1, m1)) - P(L(a2, m2))``
     with each side started in the given states, on the estimate kernel (one
-    kernel serves both sides when ``a2 is a1``).
+    kernel serves both sides when ``a2 is a1``).  ``respect`` is handed to
+    ``a1``'s kernel, so it must hold ``m1``, and ``m2`` when that kernel is
+    shared.
 
     The search's right nodes are estimate ids, interned as the search reaches
     them, which bounds them by the cap plus the empty estimate.  None means
     the inclusion holds.
     """
-    left = _EstimateKernel(a1, cap)
+    left = _EstimateKernel(a1, cap, respect)
     right = left if a2 is a1 else _EstimateKernel(a2, cap)
     m1, m2 = left.mask(m1), right.mask(m2)
     right_event = [right.event_index[e] for e in left.events]
@@ -661,10 +748,11 @@ def inclusion_modulo_projection(
 def _inclusion(
     a1: Automaton, initial1: Collection[str], m1: Collection[str],
     a2: Automaton, initial2: Collection[str], m2: Collection[str], cap: int,
+    respect: Sequence[Collection[str]] = (),
 ) -> Verdict:
     """:func:`inclusion_modulo_projection` with each side started in the
     given states rather than its automaton's initial ones.  The arguments
-    are trusted.
+    are trusted; ``respect`` is as in :func:`_least_difference`.
 
     When both sides are partially ordered with one observable event, the
     inclusion is that of their observation length sets, and no kernel is
@@ -684,7 +772,7 @@ def _inclusion(
         obs = None if k is None else (event,) * k
     else:
         algorithm = "inclusion"
-        obs = _least_difference(a1, initial1, m1, a2, initial2, m2, cap)
+        obs = _least_difference(a1, initial1, m1, a2, initial2, m2, cap, respect)
     if obs is None:
         return Verdict(True, algorithm=algorithm)
     return Verdict(False, Witness(obs, realize_observation(a1, m1, obs, initial=initial1)), algorithm)

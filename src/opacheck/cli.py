@@ -202,18 +202,29 @@ def _cmd_gen_po_det(args) -> int:
 
 def _automata(data: dict) -> list[tuple[str, Automaton]]:
     """The automata of an automaton file, or of an instance file of any
-    notion, by key.  The notion with the most automata is tried first; an
-    instance file that has the automaton keys of none names its unknown keys."""
+    notion, by key.  An instance file is read whole, as ``verify`` reads it,
+    by the first notion that has one of its automaton keys, trying notions
+    with more automata first and then those that share more fields with the
+    file; so what ``verify`` rejects under every notion is rejected here.
+    An instance file that has the automaton keys of none names its unknown
+    keys."""
     if not jsonio.is_instance_file(data):
         return [("automaton", jsonio.automaton_from_dict(data))]
-    kinds = map(jsonio.automaton_fields, jsonio.INSTANCE_CLASSES.values())
-    for names in sorted(kinds, key=len, reverse=True):
+    classes = jsonio.INSTANCE_CLASSES
+
+    def rank(notion: str) -> tuple[int, int]:
+        cls = classes[notion]
+        return len(jsonio.automaton_fields(cls)), sum(f.name in data for f in fields(cls))
+
+    for notion in sorted(classes, key=rank, reverse=True):
+        names = jsonio.automaton_fields(classes[notion])
         if any(name in data for name in names):
             missing = [name for name in names if name not in data]
             if missing:
                 raise jsonio.ParseError(f"instance is missing keys: {missing}")
-            return [(name, jsonio.automaton_from_dict(data[name])) for name in names]
-    known = {f.name for cls in jsonio.INSTANCE_CLASSES.values() for f in fields(cls)}
+            instance = jsonio.instance_from_dict(data, notion)
+            return [(name, getattr(instance, name)) for name in names]
+    known = {f.name for cls in classes.values() for f in fields(cls)}
     unknown = sorted(set(data) - known - {"metadata"})
     raise jsonio.ParseError(f"instance has unknown keys: {unknown}")
 
@@ -313,11 +324,13 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--algorithm", default="auto", choices=CSO_ALGORITHMS)
     verify.add_argument("--witness", action="store_true", help="print the witness, if any")
     verify.add_argument("--observer-cap", type=int, default=DEFAULT_OBSERVER_CAP, help=(
-        "most state estimates one subset search may build; searches keep one mask of left "
-        "states per right node: per estimate in inclusion (at most cap + 1), per state of the "
-        "second automaton in lbo-weak, per observation position in realization (these two ignore "
-        "the cap); unary-po builds none, so --algorithm observer can hit a cap that auto and "
-        "inclusion answer under"))
+        "most state estimates one subset search may build; for cso on a partially ordered "
+        "automaton an estimate is a set of classes of the bisimulation that respects the secret "
+        "and non-secret sets, and the observer and inclusion build the same ones; searches keep "
+        "one mask of left states per right node: per estimate in inclusion (at most cap + 1), per "
+        "state of the second automaton in lbo-weak, per observation position in realization "
+        "(these two ignore the cap); unary-po builds none, so --algorithm observer can hit a cap "
+        "that auto and inclusion answer under"))
     verify.add_argument("--output", default="text", choices=("text", "json"))
     verify.add_argument("files", nargs="+")
     verify.set_defaults(func=_cmd_verify)

@@ -10,9 +10,11 @@ class ObserverBlowup(OpacheckError):
 
     The cap counts the nonempty estimates a search interns, whichever search
     it is (observer, projected inclusion, ISO, IFSO, LBO), so a search that
-    answers keeps at most cap estimates.  Inclusion keeps one mask of left
-    states per right node, and its right nodes are the interned estimates and
-    the empty one: at most cap + 1 masks.
+    answers keeps at most cap estimates.  For current-state opacity on a
+    partially ordered automaton they are estimates of bisimulation classes.
+    Inclusion keeps one mask of left states per right node, and its right
+    nodes are the interned estimates and the empty one: at most cap + 1
+    masks.
     """
 
     def __init__(self, cap: int):

@@ -8,6 +8,10 @@ search on the estimate kernel, or, when both sides are partially ordered
 sets of observation lengths instead.  ``unary-po`` is the CSO name of that
 length-set path; it refuses any other automaton.  Weak LBO runs the product
 search.  Every verdict names the algorithm that decided it.
+
+Both CSO algorithms hand the secret and non-secret sets to the estimate
+kernel, which on a partially ordered automaton searches the classes of a
+bisimulation that keeps those sets apart; both search the same classes.
 """
 
 from __future__ import annotations
@@ -123,9 +127,10 @@ def verify_cso_observer(inst: CsoInstance, *, cap: int = DEFAULT_OBSERVER_CAP) -
     alphabet declaration order) reaching a violating estimate.
     """
     a = inst.automaton
-    secret, nonsecret = a._graph.mask(inst.secret), a._graph.mask(inst.nonsecret)
-    # The kernel is garbage once its search returns, before the run is realized.
-    obs = _EstimateKernel(a, cap).search(lambda x: x & secret and not x & nonsecret)
+    kernel = _EstimateKernel(a, cap, (inst.secret, inst.nonsecret))
+    secret, nonsecret = kernel.mask(inst.secret), kernel.mask(inst.nonsecret)
+    obs = kernel.search(lambda x: x & secret and not x & nonsecret)
+    del kernel  # garbage before the run is realized
     if obs is None:
         return Verdict(True, algorithm="observer")
     return Verdict(False, Witness(obs, realize_observation(a, inst.secret, obs)), "observer")
@@ -140,8 +145,8 @@ def verify_cso_inclusion(inst: CsoInstance, *, cap: int = DEFAULT_OBSERVER_CAP) 
     partially ordered automaton with one observable event it compares length
     sets and ignores ``cap``.
     """
-    a = inst.automaton
-    return _inclusion(a, a.initial, inst.secret, a, a.initial, inst.nonsecret, cap)
+    a, respect = inst.automaton, (inst.secret, inst.nonsecret)
+    return _inclusion(a, a.initial, inst.secret, a, a.initial, inst.nonsecret, cap, respect)
 
 
 def observation_length_set(a: Automaton, targets: Iterable[str]) -> LengthSet:

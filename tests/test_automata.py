@@ -10,13 +10,16 @@ import pytest
 import opacheck
 from opacheck import (
     Automaton,
+    CnfFormula,
     CsoInstance,
     Dag,
     Event,
     ObserverBlowup,
     PreconditionViolated,
     classify,
+    gen_cnf_cso,
     gen_dag_cso_unary,
+    gen_union_universality_cso,
     inclusion_modulo_projection,
     intersection_nonempty_modulo_projection,
     project_string,
@@ -333,6 +336,74 @@ class TestObserver:
                     for e in obs:
                         estimate = unobservable_reach(a, a.move(estimate, e))
                     assert set(estimate) == expected
+
+
+def interned(inst, respect):
+    """How many estimates the CSO observer search interns on a kernel of
+    ``inst`` that keeps ``respect`` apart."""
+    kernel = _EstimateKernel(inst.automaton, respect=respect)
+    secret, nonsecret = kernel.mask(inst.secret), kernel.mask(inst.nonsecret)
+    kernel.search(lambda x: x & secret and not x & nonsecret)
+    return len(kernel.masks)
+
+
+class TestQuotient:
+    """CSO on a partially ordered automaton searches estimates of the classes
+    of a bisimulation that keeps the secret and non-secret sets apart."""
+
+    def test_cnf_gadget_interns_class_estimates(self):
+        # All eight clauses over three variables: unsatisfiable, so the search
+        # interns every reachable estimate, 15 of states or 4 of classes.
+        import itertools
+
+        clauses = itertools.product((1, -1), (2, -2), (3, -3))
+        inst = gen_cnf_cso(CnfFormula(3, tuple(map(frozenset, clauses))))
+        assert classify(inst.automaton).partially_ordered
+        assert interned(inst, ()) == 15
+        assert interned(inst, (inst.secret, inst.nonsecret)) == 4
+        for algorithm in ("observer", "inclusion"):
+            assert verify_cso(inst, algorithm, cap=4).holds
+            with pytest.raises(ObserverBlowup):
+                verify_cso(inst, algorithm, cap=3)
+
+    def test_a_self_loop_is_not_a_move_into_another_class(self):
+        # u loops on a and v moves on a to the sink w: u and v have targets
+        # under a in classes of their own, so they must not share a class.
+        a = aut(["v", "u", "w"], AB, [("v", "a", "w"), ("u", "a", "u")], ["v"])
+        inst = CsoInstance(a, {"w"}, frozenset())
+        for algorithm in ("observer", "inclusion"):
+            verdict = verify_cso(inst, algorithm)
+            assert not verdict.holds and verdict.witness.observation == ("a",)
+
+    def test_union_interns_one_estimate_per_configuration_and_the_start(self):
+        # A union is cyclic, so it keeps the states.  Universal, so the search
+        # interns the initial estimate (the copied initial states) and one
+        # estimate per reachable configuration of the components.
+        def permutation(name, zero, one, marked):
+            states = [f"{name}{i}" for i in range(len(zero))]
+            transitions = {(states[i], "0", states[zero[i]]) for i in range(len(zero))}
+            transitions |= {(states[i], "1", states[one[i]]) for i in range(len(one))}
+            return aut(states, (Event("0"), Event("1")), transitions, [states[0]],
+                       [states[i] for i in marked])
+
+        dfas = [permutation("x", [1, 0], [0, 1], [0]), permutation("y", [1, 0], [0, 1], [1]),
+                permutation("z", [0, 1, 2], [1, 2, 0], []),
+                permutation("w", [1, 0, 3, 2], [1, 2, 3, 0], [2])]
+        moves = [{(p, e): q for (p, e, q) in d.transitions} for d in dfas]
+        configurations = {tuple(d.states[0] for d in dfas)}
+        todo = list(configurations)
+        while todo:
+            config = todo.pop()
+            for e in "01":
+                step = tuple(moves[k][q, e] for k, q in enumerate(config))
+                if step not in configurations:
+                    configurations.add(step)
+                    todo.append(step)
+        assert len(configurations) == 24
+        inst = gen_union_universality_cso(dfas).instance
+        assert not classify(inst.automaton).partially_ordered
+        assert verify_cso(inst).holds
+        assert interned(inst, ()) == interned(inst, (inst.secret, inst.nonsecret)) == 24 + 1
 
 
 class TestProduct:

@@ -56,6 +56,17 @@ def write_instance(tmp_path, name, instance, metadata=None):
 DEEP_JSON = "[" * 100_000
 
 
+def cso_files_verify_rejects(tmp_path):
+    """A CSO file with an extra key and one without ``secret``, each with
+    the reason ``verify --notion cso`` gives."""
+    data = instance_to_dict(gen_cnf_cso(TWO_CLAUSE))
+    extra = write(tmp_path, "extra.json", dumps({**data, "junk": []}))
+    del data["secret"]
+    lacking = write(tmp_path, "lacking.json", dumps(data))
+    return [(extra, "cso instance has unknown keys: ['junk']"),
+            (lacking, "cso instance is missing keys: ['secret']")]
+
+
 def assert_input_error(argv, capsys):
     """``argv`` exits 2 with one ``error:`` line on stderr and no traceback."""
     assert main(argv) == 2
@@ -663,6 +674,12 @@ class TestClassify:
         err = capsys.readouterr().err
         assert err == f"error: {path}: instance is missing keys: ['nonsecret_automaton']\n"
 
+    def test_rejects_what_verify_rejects(self, tmp_path, capsys):
+        for path, reason in cso_files_verify_rejects(tmp_path):
+            for argv in (["verify", "--notion", "cso", path], ["classify", path]):
+                assert main(argv) == 2
+                assert capsys.readouterr().err == f"error: {path}: {reason}\n"
+
     def test_unknown_automaton_key_is_named(self, tmp_path, capsys):
         # a key ending in "automaton" makes an instance file; this one is no field
         path = write(tmp_path, "my.json", '{"my_automaton": {}, "metadata": {}, "secret": []}')
@@ -723,6 +740,12 @@ class TestDot:
         assert main(["dot", path]) == 2
         err = capsys.readouterr().err
         assert err == f"error: {path}: instance is missing keys: ['nonsecret_automaton']\n"
+
+    def test_rejects_what_verify_rejects(self, tmp_path, capsys):
+        for path, reason in cso_files_verify_rejects(tmp_path):
+            assert main(["dot", path]) == 2
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", f"error: {path}: {reason}\n")
 
     def test_failed_write_names_the_output_file(self, tmp_path, capsys):
         path = write_instance(tmp_path, "inst.json", gen_cnf_cso(TWO_CLAUSE))

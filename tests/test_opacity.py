@@ -232,15 +232,17 @@ class TestDispatch:
 
     def test_observer_and_inclusion_finish_under_the_same_cap(self):
         # Satisfiable random 3-CNF gadgets, 8 variables and 20 clauses (189
-        # states).  Under a cap of 200 estimates the observer answers some of
-        # them; inclusion must answer exactly those, with the same verdict,
-        # rather than determinize its whole right side and hit the cap.
+        # states).  They are partially ordered, so both searches intern
+        # estimates of bisimulation classes, 74-125 of them (178-326 of
+        # states).  Under a cap of 90 the observer answers some of them;
+        # inclusion must answer exactly those, with the same verdict, rather
+        # than determinize its whole right side and hit the cap.
         from opacheck import ObserverBlowup
         from opacheck.oracles import brute_sat
 
         def outcome(inst, algorithm):
             try:
-                return verify_cso(inst, algorithm, cap=200)
+                return verify_cso(inst, algorithm, cap=90)
             except ObserverBlowup:
                 return "cap hit"
 
@@ -258,7 +260,7 @@ class TestDispatch:
             observer = outcome(inst, "observer")
             assert outcome(inst, "inclusion") == observer
             answered += observer != "cap hit"
-        assert answered == 4
+        assert answered == 13
 
 
 class TestLbo:

@@ -40,7 +40,7 @@ from opacheck import (
     verify_iso,
     verify_lbo,
 )
-from opacheck.automata import _inclusion, _lex_least_label
+from opacheck.automata import _EstimateKernel, _bisimulation, _inclusion, _lex_least_label
 from opacheck.oracles import (
     enum_cso_acyclic,
     enum_languages_projected,
@@ -74,6 +74,33 @@ def cso_instances(draw, structure="any"):
     a = draw(automata(structure))
     states = st.frozensets(st.sampled_from(a.states))
     return CsoInstance(a, draw(states), draw(states))
+
+
+@st.composite
+def po_cso_instances_with_copies(draw):
+    """Partially ordered CSO instances where some states have a copy: it has
+    its original's targets (a self-loop becomes its own), sets and initial
+    status, and each transition into the original may move to it or also go
+    to it.  An original and its copy are bisimilar."""
+    inst = draw(cso_instances(structure="po"))
+    a, rng = inst.automaton, draw(st.randoms(use_true_random=False))
+    states, transitions, initial = list(a.states), set(a.transitions), set(a.initial)
+    secret, nonsecret = set(inst.secret), set(inst.nonsecret)
+    for s in rng.sample(a.states, rng.randint(1, len(a.states))):
+        copy = s + "'"
+        states.append(copy)
+        for (p, e, q) in sorted(transitions):
+            if p == s:
+                transitions.add((copy, e, copy if q == s else q))
+            elif q == s and rng.random() < 0.7:
+                if rng.random() < 0.5:
+                    transitions.discard((p, e, q))
+                transitions.add((p, e, copy))
+        for group in (initial, secret, nonsecret):
+            if s in group:
+                group.add(copy)
+    a = Automaton(tuple(states), a.alphabet, transitions, initial)
+    return CsoInstance(a, frozenset(secret), frozenset(nonsecret))
 
 
 def observations(a: Automaton, max_length: int):
@@ -177,6 +204,69 @@ def test_cso_matches_enumeration_on_acyclic_inputs(inst):
     reference = enum_cso_acyclic(inst)
     assert verify_cso(inst, "observer") == reference
     assert verify_cso(inst, "inclusion") == reference
+
+
+def interned_search(inst, respect=()):
+    """The CSO observer search on a fresh kernel of ``inst`` that keeps
+    ``respect`` apart: its observation and how many estimates it interned."""
+    kernel = _EstimateKernel(inst.automaton, respect=respect)
+    secret, nonsecret = kernel.mask(inst.secret), kernel.mask(inst.nonsecret)
+    obs = kernel.search(lambda x: x & secret and not x & nonsecret)
+    return obs, len(kernel.masks)
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(cso_instances(structure="po"), po_cso_instances_with_copies()))
+def test_bisimulation_classes_are_stable(inst):
+    # Checked on the transitions by name, not on the integer graph.
+    a = inst.automaton
+    classes = _bisimulation(a._graph, (inst.secret, inst.nonsecret))
+    if classes is None:
+        classes = range(len(a.states))
+    else:
+        assert len(set(classes)) < len(a.states)
+    of = dict(zip(a.states, classes))
+    targets = {(s, e.name): set() for s in a.states for e in a.alphabet}
+    for (p, e, q) in a.transitions:
+        targets[p, e].add(of[q])
+    members = {}
+    for s in a.states:
+        members.setdefault(of[s], []).append(s)
+    for first, *rest in members.values():
+        for s in rest:
+            assert (s in inst.secret) == (first in inst.secret)
+            assert (s in inst.nonsecret) == (first in inst.nonsecret)
+            for e in a.alphabet:
+                assert targets[s, e.name] == targets[first, e.name]
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(cso_instances(structure="po"), po_cso_instances_with_copies()))
+def test_class_estimates_decide_as_the_estimates_of_states(inst):
+    obs, _ = interned_search(inst)
+    for algorithm in ("observer", "inclusion"):
+        verdict = verify_cso(inst, algorithm)
+        assert verdict.holds == (obs is None)
+        assert verdict.holds or verdict.witness.observation == obs
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(cso_instances(), po_cso_instances_with_copies()))
+def test_class_estimates_are_the_estimates_of_states_by_class(inst):
+    # Walking every estimate, the class estimates, as sets of states, are
+    # the estimates of states closed up to whole classes; so there are at
+    # most as many, and the CSO search interns at most as many too.
+    a, respect = inst.automaton, (inst.secret, inst.nonsecret)
+    raw, quotient = _EstimateKernel(a), _EstimateKernel(a, respect=respect)
+    raw.search(lambda x: False)
+    quotient.search(lambda x: False)
+    by_class = {quotient.states(quotient.mask(raw.states(x))) for x in raw.masks}
+    assert {quotient.states(x) for x in quotient.masks} == by_class
+    _, raw_count = interned_search(inst)
+    _, quotient_count = interned_search(inst, respect)
+    assert quotient_count <= raw_count
+    if not classify(a).partially_ordered:
+        assert quotient.classes is None and quotient_count == raw_count
 
 
 @PROPERTY_SETTINGS
