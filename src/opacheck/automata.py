@@ -4,13 +4,14 @@ The alphabet of an automaton is partitioned into observable and unobservable
 events; the intruder sees a string only through the projection that erases the
 unobservable ones.  Every search over projected behaviour (the observer's
 estimates, projected inclusion and projected intersection) runs on one
-bitmask estimate kernel built over this single data model; none of them
-materializes a projected, determinized or product automaton.  Inclusion,
-intersection and witness realization share one shortest-then-least search,
-which keeps one bitmask of left states per right node: an estimate, a state
-of the second automaton or an observation position.  A projected
-inclusion between partially ordered automata with one observable event
-needs no search: it compares their sets of observation lengths.
+bitmask estimate kernel built from an integer graph, the automaton's own or
+its quotient by a bisimulation; none of them materializes a projected,
+determinized or product automaton.  Inclusion, intersection and witness
+realization share one shortest-then-least search, which keeps one bitmask of
+left states per right node: an estimate, a state of the second automaton or
+an observation position.  A projected inclusion between partially ordered
+automata with one observable event needs no search: it compares their sets
+of observation lengths.
 
 All values are immutable after construction and every operation is a pure
 function of its inputs, so values can be shared freely across threads.
@@ -27,24 +28,9 @@ from typing import Collection, Iterable, Optional, Sequence
 from .errors import ObserverBlowup, PreconditionViolated
 
 DEFAULT_OBSERVER_CAP = 2**20
-"""Default bound on the nonempty estimates one search may intern.
-
-Every subset search (the observer, projected inclusion and the notions built
-on it) interns the estimates it reaches and raises :class:`ObserverBlowup`
-rather than intern one more.  For current-state opacity on a partially
-ordered automaton, the kernel's states are the classes of the bisimulation
-that respects the secret and non-secret sets, so the cap counts estimates
-of classes; the observer and inclusion still intern the same ones.
-
-Inclusion, weak LBO's product and :func:`realize_observation` run one search
-that keeps one mask of left states per right node.  Inclusion's right nodes
-are the interned estimates and the empty one, at most cap + 1.  Weak LBO's
-are the states of the second automaton, at most |Q2|, and realization's the
-observation positions, at most |obs| + 1; these two build no estimates and
-ignore the cap.  Nor is an inclusion decided by length sets
-(:func:`_inclusion`) bounded: it keeps two ints per state, so the observer
-can hit a cap that inclusion answers under.
-"""
+"""Default bound on the nonempty estimates one subset search may intern
+before it raises :class:`ObserverBlowup`.  The README's cap paragraph says
+which searches it bounds and what the others keep instead."""
 
 Observation = tuple[str, ...]
 Transition = tuple[str, str, str]
@@ -130,7 +116,7 @@ class Automaton:
     def _graph(self) -> _Graph:
         """The integer view the searches read, built on first use: automata
         that are only generated and written never pay for it."""
-        return _Graph(self)
+        return _Graph.of(self)
 
     @cached_property
     def _structure(self) -> StructureReport:
@@ -209,21 +195,33 @@ class Verdict:
 
 
 class _Graph:
-    """An automaton's transitions on integers: the one place that decides how
-    states and events are indexed, built in one pass over the transitions.
+    """Transitions on integers: the node space every search reads.
 
-    States are indexed in declaration order and events in alphabet order.
-    ``succ[k][i]`` lists the targets of state ``i`` under event ``k``, and
-    ``observable[k]`` tells whether event ``k`` is observable.  The same
-    pass records ``loops``, which maps each state with a self-loop to
-    whether one of them is on an observable event, and ``branching``:
-    whether some state has two targets under one event.
+    ``index`` maps each state name to its node, and there are ``size``
+    nodes.  Events are indexed in alphabet order by ``event_index``;
+    ``succ[k][i]`` lists the targets of node ``i`` under event ``k``, and
+    ``observable[k]`` tells whether event ``k`` is observable.  An
+    automaton's own graph (:meth:`of`) has one node per state; a quotient
+    (:func:`_quotient`) has one per class, and its ``index`` maps each state
+    to its class.
     """
 
-    def __init__(self, a: Automaton):
-        index = self.index = {s: i for i, s in enumerate(a.states)}
-        event_index = self.event_index = {e.name: k for k, e in enumerate(a.alphabet)}
-        self.observable = tuple(e.observable for e in a.alphabet)
+    def __init__(self, index: dict[str, int], size: int, event_index: dict[str, int],
+                 observable: tuple[bool, ...], succ: Sequence[Sequence[Sequence[int]]]):
+        self.index, self.size, self.event_index = index, size, event_index
+        self.observable, self.succ = observable, succ
+
+    @classmethod
+    def of(cls, a: Automaton) -> _Graph:
+        """The graph of ``a``, the one place that decides how states and
+        events are indexed: states in declaration order, events in alphabet
+        order, built in one pass over the transitions.  The same pass
+        records ``loops``, which maps each state with a self-loop to whether
+        one of them is on an observable event, and ``branching``: whether
+        some state has two targets under one event."""
+        index = {s: i for i, s in enumerate(a.states)}
+        event_index = {e.name: k for k, e in enumerate(a.alphabet)}
+        observable = tuple(e.observable for e in a.alphabet)
         succ: list[list[Sequence[int]]] = [[()] * len(a.states) for _ in a.alphabet]
         loops, branching = {}, False
         for (p, e, q) in a.transitions:
@@ -234,17 +232,19 @@ class _Graph:
             else:
                 row[i] = [j]
             if i == j:
-                loops[i] = loops.get(i, False) or self.observable[event_index[e]]
-        self.succ, self.loops, self.branching = succ, loops, branching
+                loops[i] = loops.get(i, False) or observable[event_index[e]]
+        g = cls(index, len(a.states), event_index, observable, succ)
+        g.loops, g.branching = loops, branching
+        return g
 
     @cached_property
     def order(self) -> Optional[list[int]]:
         """A topological order of the self-loop-free transitions, or None when
-        they have a cycle (the automaton is not partially ordered)."""
-        return topological_order(len(self.index), self.succ)
+        they have a cycle (the graph is not partially ordered)."""
+        return topological_order(self.size, self.succ)
 
     def mask(self, states: Iterable[str]) -> int:
-        """The bitmask of ``states`` over the state indices."""
+        """The bitmask of the nodes of ``states``."""
         out = 0
         for s in states:
             out |= 1 << self.index[s]
@@ -327,21 +327,19 @@ def _bits(mask: int) -> list[int]:
 _EMPTY = -1
 
 
-def _closures(
-    n: int, succ: Sequence[Sequence[Sequence[int]]], observable: Sequence[bool]
-) -> list[int]:
-    """The closure of each node ``0 .. n-1`` under the rows ``succ[k]`` of
-    the unobservable events ``k``, as a bitmask."""
+def _closures(g: _Graph) -> list[int]:
+    """The closure of each node of ``g`` under its unobservable events, as a
+    bitmask."""
     adjacency: dict[int, list[int]] = {}  # unobservable successors, where there are any
-    for k, row in enumerate(succ):
-        if not observable[k]:
+    for k, row in enumerate(g.succ):
+        if not g.observable[k]:
             for i, targets in enumerate(row):
                 if targets:
                     adjacency.setdefault(i, []).extend(targets)
-    closure = [1 << i for i in range(n)]
+    closure = [1 << i for i in range(g.size)]
     # A finished closure is complete, so a search that meets its node
     # takes it whole instead of walking on.
-    done = [i not in adjacency for i in range(n)]
+    done = [i not in adjacency for i in range(g.size)]
     for root in adjacency:
         mask, seen, todo = closure[root], {root}, [root]
         while todo:
@@ -357,29 +355,34 @@ def _closures(
     return closure
 
 
-def _bisimulation(g: _Graph, respect: Iterable[Collection[str]]) -> Optional[list[int]]:
-    """The class of each state under a strong bisimulation of the partially
-    ordered graph ``g``, or None when every class is a single state.
+def _quotient(g: _Graph, respect: Sequence[Collection[str]]) -> _Graph:
+    """``g`` over the classes of a strong bisimulation whose classes agree
+    on membership in each set of ``respect``; ``g`` itself when ``respect``
+    is empty, when ``g`` is not partially ordered, or when every class is a
+    single state.
 
-    Every event is its own label, unobservable ones included, and the
-    states of one class agree on membership in each set of ``respect``.
-    One pass in reverse topological order gives each state a signature:
-    its memberships and, per event, the classes of its targets, all of which
-    come later in the order, with a self-loop as a marker for the state's
-    own class.  States with one signature share a class.  Two members of a
-    class then have targets in the same classes under every event, so the
-    partition is stable.
+    Every event is its own label, unobservable ones included.  One pass in
+    reverse topological order gives each state a signature: its memberships
+    and, per event, the classes of its targets, all of which come later in
+    the order, with a self-loop as a marker for the state's own class.
+    States with one signature share a class.  Two members of a class then
+    have targets in the same classes under every event, so the partition is
+    stable, and one member's targets, by class, stand for every member's.
+    It is not the coarsest stable partition: with ``u -a-> w`` and an ``a``
+    self-loop on ``w``, the two are bisimilar, but ``u`` names ``w``'s class
+    where ``w`` has the marker, so they get two classes.
     """
-    flags = [0] * len(g.index)
+    if not respect or g.order is None:
+        return g
+    flags = [0] * g.size
     for bit, states in enumerate(respect):
         for s in states:
             flags[g.index[s]] |= 1 << bit
-    classes = [0] * len(flags)
+    classes = [0] * g.size
     ids: dict[tuple, int] = {}
-    rows = g.succ
     for u in reversed(g.order):
         signature = [flags[u]]
-        for row in rows:
+        for row in g.succ:
             targets = row[u]
             if len(targets) == 1:
                 j = targets[0]
@@ -390,39 +393,30 @@ def _bisimulation(g: _Graph, respect: Iterable[Collection[str]]) -> Optional[lis
             else:
                 signature.append(None)
         classes[u] = ids.setdefault(tuple(signature), len(ids))
-    return None if len(ids) == len(classes) else classes
-
-
-def _quotient(
-    succ: Sequence[Sequence[Sequence[int]]], classes: list[int], n: int
-) -> list[list[list[int]]]:
-    """The rows ``succ`` over the classes ``0 .. n-1`` of a stable
-    partition: one member's targets, by class, stand for every member's."""
-    member = [0] * n
+    if len(ids) == g.size:
+        return g
+    member = [0] * len(ids)
     for i, c in enumerate(classes):
         member[c] = i
-    return [[[classes[j] for j in row[i]] for i in member] for row in succ]
+    succ = [[[classes[j] for j in row[i]] for i in member] for row in g.succ]
+    index = {s: classes[i] for s, i in g.index.items()}
+    return _Graph(index, len(ids), g.event_index, g.observable, succ)
 
 
 class _EstimateKernel:
-    """Subset construction of one automaton, with estimates as int bitmasks.
+    """Subset construction over one integer graph, with estimates as int
+    bitmasks over its nodes.
 
-    Built once per automaton and search from the automaton's integer graph,
-    whose state indices it keeps (bit ``i`` of a mask stands for
-    ``states[i]``).  Each state's unobservable closure is precomputed, and so
-    is, per observable event, a row whose entry ``i`` is the closure of the
-    event's successors of state ``i``; the post-image of an estimate is the
-    union of its members' rows.  The members of the last mask whose
-    post-image was taken are kept, since searches take the post-images of one
-    mask under every event in turn.
-
-    ``respect`` lists sets of states that the searches tell apart, such as
-    the secret and non-secret sets of current-state opacity.  When it is
-    given and the automaton is partially ordered, the kernel is built over
-    the classes of :func:`_bisimulation` instead of the states, so bit ``i``
-    stands for class ``i``: a class set commutes with every post-image and
-    decides whether an estimate meets each set of ``respect``, and one class
-    estimate stands for every estimate with the same classes.
+    Built once per graph and search.  Each node's unobservable closure is
+    precomputed, and so is, per observable event, a row whose entry ``i``
+    is the closure of the event's successors of node ``i``; the post-image
+    of an estimate is the union of its members' rows.  The members of the
+    last mask whose post-image was taken are kept, since searches take the
+    post-images of one mask under every event in turn.  On a quotient
+    (:func:`_quotient`) an estimate is a set of classes: a class set
+    commutes with every post-image and decides whether an estimate meets
+    each respected set, and one class estimate stands for every estimate
+    with the same classes.
 
     Estimates reached by a search are interned on demand as small int ids, in
     discovery order, and their successors are memoized.  At most ``cap``
@@ -431,23 +425,12 @@ class _EstimateKernel:
     belongs to the public entry points.
     """
 
-    def __init__(
-        self, a: Automaton, cap: int = DEFAULT_OBSERVER_CAP,
-        respect: Sequence[Collection[str]] = (),
-    ):
-        g = a._graph
-        self.automaton = a
-        self.classes = _bisimulation(g, respect) if respect and g.order is not None else None
-        if self.classes is None:
-            n, succ = len(g.index), g.succ
-        else:
-            n = max(self.classes) + 1
-            succ = _quotient(g.succ, self.classes, n)
-        self.events = a.observable_events
+    def __init__(self, g: _Graph, cap: int = DEFAULT_OBSERVER_CAP):
+        self.events = tuple(e for e, seen in zip(g.event_index, g.observable) if seen)
         self.event_index = {e: k for k, e in enumerate(self.events)}
-        self.closure = _closures(n, succ, g.observable)
+        self.closure = _closures(g)
         self.rows = []
-        for k, row in enumerate(succ):
+        for k, row in enumerate(g.succ):
             if g.observable[k]:
                 closed = []
                 for targets in row:
@@ -461,23 +444,6 @@ class _EstimateKernel:
         self._ids: dict[int, int] = {}
         self._next: dict[int, int] = {}  # id * len(events) + k -> successor id
         self._members_of, self._members = 0, []
-
-    def mask(self, states: Iterable[str]) -> int:
-        """The bitmask of ``states`` over the kernel's states or classes."""
-        g = self.automaton._graph
-        if self.classes is None:
-            return g.mask(states)
-        out = 0
-        for s in states:
-            out |= 1 << self.classes[g.index[s]]
-        return out
-
-    def states(self, mask: int) -> tuple[str, ...]:
-        """The states ``mask`` stands for, in declaration order."""
-        names = self.automaton.states
-        if self.classes is None:
-            return tuple(names[i] for i in reversed(_bits(mask)))
-        return tuple(s for s, c in zip(names, self.classes) if mask >> c & 1)
 
     def close(self, mask: int) -> int:
         out = 0
@@ -505,10 +471,6 @@ class _EstimateKernel:
             self.masks.append(mask)
         return i
 
-    def start(self) -> int:
-        """Id of the initial estimate."""
-        return self.intern(self.close(self.mask(self.automaton.initial)))
-
     def step(self, i: int, k: int) -> int:
         """Id of the estimate that event index ``k`` leads to from estimate ``i``."""
         if i == _EMPTY:
@@ -519,9 +481,9 @@ class _EstimateKernel:
             j = self._next[slot] = self.intern(self.post(self.masks[i], k))
         return j
 
-    def search(self, is_goal) -> Optional[Observation]:
+    def search(self, start: int, is_goal) -> Optional[Observation]:
         """Breadth-first walk over the nonempty estimates reachable from the
-        initial one, on a fresh kernel.
+        closed mask ``start``, on a fresh kernel.
 
         Events are tried in declaration order and ``is_goal`` is tested on
         each estimate's mask when it is discovered, so the first hit is reached
@@ -531,7 +493,7 @@ class _EstimateKernel:
         ``masks`` is the walk's queue.
         """
         # A plain id BFS: on _lex_least_label, with ids as groups, cso-observer ran 5-39 % slower.
-        start = self.start()
+        start = self.intern(start)
         if start == _EMPTY:
             return None
         if is_goal(self.masks[start]):
@@ -613,21 +575,21 @@ def realize_observation(
     def is_goal(position: int, states: int) -> bool:
         return position == n and bool(states & goal)
 
-    run = _lex_least_label({0: g.mask(initial)}, range(len(a.alphabet)), move, is_goal)
+    run = _lex_least_label([(0, g.mask(initial))], range(len(a.alphabet)), move, is_goal)
     if run is None:
         raise ValueError("observation is not realizable by any run into the target set")
     return tuple(a.alphabet[k].name for k in run)
 
 
-def _lex_least_label(start: dict[int, int], events, move, is_goal) -> Optional[tuple]:
+def _lex_least_label(start: list[tuple[int, int]], events, move, is_goal) -> Optional[tuple]:
     """Minimal-length, then lexicographically minimal, event string that leads
-    from the start group to a goal node.
+    from the group ``start`` to a goal node.
 
-    A node pairs a right node ``y`` with a left state.  A group is a list of
-    (right node, mask of left states) pairs, and ``start`` maps right nodes
-    to the start group's masks.  ``move(y, mask, e)`` returns the right nodes
-    that ``e`` leads to from ``y``'s left states ``mask``, and the mask of
-    left states each of them gets.  ``is_goal(y, mask)`` tells whether left
+    A node pairs a right node ``y`` with a left state.  A group, ``start``
+    included, is a list of (right node, mask of left states) pairs, and
+    ``start`` names no right node twice.  ``move(y, mask, e)`` returns the
+    right nodes that ``e`` leads to from ``y``'s left states ``mask``, and
+    the mask of left states each of them gets.  ``is_goal(y, mask)`` tells whether left
     states first reached under ``y`` hold a goal.  The search alone keeps
     the nodes reached so far, as one left-state mask per right node, so no
     node is moved from twice.
@@ -649,11 +611,11 @@ def _lex_least_label(start: dict[int, int], events, move, is_goal) -> Optional[t
     of each of its nodes, the next layer is again sorted, and the first
     extension that reaches a goal carries the answer.  The search stops there.
     """
-    if any(is_goal(y, mask) for y, mask in start.items()):
+    if any(is_goal(y, mask) for y, mask in start):
         return ()
     reached = dict(start)  # right node -> left states paired with it so far
     parents: list[tuple[int, object]] = []  # group -> (parent group, event); -1 is the start
-    layer = [(-1, list(start.items()))]
+    layer = [(-1, start)]
     while layer:
         next_layer = []
         for group, pairs in layer:
@@ -697,17 +659,19 @@ def _least_difference(
 ) -> Optional[Observation]:
     """Shortest, then least, observation in ``P(L(a1, m1)) - P(L(a2, m2))``
     with each side started in the given states, on the estimate kernel (one
-    kernel serves both sides when ``a2 is a1``).  ``respect`` is handed to
-    ``a1``'s kernel, so it must hold ``m1``, and ``m2`` when that kernel is
-    shared.
+    kernel serves both sides when ``a2 is a1``).  ``a1``'s kernel is built on
+    its graph's quotient by ``respect``, which must therefore hold ``m1``,
+    and ``m2`` when that kernel is shared.
 
     The search's right nodes are estimate ids, interned as the search reaches
     them, which bounds them by the cap plus the empty estimate.  None means
     the inclusion holds.
     """
-    left = _EstimateKernel(a1, cap, respect)
-    right = left if a2 is a1 else _EstimateKernel(a2, cap)
-    m1, m2 = left.mask(m1), right.mask(m2)
+    g1 = _quotient(a1._graph, respect)
+    g2 = g1 if a2 is a1 else a2._graph
+    left = _EstimateKernel(g1, cap)
+    right = left if g2 is g1 else _EstimateKernel(g2, cap)
+    m1, m2 = g1.mask(m1), g2.mask(m2)
     right_event = [right.event_index[e] for e in left.events]
 
     def move(s: int, states: int, k: int):
@@ -717,7 +681,7 @@ def _least_difference(
     def refutes(s: int, states: int) -> bool:
         return bool(states & m1) and (s == _EMPTY or not right.masks[s] & m2)
 
-    start = {right.intern(right.close(right.mask(initial2))): left.close(left.mask(initial1))}
+    start = [(right.intern(right.close(g2.mask(initial2))), left.close(g1.mask(initial1)))]
     obs = _lex_least_label(start, range(len(left.events)), move, refutes)
     return None if obs is None else tuple(left.events[k] for k in obs)
 
@@ -894,11 +858,12 @@ def _least_common(
     by its kernel's post-images, the right side by its kernel's
     closed-successor rows.
     """
-    left = _EstimateKernel(a1)
-    right = left if a2 is a1 else _EstimateKernel(a2)
+    g1, g2 = a1._graph, a2._graph
+    left = _EstimateKernel(g1)
+    right = left if a2 is a1 else _EstimateKernel(g2)
     right_event = [right.event_index[e] for e in left.events]
-    m1, m2 = left.mask(m1), right.mask(m2)
-    targets = [[None] * len(a2.states) for _ in left.events]  # right.rows' members, as met
+    m1, m2 = g1.mask(m1), g2.mask(m2)
+    targets = [[None] * g2.size for _ in left.events]  # right.rows' members, as met
 
     def move(y: int, states: int, k: int):
         states = left.post(states, k)
@@ -912,7 +877,7 @@ def _least_common(
     def is_goal(y: int, states: int) -> bool:
         return bool(states & m1) and bool(m2 >> y & 1)
 
-    start = left.close(left.mask(a1.initial))
-    start = dict.fromkeys(_bits(right.close(right.mask(a2.initial))), start)
+    start = left.close(g1.mask(a1.initial))
+    start = [(y, start) for y in _bits(right.close(g2.mask(a2.initial)))]
     obs = _lex_least_label(start, range(len(left.events)), move, is_goal)
     return None if obs is None else tuple(left.events[k] for k in obs)

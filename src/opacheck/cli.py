@@ -323,14 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--notion", required=True, choices=sorted(NOTION_TITLES))
     verify.add_argument("--algorithm", default="auto", choices=CSO_ALGORITHMS)
     verify.add_argument("--witness", action="store_true", help="print the witness, if any")
-    verify.add_argument("--observer-cap", type=int, default=DEFAULT_OBSERVER_CAP, help=(
-        "most state estimates one subset search may build; for cso on a partially ordered "
-        "automaton an estimate is a set of classes of the bisimulation that respects the secret "
-        "and non-secret sets, and the observer and inclusion build the same ones; searches keep "
-        "one mask of left states per right node: per estimate in inclusion (at most cap + 1), per "
-        "state of the second automaton in lbo-weak, per observation position in realization "
-        "(these two ignore the cap); unary-po builds none, so --algorithm observer can hit a cap "
-        "that auto and inclusion answer under"))
+    verify.add_argument("--observer-cap", type=int, default=DEFAULT_OBSERVER_CAP,
+                        help="most nonempty state estimates one subset search may build")
     verify.add_argument("--output", default="text", choices=("text", "json"))
     verify.add_argument("files", nargs="+")
     verify.set_defaults(func=_cmd_verify)

@@ -6,16 +6,7 @@ class OpacheckError(Exception):
 
 
 class ObserverBlowup(OpacheckError):
-    """A subset search reached more estimates than its cap allows.
-
-    The cap counts the nonempty estimates a search interns, whichever search
-    it is (observer, projected inclusion, ISO, IFSO, LBO), so a search that
-    answers keeps at most cap estimates.  For current-state opacity on a
-    partially ordered automaton they are estimates of bisimulation classes.
-    Inclusion keeps one mask of left states per right node, and its right
-    nodes are the interned estimates and the empty one: at most cap + 1
-    masks.
-    """
+    """A subset search would intern more nonempty estimates than its cap."""
 
     def __init__(self, cap: int):
         super().__init__(f"subset search exceeded the cap of {cap} estimates")

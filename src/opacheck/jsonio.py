@@ -16,9 +16,9 @@ making of tuples to the constructors, which make them once.
 
 An input file is an instance file when it has a key ending in ``automaton``,
 and an automaton file otherwise; either may carry a ``metadata`` object, which
-the readers ignore.  An instance file's keys are exactly the fields of its
-notion's class in ``INSTANCE_CLASSES``.  Both directions loop over those
-fields, so no other table describes an instance.
+the readers check is an object and otherwise ignore.  An instance file's keys
+are exactly the fields of its notion's class in ``INSTANCE_CLASSES``.  Both
+directions loop over those fields, so no other table describes an instance.
 """
 
 from __future__ import annotations
@@ -55,6 +55,8 @@ def _check_keys(d: dict, required: set[str], what: str, optional: set[str] = fro
     missing = required - set(d)
     if missing:
         raise ParseError(f"{what} is missing keys: {sorted(missing)}")
+    if not isinstance(d.get("metadata", {}), dict):
+        raise ParseError("metadata must be a JSON object")
 
 
 def _string_list(value: Any, what: str) -> list[str]:

@@ -9,9 +9,9 @@ sets of observation lengths instead.  ``unary-po`` is the CSO name of that
 length-set path; it refuses any other automaton.  Weak LBO runs the product
 search.  Every verdict names the algorithm that decided it.
 
-Both CSO algorithms hand the secret and non-secret sets to the estimate
-kernel, which on a partially ordered automaton searches the classes of a
-bisimulation that keeps those sets apart; both search the same classes.
+Both CSO algorithms build their estimate kernel on the same quotient of the
+automaton's graph: on a partially ordered automaton, the classes of a
+bisimulation that keeps the secret and non-secret sets apart.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .automata import (
     _EstimateKernel,
     _inclusion,
     _length_sets,
+    _quotient,
     _reach,
     _require,
     _unary_event,
@@ -127,10 +128,11 @@ def verify_cso_observer(inst: CsoInstance, *, cap: int = DEFAULT_OBSERVER_CAP) -
     alphabet declaration order) reaching a violating estimate.
     """
     a = inst.automaton
-    kernel = _EstimateKernel(a, cap, (inst.secret, inst.nonsecret))
-    secret, nonsecret = kernel.mask(inst.secret), kernel.mask(inst.nonsecret)
-    obs = kernel.search(lambda x: x & secret and not x & nonsecret)
-    del kernel  # garbage before the run is realized
+    g = _quotient(a._graph, (inst.secret, inst.nonsecret))
+    kernel = _EstimateKernel(g, cap)
+    secret, nonsecret = g.mask(inst.secret), g.mask(inst.nonsecret)
+    obs = kernel.search(kernel.close(g.mask(a.initial)), lambda x: x & secret and not x & nonsecret)
+    del kernel, g  # garbage before the run is realized
     if obs is None:
         return Verdict(True, algorithm="observer")
     return Verdict(False, Witness(obs, realize_observation(a, inst.secret, obs)), "observer")

@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 
 from opacheck import (
+    DEFAULT_OBSERVER_CAP,
     Automaton,
     CnfFormula,
     CsoInstance,
@@ -16,6 +17,7 @@ from opacheck import (
     project_string,
     trim,
 )
+from opacheck.automata import _EstimateKernel, _quotient
 from opacheck.oracles import observation_feasible, string_reaches
 
 ALPHABET_2OBS_1UO = (Event("a"), Event("b"), Event("u", observable=False))
@@ -49,6 +51,24 @@ def rand_automaton(rng, alphabet, max_states=7, *, structure="any", initial_max=
     initial = rng.sample(states, rng.randint(1, min(n, initial_max)))
     marked = {s for s in states if rng.random() < marked_prob}
     return Automaton(tuple(states), alphabet, transitions, initial, marked)
+
+
+def kernel_search(a, respect=(), secret=(), nonsecret=(), cap=DEFAULT_OBSERVER_CAP):
+    """The CSO observer's search for ``secret`` without ``nonsecret``, from
+    ``a``'s initial estimate, on a fresh estimate kernel of ``a``'s graph
+    quotiented by ``respect``: the graph, the kernel after the search and the
+    observation found.  With no secret state the search interns every
+    reachable estimate."""
+    g = _quotient(a._graph, respect)
+    kernel = _EstimateKernel(g, cap)
+    s, ns = g.mask(secret), g.mask(nonsecret)
+    obs = kernel.search(kernel.close(g.mask(a.initial)), lambda x: x & s and not x & ns)
+    return g, kernel, obs
+
+
+def members(a, g, mask) -> tuple[str, ...]:
+    """The states of ``a`` whose nodes of ``g`` are in ``mask``, in declaration order."""
+    return tuple(s for s in a.states if mask >> g.index[s] & 1)
 
 
 def rand_cso(rng, alphabet, max_states=7, *, structure="any", status_prob=0.35):

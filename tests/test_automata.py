@@ -33,7 +33,7 @@ from opacheck import automata
 from opacheck.automata import _EMPTY, _EstimateKernel
 from opacheck.oracles import enum_languages_projected, observation_feasible, string_reaches
 
-from helpers import ALPHABET_2OBS_1UO, make_rng, rand_automaton
+from helpers import ALPHABET_2OBS_1UO, kernel_search, make_rng, members, rand_automaton
 
 
 def aut(states, alphabet, transitions, initial, marked=()):
@@ -45,15 +45,13 @@ A_UO = (Event("a", observable=False),)
 
 
 def explored(a, cap=opacheck.DEFAULT_OBSERVER_CAP):
-    """An estimate kernel of ``a`` that has interned every reachable estimate."""
-    kernel = _EstimateKernel(a, cap)
-    kernel.search(lambda mask: False)
-    return kernel
+    """An estimate kernel of ``a``'s graph that has interned every reachable estimate."""
+    return kernel_search(a, cap=cap)[1]
 
 
 def estimates(a):
     kernel = explored(a)
-    return {kernel.states(x) for x in kernel.masks}
+    return {members(a, a._graph, x) for x in kernel.masks}
 
 
 class TestPublicSurface:
@@ -268,7 +266,7 @@ class TestObserver:
             ["r"],
         )
         kernel = explored(a)
-        names = [kernel.states(x) for x in kernel.masks]
+        names = [members(a, a._graph, x) for x in kernel.masks]
         assert names == [("p",), ("q",), ("r",)]
         steps = {
             (names[i], e, names[j])
@@ -285,10 +283,11 @@ class TestObserver:
             [("p", "x", "q"), ("p", "x", "r")],
             ["p"],
         )
-        kernel = _EstimateKernel(a)
-        start = kernel.start()
-        assert kernel.states(kernel.masks[start]) == ("p",)
-        assert kernel.states(kernel.masks[kernel.step(start, 0)]) == ("q", "r")
+        g = a._graph
+        kernel = _EstimateKernel(g)
+        start = kernel.intern(kernel.close(g.mask(a.initial)))
+        assert members(a, g, kernel.masks[start]) == ("p",)
+        assert members(a, g, kernel.masks[kernel.step(start, 0)]) == ("q", "r")
         # after x the intruder cannot tell q from r, but it can tell q from p
         assert verify_cso_observer(CsoInstance(a, {"q"}, {"r"})).holds
         v = verify_cso_observer(CsoInstance(a, {"q"}, {"p"}))
@@ -340,10 +339,8 @@ class TestObserver:
 
 def interned(inst, respect):
     """How many estimates the CSO observer search interns on a kernel of
-    ``inst`` that keeps ``respect`` apart."""
-    kernel = _EstimateKernel(inst.automaton, respect=respect)
-    secret, nonsecret = kernel.mask(inst.secret), kernel.mask(inst.nonsecret)
-    kernel.search(lambda x: x & secret and not x & nonsecret)
+    ``inst``'s graph quotiented by ``respect``."""
+    _, kernel, _ = kernel_search(inst.automaton, respect, inst.secret, inst.nonsecret)
     return len(kernel.masks)
 
 
@@ -468,7 +465,7 @@ class TestLexLeastLabel:
         def is_goal(y, mask):
             return y == 2 and bool(mask & 0b10)
 
-        assert automata._lex_least_label({0: 0b01}, range(2), move, is_goal) == (1,)
+        assert automata._lex_least_label([(0, 0b01)], range(2), move, is_goal) == (1,)
 
     def test_pair_reached_again_is_not_moved_again(self):
         # Left states 0 -> 1 -> 2 -> 0 under event 0, and 0 -> 2 under event 1,
@@ -481,7 +478,7 @@ class TestLexLeastLabel:
                 return (y,), (mask << 1 | mask >> 2) & 0b111
             return ((y,), 0b100) if mask & 0b001 else ((), 0)
 
-        result = automata._lex_least_label({0: 0b001}, range(2), move, lambda y, mask: False)
+        result = automata._lex_least_label([(0, 0b001)], range(2), move, lambda y, mask: False)
         assert result is None
         assert calls == [(0, 0b001, 0), (0, 0b001, 1), (0, 0b010, 0), (0, 0b010, 1),
                          (0, 0b100, 0), (0, 0b100, 1)]
@@ -495,8 +492,8 @@ class TestLexLeastLabel:
         def is_goal(y, mask):
             return y in (5, 6)
 
-        assert automata._lex_least_label({1: 1}, range(2), move, is_goal) == (0, 1)
-        assert automata._lex_least_label({1: 1}, (1, 0), move, is_goal) == (1, 0)
+        assert automata._lex_least_label([(1, 1)], range(2), move, is_goal) == (0, 1)
+        assert automata._lex_least_label([(1, 1)], (1, 0), move, is_goal) == (1, 0)
 
 
 class TestInclusion:

@@ -680,6 +680,19 @@ class TestClassify:
                 assert main(argv) == 2
                 assert capsys.readouterr().err == f"error: {path}: {reason}\n"
 
+    def test_non_object_metadata_is_an_input_error(self, tmp_path, capsys):
+        # at the top of an instance file, in its automaton, and in an automaton file
+        data = instance_to_dict(gen_cnf_cso(TWO_CLAUSE))
+        nested = {**data, "automaton": {**data["automaton"], "metadata": 5}}
+        both = (["classify"], ["verify", "--notion", "cso"])
+        for name, payload, commands in (("top.json", {**data, "metadata": 5}, both),
+                                        ("nested.json", nested, both),
+                                        ("automaton.json", nested["automaton"], both[:1])):
+            path = write(tmp_path, name, dumps(payload))
+            for command in commands:
+                assert main([*command, path]) == 2
+                assert capsys.readouterr().err == f"error: {path}: metadata must be a JSON object\n"
+
     def test_unknown_automaton_key_is_named(self, tmp_path, capsys):
         # a key ending in "automaton" makes an instance file; this one is no field
         path = write(tmp_path, "my.json", '{"my_automaton": {}, "metadata": {}, "secret": []}')

@@ -119,6 +119,19 @@ class TestInstanceFormat:
         d = instance_to_dict(inst, metadata={"origin": "test"})
         assert instance_from_dict(d, "cso") == inst
 
+    def test_metadata_must_be_an_object(self):
+        # in an instance, in the automaton inside it, and in an automaton file
+        inst = rand_cso(make_rng("jsonio-metadata-type"), ALPHABET_2OBS_1UO, max_states=4)
+        for metadata in (5, "origin", [], None):
+            d = {**instance_to_dict(inst), "metadata": metadata}
+            nested = instance_to_dict(inst)
+            nested["automaton"]["metadata"] = metadata
+            for bad in (lambda: instance_from_dict(d, "cso"),
+                        lambda: instance_from_dict(nested, "cso"),
+                        lambda: automaton_from_dict(nested["automaton"])):
+                with pytest.raises(ParseError, match="^metadata must be a JSON object$"):
+                    bad()
+
     def test_wrong_notion_keys_rejected(self):
         rng = make_rng("jsonio-wrong-notion")
         inst = rand_cso(rng, ALPHABET_2OBS_1UO, max_states=4)

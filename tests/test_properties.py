@@ -40,7 +40,7 @@ from opacheck import (
     verify_iso,
     verify_lbo,
 )
-from opacheck.automata import _EstimateKernel, _bisimulation, _inclusion, _lex_least_label
+from opacheck.automata import _inclusion, _lex_least_label, _quotient
 from opacheck.oracles import (
     enum_cso_acyclic,
     enum_languages_projected,
@@ -48,7 +48,7 @@ from opacheck.oracles import (
     string_reaches,
 )
 
-from helpers import ALPHABET_1OBS_1UO, ALPHABET_2OBS_1UO, rand_automaton
+from helpers import ALPHABET_1OBS_1UO, ALPHABET_2OBS_1UO, kernel_search, members, rand_automaton
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -77,12 +77,13 @@ def cso_instances(draw, structure="any"):
 
 
 @st.composite
-def po_cso_instances_with_copies(draw):
-    """Partially ordered CSO instances where some states have a copy: it has
-    its original's targets (a self-loop becomes its own), sets and initial
-    status, and each transition into the original may move to it or also go
-    to it.  An original and its copy are bisimilar."""
-    inst = draw(cso_instances(structure="po"))
+def po_cso_instances_with_copies(draw, structure="po"):
+    """Partially ordered (or, with ``structure="acyclic"``, acyclic) CSO
+    instances where some states have a copy: it has its original's targets
+    (a self-loop becomes its own), sets and initial status, and each
+    transition into the original may move to it or also go to it.  An
+    original and its copy are bisimilar."""
+    inst = draw(cso_instances(structure=structure))
     a, rng = inst.automaton, draw(st.randoms(use_true_random=False))
     states, transitions, initial = list(a.states), set(a.transitions), set(a.initial)
     secret, nonsecret = set(inst.secret), set(inst.nonsecret)
@@ -207,37 +208,63 @@ def test_cso_matches_enumeration_on_acyclic_inputs(inst):
 
 
 def interned_search(inst, respect=()):
-    """The CSO observer search on a fresh kernel of ``inst`` that keeps
-    ``respect`` apart: its observation and how many estimates it interned."""
-    kernel = _EstimateKernel(inst.automaton, respect=respect)
-    secret, nonsecret = kernel.mask(inst.secret), kernel.mask(inst.nonsecret)
-    obs = kernel.search(lambda x: x & secret and not x & nonsecret)
+    """The CSO observer search on a fresh kernel of ``inst``'s graph
+    quotiented by ``respect``: its observation and how many estimates it
+    interned."""
+    _, kernel, obs = kernel_search(inst.automaton, respect, inst.secret, inst.nonsecret)
     return obs, len(kernel.masks)
 
 
 @PROPERTY_SETTINGS
-@given(st.one_of(cso_instances(structure="po"), po_cso_instances_with_copies()))
-def test_bisimulation_classes_are_stable(inst):
-    # Checked on the transitions by name, not on the integer graph.
+@given(st.one_of(cso_instances(structure="po"), po_cso_instances_with_copies()), st.data())
+def test_bisimulation_classes_are_stable(inst, data):
+    # Checked on the transitions by name: the members of a class agree on
+    # the sets and on their targets by class, which are their class's row.
+    # Also with sets drawn again, which may tell a copy from its original.
     a = inst.automaton
-    classes = _bisimulation(a._graph, (inst.secret, inst.nonsecret))
-    if classes is None:
-        classes = range(len(a.states))
-    else:
-        assert len(set(classes)) < len(a.states)
-    of = dict(zip(a.states, classes))
-    targets = {(s, e.name): set() for s in a.states for e in a.alphabet}
-    for (p, e, q) in a.transitions:
-        targets[p, e].add(of[q])
-    members = {}
-    for s in a.states:
-        members.setdefault(of[s], []).append(s)
-    for first, *rest in members.values():
-        for s in rest:
-            assert (s in inst.secret) == (first in inst.secret)
-            assert (s in inst.nonsecret) == (first in inst.nonsecret)
-            for e in a.alphabet:
-                assert targets[s, e.name] == targets[first, e.name]
+    states = st.frozensets(st.sampled_from(a.states))
+    for sets in ((inst.secret, inst.nonsecret), (data.draw(states), data.draw(states))):
+        q = _quotient(a._graph, sets)
+        assert q is a._graph or q.size < len(a.states)
+        of = q.index
+        assert set(of.values()) == set(range(q.size))
+        targets = {(s, e.name): set() for s in a.states for e in a.alphabet}
+        for (p, e, t) in a.transitions:
+            targets[p, e].add(of[t])
+        classes = {}
+        for s in a.states:
+            classes.setdefault(of[s], []).append(s)
+        for first, *rest in classes.values():
+            for s in rest:
+                assert all((s in found) == (first in found) for found in sets)
+        for (s, e), found in targets.items():
+            assert set(q.succ[q.event_index[e]][of[s]]) == found
+
+
+@PROPERTY_SETTINGS
+@given(po_cso_instances_with_copies(structure="acyclic"), st.data())
+def test_class_representatives_decide_as_the_automaton(inst, data):
+    # One representative per class of the quotient, keeping its own moves
+    # with their targets replaced by representatives, is an automaton on
+    # which the independent oracle gives the verdict and witness it gives on
+    # the original.  Checked with the drawn sets, under which every copy
+    # shares its original's class, and with sets drawn again, which may tell
+    # a copy apart.
+    a = inst.automaton
+    drawn = (inst.secret, inst.nonsecret)
+    assert _quotient(a._graph, drawn).size < len(a.states)
+    states = st.frozensets(st.sampled_from(a.states))
+    for sets in (drawn, (data.draw(states), data.draw(states))):
+        q = _quotient(a._graph, sets)
+        first = {}
+        for s in a.states:
+            first.setdefault(q.index[s], s)
+        rep = {s: first[q.index[s]] for s in a.states}
+        kept = Automaton(tuple(first.values()), a.alphabet,
+                         {(p, e, rep[t]) for (p, e, t) in a.transitions if rep[p] == p},
+                         {rep[s] for s in a.initial})
+        image = CsoInstance(kept, *(frozenset(map(rep.get, found)) for found in sets))
+        assert enum_cso_acyclic(image) == enum_cso_acyclic(CsoInstance(a, *sets))
 
 
 @PROPERTY_SETTINGS
@@ -257,16 +284,15 @@ def test_class_estimates_are_the_estimates_of_states_by_class(inst):
     # the estimates of states closed up to whole classes; so there are at
     # most as many, and the CSO search interns at most as many too.
     a, respect = inst.automaton, (inst.secret, inst.nonsecret)
-    raw, quotient = _EstimateKernel(a), _EstimateKernel(a, respect=respect)
-    raw.search(lambda x: False)
-    quotient.search(lambda x: False)
-    by_class = {quotient.states(quotient.mask(raw.states(x))) for x in raw.masks}
-    assert {quotient.states(x) for x in quotient.masks} == by_class
+    g, raw, _ = kernel_search(a)
+    q, quotient, _ = kernel_search(a, respect)
+    by_class = {members(a, q, q.mask(members(a, g, x))) for x in raw.masks}
+    assert {members(a, q, x) for x in quotient.masks} == by_class
     _, raw_count = interned_search(inst)
     _, quotient_count = interned_search(inst, respect)
     assert quotient_count <= raw_count
     if not classify(a).partially_ordered:
-        assert quotient.classes is None and quotient_count == raw_count
+        assert q is g and quotient_count == raw_count
 
 
 @PROPERTY_SETTINGS
@@ -420,7 +446,7 @@ def pair_searches(draw):
         [(sorted(draw(right_sets)), [draw(masks) for _ in range(width)]) for _ in range(rights)]
         for _ in range(events)
     ]
-    start = draw(st.dictionaries(st.integers(0, rights - 1), masks, min_size=1))
+    start = list(draw(st.dictionaries(st.integers(0, rights - 1), masks, min_size=1)).items())
     goal = draw(st.frozensets(st.tuples(st.integers(0, rights - 1), st.integers(0, width - 1))))
     return width, steps, start, goal
 
@@ -450,7 +476,7 @@ def test_pair_search_finds_the_least_label_of_subset_simulation(search):
     # Labels in shortlex order, each with the nodes it reaches from the start;
     # a label whose node set an earlier one of its length reached is dropped,
     # since every extension of it loses to the same extension of that one.
-    layer = [((), frozenset((y, b) for y, mask in start.items()
+    layer = [((), frozenset((y, b) for y, mask in start
                             for b in range(width) if mask >> b & 1))]
     expected = None
     for _ in range(len(steps[0]) * width + 1):  # a shortest label visits no node twice
