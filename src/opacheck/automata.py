@@ -329,18 +329,22 @@ _EMPTY = -1
 
 def _closures(g: _Graph) -> list[int]:
     """The closure of each node of ``g`` under its unobservable events, as a
-    bitmask."""
+    bitmask.  Nodes are walked successors first, in reverse topological
+    order of the unobservable transitions when they have no cycle, so a walk
+    stops at the finished closures it meets."""
+    rows = [row for k, row in enumerate(g.succ) if not g.observable[k]]
     adjacency: dict[int, list[int]] = {}  # unobservable successors, where there are any
-    for k, row in enumerate(g.succ):
-        if not g.observable[k]:
-            for i, targets in enumerate(row):
-                if targets:
-                    adjacency.setdefault(i, []).extend(targets)
+    for row in rows:
+        for i, targets in enumerate(row):
+            if targets:
+                adjacency.setdefault(i, []).extend(targets)
     closure = [1 << i for i in range(g.size)]
     # A finished closure is complete, so a search that meets its node
     # takes it whole instead of walking on.
     done = [i not in adjacency for i in range(g.size)]
-    for root in adjacency:
+    order = topological_order(g.size, rows) if adjacency else None
+    roots = adjacency if order is None else [i for i in reversed(order) if not done[i]]
+    for root in roots:
         mask, seen, todo = closure[root], {root}, [root]
         while todo:
             for q in adjacency.get(todo.pop(), ()):
@@ -419,7 +423,7 @@ class _EstimateKernel:
     with the same classes.
 
     Estimates reached by a search are interned on demand as small int ids, in
-    discovery order, and their successors are memoized.  At most ``cap``
+    discovery order; a mask interned again keeps its id.  At most ``cap``
     nonempty estimates are interned; one more raises :class:`ObserverBlowup`.
     Masks, indices and ids handed to the methods are trusted: validation
     belongs to the public entry points.
@@ -442,7 +446,6 @@ class _EstimateKernel:
         self.cap = cap
         self.masks: list[int] = []
         self._ids: dict[int, int] = {}
-        self._next: dict[int, int] = {}  # id * len(events) + k -> successor id
         self._members_of, self._members = 0, []
 
     def close(self, mask: int) -> int:
@@ -475,11 +478,7 @@ class _EstimateKernel:
         """Id of the estimate that event index ``k`` leads to from estimate ``i``."""
         if i == _EMPTY:
             return i
-        slot = i * len(self.events) + k
-        j = self._next.get(slot)
-        if j is None:
-            j = self._next[slot] = self.intern(self.post(self.masks[i], k))
-        return j
+        return self.intern(self.post(self.masks[i], k))
 
     def search(self, start: int, is_goal) -> Optional[Observation]:
         """Breadth-first walk over the nonempty estimates reachable from the

@@ -2,6 +2,7 @@
 
 import ast
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from opacheck import (
     verify_cso_observer,
 )
 from opacheck import automata
-from opacheck.automata import _EMPTY, _EstimateKernel
+from opacheck.automata import _EMPTY, _EstimateKernel, _closures
 from opacheck.oracles import enum_languages_projected, observation_feasible, string_reaches
 
 from helpers import ALPHABET_2OBS_1UO, kernel_search, make_rng, members, rand_automaton
@@ -207,6 +208,21 @@ class TestUnobservableReach:
         a = aut(["p"], AB, [], ["p"])
         with pytest.raises(PreconditionViolated):
             unobservable_reach(a, {"zz"})
+
+
+class TestClosures:
+    def test_a_chain_declared_forward_takes_one_pass(self):
+        # Each node's walk must stop at its successor's finished closure:
+        # walked from the first node on, each would cross the rest of the
+        # chain, in quadratic time (seconds at this length).
+        n = 6000
+        states = [f"q{i}" for i in range(n)]
+        a = aut(states, A_UO, [(states[i], "a", states[i + 1]) for i in range(n - 1)], ["q0"])
+        g = a._graph
+        start = time.perf_counter()
+        closure = _closures(g)
+        assert time.perf_counter() - start < 1.0
+        assert closure == [(1 << n) - (1 << i) for i in range(n)]
 
 
 class TestProject:
@@ -401,6 +417,13 @@ class TestQuotient:
         assert not classify(inst.automaton).partially_ordered
         assert verify_cso(inst).holds
         assert interned(inst, ()) == interned(inst, (inst.secret, inst.nonsecret)) == 24 + 1
+        # The initial copies are chained by an unobservable event, and
+        # inclusion steps the estimates of its shared kernel: it interns as many.
+        assert classify(inst.automaton).unobservable_event_count == 1
+        for algorithm in ("observer", "inclusion"):
+            assert verify_cso(inst, algorithm, cap=25).holds
+            with pytest.raises(ObserverBlowup):
+                verify_cso(inst, algorithm, cap=24)
 
 
 class TestProduct:

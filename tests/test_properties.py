@@ -35,12 +35,13 @@ from opacheck import (
     observation_length_set,
     po_determinize,
     realize_observation,
+    unobservable_reach,
     verify_cso,
     verify_ifso,
     verify_iso,
     verify_lbo,
 )
-from opacheck.automata import _inclusion, _lex_least_label, _quotient
+from opacheck.automata import _closures, _inclusion, _lex_least_label, _quotient
 from opacheck.oracles import (
     enum_cso_acyclic,
     enum_languages_projected,
@@ -158,6 +159,30 @@ def has_cycle(a: Automaton) -> bool:
         return False
 
     return any(color[s] == "white" and reaches_grey(s) for s in a.states)
+
+
+@st.composite
+def unobservable_chains(draw):
+    """A chain of unobservable ``u`` transitions, some of its states with an
+    unobservable move to itself or further along the chain and an observable
+    ``a`` back to its start, declared in the chain's order or in reverse."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    chain = [f"q{i}" for i in range(n)]
+    transitions = {(chain[i], "u", chain[i + 1]) for i in range(n - 1)}
+    for i in draw(st.sets(st.integers(min_value=0, max_value=n - 1))):
+        transitions.add((chain[i], "u", chain[draw(st.integers(min_value=i, max_value=n - 1))]))
+        transitions.add((chain[i], "a", chain[0]))
+    states = chain if draw(st.booleans()) else chain[::-1]
+    return Automaton(tuple(states), ALPHABET_1OBS_1UO, transitions, {chain[0]})
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(automata(), unobservable_chains()))
+def test_the_closure_of_each_node_is_the_unobservable_reach_of_its_state(a):
+    g = a._graph
+    closure = _closures(g)
+    for s in a.states:
+        assert closure[g.index[s]] == g.mask(unobservable_reach(a, {s}))
 
 
 @PROPERTY_SETTINGS
