@@ -7,7 +7,7 @@ cross-checkable benchmarks.  The transformations move instances between
 opacity notions while preserving the verdict exactly.
 
 Fresh names introduced by a construction start from a reserved base ("a", "@",
-"x'", ...): the base itself when it is free, otherwise the base followed by the
+"p'", ...): the base itself when it is free, otherwise the base followed by the
 least positive integer that makes it free.  Every choice is recorded in the
 returned metadata so outputs are reproducible.
 """
@@ -333,9 +333,10 @@ def gen_union_universality_cso(components: Sequence[Automaton]) -> UnionUniversa
 @dataclass(frozen=True)
 class Split:
     """One eliminated nondeterministic transition: (source, event, target) was
-    rerouted through ``detour_state`` under the transient ``fresh_event``."""
+    rerouted through ``detour_state``, the ``code``-th state of the
+    unobservable chain leaving ``source``."""
 
-    fresh_event: str
+    code: int
     source: str
     event: str
     target: str
@@ -346,8 +347,9 @@ class Split:
 class PoDeterminization:
     """Output of :func:`po_determinize` with its freshness metadata.
 
-    ``splits`` is in creation order; the code of the k-th split event is k, so
-    its detour is entered after k unobservable steps.
+    ``splits`` is in creation order, grouped by source.  A split's code is its
+    1-based position on its source's chain, so its detour is entered after
+    that many unobservable steps.
     """
 
     automaton: Automaton
@@ -360,14 +362,13 @@ class PoDeterminization:
             "unobservable_event": self.unobservable_event,
             "encoding": [
                 {
-                    "event": s.fresh_event,
-                    "code": code,
+                    "code": s.code,
                     "source": s.source,
                     "on": s.event,
                     "target": s.target,
                     "detour_state": s.detour_state,
                 }
-                for code, s in enumerate(self.splits, start=1)
+                for s in self.splits
             ],
             "initial_chain": list(self.initial_chain),
         }
@@ -376,22 +377,23 @@ class PoDeterminization:
 def po_determinize(a: Automaton, chain_event: str) -> PoDeterminization:
     """Determinize a partially ordered automaton with one fresh unobservable event.
 
-    Three stages.  Split: whenever a state has several same-event transitions
-    to distinct targets, one target (a self-loop if present, otherwise the
-    lexicographically greatest) keeps the direct edge and every other target is
-    rerouted through a fresh state under a transient fresh event.  Encode: the
-    k-th fresh event created is replaced by a chain of k transitions on a fresh
-    unobservable event; chains leaving the same state are merged into a single
-    path with exits at the detour states.  Single initial: several initial
-    states are folded into a chain of fresh states connected by the
-    unobservable event, each exiting on ``chain_event`` to one original
-    initial state.
+    Two stages.  Split: whenever a state ``p`` has several same-event
+    transitions to distinct targets, one target (a self-loop if present,
+    otherwise the lexicographically greatest) keeps the direct edge and every
+    other target is rerouted through a fresh detour state.  The detours of
+    ``p`` form one chain on a fresh unobservable event leaving ``p``: the one
+    with code k is entered after k unobservable steps and exits to its target
+    on the split event.  Single initial: several initial states are folded
+    into a chain of fresh states connected by the unobservable event, each
+    exiting on ``chain_event`` to one original initial state.  So the output
+    has one state per input state and per split, plus one per initial state
+    and one more when there are several initial states.
 
-    Fresh names come from the bases ``p'`` (detour and chain states leaving
-    ``p``), ``q'k`` (the k-th state of the initial chain), ``x'`` (split
-    events) and ``a`` (the unobservable event).  Each name is its base when
-    that is free, otherwise the base followed by the least positive integer
-    that makes it free among the names taken so far.
+    Fresh names come from the bases ``p'`` (detour states leaving ``p``),
+    ``q'k`` (the k-th state of the initial chain) and ``a`` (the unobservable
+    event).  Each name is its base when that is free, otherwise the base
+    followed by the least positive integer that makes it free among the names
+    taken so far.
 
     Added states carry no secret status, so for any secret/non-secret sets
     over the original states the current-state opacity verdict is preserved.
@@ -406,12 +408,13 @@ def po_determinize(a: Automaton, chain_event: str) -> PoDeterminization:
         )
 
     state_names = _FreshNames(a.states)
-    event_names = _FreshNames(e.name for e in a.alphabet)
+    unobservable = _FreshNames(e.name for e in a.alphabet).fresh("a")
     out_states = list(a.states)
     transitions = set(a.transitions)
 
     splits: list[Split] = []
     for p in sorted(a.states):
+        previous, code = p, 0
         for x in (e.name for e in a.alphabet):
             targets = a.successors(p, x)
             if len(targets) <= 1:
@@ -420,32 +423,14 @@ def po_determinize(a: Automaton, chain_event: str) -> PoDeterminization:
             for q in targets:
                 if q == keep:
                     continue
-                fresh_event = event_names.fresh("x'")
+                code += 1
                 detour = state_names.fresh(f"{p}'")
                 out_states.append(detour)
                 transitions.remove((p, x, q))
-                splits.append(Split(fresh_event, p, x, q, detour))
-
-    added_event: Optional[str] = None
-    if splits or len(a.initial) > 1:
-        added_event = event_names.fresh("a")
-
-    by_source: dict[str, list[tuple[int, Split]]] = {}
-    for code, split in enumerate(splits, start=1):
-        by_source.setdefault(split.source, []).append((code, split))
-    for p in sorted(by_source):
-        coded = sorted(by_source[p])
-        detour_at = {code: split.detour_state for code, split in coded}
-        previous = p
-        for position in range(1, coded[-1][0] + 1):
-            node = detour_at.get(position)
-            if node is None:
-                node = state_names.fresh(f"{p}'")
-                out_states.append(node)
-            transitions.add((previous, added_event, node))
-            previous = node
-    for split in splits:
-        transitions.add((split.detour_state, split.event, split.target))
+                transitions.add((previous, unobservable, detour))
+                transitions.add((detour, x, q))
+                splits.append(Split(code, p, x, q, detour))
+                previous = detour
 
     initial = set(a.initial)
     initial_chain: list[str] = []
@@ -458,13 +443,15 @@ def po_determinize(a: Automaton, chain_event: str) -> PoDeterminization:
             node = state_names.fresh(f"q'{k}")
             out_states.append(node)
             initial_chain.append(node)
-            transitions.add((previous, added_event, node))
+            transitions.add((previous, unobservable, node))
             transitions.add((node, chain_event, q))
             previous = node
         initial = {initial_chain[0]}
 
     alphabet = a.alphabet
-    if added_event is not None:
+    added_event: Optional[str] = None
+    if splits or initial_chain:
+        added_event = unobservable
         alphabet = alphabet + (Event(added_event, observable=False),)
     automaton = Automaton(tuple(out_states), alphabet, transitions, initial, a.marked)
     return PoDeterminization(automaton, added_event, tuple(splits), tuple(initial_chain))

@@ -3,6 +3,7 @@ equivalence, cross-checked against the brute-force oracles."""
 
 import itertools
 import json
+import time
 import tracemalloc
 
 import pytest
@@ -303,11 +304,12 @@ class TestPoDeterminize:
         assert ("p", "x", "r") in d.transitions  # greatest target keeps the direct edge
         assert ("p", result.unobservable_event, "p'") in d.transitions
         assert ("p'", "x", "q") in d.transitions
-        assert len(result.splits) == 1 and result.splits[0].fresh_event == "x'"
+        assert len(result.splits) == 1 and result.splits[0].code == 1
 
     def test_merged_chain_from_one_state(self):
-        # one split elsewhere takes code 1, so the two splits at p get codes 2
-        # and 3 and share a single chain with a filler state at position 1
+        # the two splits at p share one chain of two detours, each an exit;
+        # the split at o, made first, neither takes a code of p's nor pads
+        # p's chain with a filler state
         a = Automaton(
             ("o", "u", "v", "p", "q", "r", "s", "t"),
             (Event("x"), Event("y")),
@@ -321,19 +323,23 @@ class TestPoDeterminize:
         result = po_determinize(a, "x")
         d = result.automaton
         uo = result.unobservable_event
-        codes = {split.source: code for code, split in enumerate(result.splits, start=1)}
-        assert codes["o"] == 1
-        chain = []
-        node = "p"
-        while True:
-            nxt = d.successors(node, uo)
-            if not nxt:
-                break
-            node = nxt[0]
-            chain.append(node)
-        assert len(chain) == 3  # single merged path up to the largest code
-        exits = [n for n in chain if any(d.successors(n, e) for e in ("x", "y"))]
-        assert exits == chain[1:]  # positions 2 and 3 exit; position 1 is filler
+        codes = {}
+        for split in result.splits:
+            codes.setdefault(split.source, []).append(split.code)
+        assert codes == {"o": [1], "p": [1, 2]}
+        for source, length in (("o", 1), ("p", 2)):
+            chain = []
+            node = source
+            while True:
+                nxt = d.successors(node, uo)
+                if not nxt:
+                    break
+                node = nxt[0]
+                chain.append(node)
+            assert len(chain) == length  # as long as the source's own splits
+            exits = [n for n in chain if any(d.successors(n, e) for e in ("x", "y"))]
+            assert exits == chain  # every detour exits: no filler
+        assert len(d.states) == len(a.states) + len(result.splits)
         assert classify(d).deterministic and classify(d).partially_ordered
 
     def test_deterministic_single_initial_input_unchanged(self):
@@ -374,17 +380,16 @@ class TestPoDeterminize:
             po_determinize(a, "zz")
 
     def test_colliding_fresh_names(self):
-        # Detour names collide with the declared p' and p'1, filler states
-        # with earlier detours, the initial chain with q'1 and the fillers
-        # q'2, q'3; split events start past the declared x'.
+        # Detour names collide with the declared p' and p'1, the initial
+        # chain with q'1, and the unobservable event with the declared a.
         a = Automaton(
             ("p", "p'", "p'1", "q", "q'1", "r", "s", "t"),
-            (Event("a"), Event("b"), Event("x'", observable=False)),
+            (Event("a"), Event("b")),
             {
                 ("p", "a", "q"), ("p", "a", "r"), ("p", "a", "s"),
                 ("p", "b", "p"), ("p", "b", "q"), ("p", "b", "r"),
                 ("q", "a", "r"), ("q", "a", "t"),
-                ("p'", "a", "t"), ("p'1", "x'", "t"),
+                ("p'", "a", "t"), ("p'1", "b", "t"),
             },
             {"p", "q", "s"},
             {"t"},
@@ -393,37 +398,30 @@ class TestPoDeterminize:
         d = result.automaton
         assert d.states == (
             "p", "p'", "p'1", "q", "q'1", "r", "s", "t",
-            "p'2", "p'3", "p'4", "p'5", "q'", "q'2", "q'3", "q'4", "q'5",
-            "q'0", "q'11", "q'21", "q'31",
+            "p'2", "p'3", "p'4", "p'5", "q'",
+            "q'0", "q'11", "q'2", "q'3",
         )
         assert d.alphabet == a.alphabet + (Event("a1", observable=False),)
         assert d.initial == {"q'0"} and d.marked == {"t"}
         assert sorted(d.transitions) == [
             ("p", "a", "s"), ("p", "a1", "p'2"), ("p", "b", "p"),
-            ("p'", "a", "t"), ("p'1", "x'", "t"),
+            ("p'", "a", "t"), ("p'1", "b", "t"),
             ("p'2", "a", "q"), ("p'2", "a1", "p'3"), ("p'3", "a", "r"),
             ("p'3", "a1", "p'4"), ("p'4", "a1", "p'5"), ("p'4", "b", "q"),
-            ("p'5", "b", "r"), ("q", "a", "t"), ("q", "a1", "q'2"), ("q'", "a", "r"),
-            ("q'0", "a1", "q'11"), ("q'11", "a", "p"), ("q'11", "a1", "q'21"),
-            ("q'2", "a1", "q'3"), ("q'21", "a", "q"), ("q'21", "a1", "q'31"),
-            ("q'3", "a1", "q'4"), ("q'31", "a", "s"), ("q'4", "a1", "q'5"),
-            ("q'5", "a1", "q'"),
+            ("p'5", "b", "r"), ("q", "a", "t"), ("q", "a1", "q'"), ("q'", "a", "r"),
+            ("q'0", "a1", "q'11"), ("q'11", "a", "p"), ("q'11", "a1", "q'2"),
+            ("q'2", "a", "q"), ("q'2", "a1", "q'3"), ("q'3", "a", "s"),
         ]
         assert result.metadata() == {
             "unobservable_event": "a1",
             "encoding": [
-                {"event": "x'1", "code": 1, "source": "p", "on": "a", "target": "q",
-                 "detour_state": "p'2"},
-                {"event": "x'2", "code": 2, "source": "p", "on": "a", "target": "r",
-                 "detour_state": "p'3"},
-                {"event": "x'3", "code": 3, "source": "p", "on": "b", "target": "q",
-                 "detour_state": "p'4"},
-                {"event": "x'4", "code": 4, "source": "p", "on": "b", "target": "r",
-                 "detour_state": "p'5"},
-                {"event": "x'5", "code": 5, "source": "q", "on": "a", "target": "r",
-                 "detour_state": "q'"},
+                {"code": 1, "source": "p", "on": "a", "target": "q", "detour_state": "p'2"},
+                {"code": 2, "source": "p", "on": "a", "target": "r", "detour_state": "p'3"},
+                {"code": 3, "source": "p", "on": "b", "target": "q", "detour_state": "p'4"},
+                {"code": 4, "source": "p", "on": "b", "target": "r", "detour_state": "p'5"},
+                {"code": 1, "source": "q", "on": "a", "target": "r", "detour_state": "q'"},
             ],
-            "initial_chain": ["q'0", "q'11", "q'21", "q'31"],
+            "initial_chain": ["q'0", "q'11", "q'2", "q'3"],
         }
 
     def test_self_loops_never_split(self):
@@ -436,6 +434,26 @@ class TestPoDeterminize:
         report = classify(d)
         assert report.deterministic and report.partially_ordered
 
+    def test_wide_dag_image_is_linear_in_the_splits(self):
+        # A wide layered DAG, as in the benchmark's dag-unary-wide instances:
+        # each vertex past the first layer has two in-edges from the layer
+        # before, so thousands of vertices have several a-successors.  Codes
+        # numbered across the whole automaton would make each source's chain
+        # as long as its largest code: millions of states here.
+        rng = make_rng("po-det-wide")
+        width, layers = 500, 6
+        edges = {
+            (rng.randrange((v // width - 1) * width, v // width * width), v)
+            for v in range(width, width * layers) for _ in range(2)
+        }
+        a = gen_dag_cso_unary(Dag(width * layers, frozenset(edges), 0, 0)).automaton
+        started = time.perf_counter()
+        result = po_determinize(a, "a")
+        elapsed = time.perf_counter() - started
+        assert len(result.splits) >= 2000
+        assert len(result.automaton.states) == len(a.states) + len(result.splits)
+        assert elapsed < 1.0
+
     def test_random_ponfas_preserve_cso(self):
         rng = make_rng("po-det-unit")
         for _ in range(60):
@@ -445,11 +463,11 @@ class TestPoDeterminize:
             assert verify_cso(inst).holds == verify_cso(image).holds
             report = classify(result.automaton)
             assert report.deterministic and report.partially_ordered
-            # size accounting: detours plus fillers stay within splits squared,
-            # the initial chain adds one state per folded initial plus one
+            # size accounting: one detour per split; the initial chain adds
+            # one state per folded initial plus one
             added = len(result.automaton.states) - len(inst.automaton.states)
             chain = len(result.initial_chain)
-            assert added <= len(result.splits) ** 2 + chain
+            assert added == len(result.splits) + chain
             assert chain in (0, len(inst.automaton.initial) + 1)
 
 

@@ -523,6 +523,11 @@ def test_pair_search_finds_the_least_label_of_subset_simulation(search):
 @given(cso_instances(structure="po"))
 def test_po_determinize_keeps_the_witness_observation(inst):
     result = po_determinize(inst.automaton, "a")
+    report = classify(result.automaton)
+    assert report.deterministic and report.partially_ordered
+    chain = len(result.initial_chain)
+    assert chain in (0, len(inst.automaton.initial) + 1)
+    assert len(result.automaton.states) == len(inst.automaton.states) + len(result.splits) + chain
     image = CsoInstance(result.automaton, inst.secret, inst.nonsecret)
     source, target = verify_cso(inst, "observer"), verify_cso(image, "observer")
     assert source.holds == target.holds
