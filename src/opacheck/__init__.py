@@ -1,7 +1,8 @@
 """Opacity verification for partially observed discrete-event systems.
 
-The generators and transformations of :mod:`opacheck.gadgets` are imported on
-first access, so verifying an instance does not load them.
+The generators and transformations of :mod:`opacheck.gadgets`, and
+:class:`StructureReport`, are imported on first access, so verifying an
+instance does not load them.
 """
 
 from .automata import (
@@ -9,7 +10,6 @@ from .automata import (
     Automaton,
     Event,
     Observation,
-    StructureReport,
     Verdict,
     Witness,
     classify,
@@ -52,12 +52,16 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    # Every exported name not imported above lives in ``gadgets``.
+    # Every exported name not imported above lives in ``gadgets``, but for
+    # the report of ``classify``.
     if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import gadgets
+    if name == "StructureReport":
+        from . import structure as module
+    else:
+        from . import gadgets as module
 
-    value = getattr(gadgets, name)
+    value = getattr(module, name)
     globals()[name] = value
     return value
 

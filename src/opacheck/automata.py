@@ -19,13 +19,15 @@ function of its inputs, so values can be shared freely across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import Collection, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Collection, Iterable, Optional, Sequence
 
 from .errors import ObserverBlowup, PreconditionViolated
+
+if TYPE_CHECKING:
+    from .structure import StructureReport
 
 DEFAULT_OBSERVER_CAP = 2**20
 """Default bound on the nonempty estimates one subset search may intern
@@ -41,8 +43,76 @@ def _require(condition: bool, message: str) -> None:
         raise PreconditionViolated(message)
 
 
-@dataclass(frozen=True)
-class Event:
+class _Record:
+    """An immutable value whose fields are its class's annotated names, in
+    order; a class attribute of the same name is the field's default.
+
+    Construction takes the fields by position or keyword, stores them and
+    then calls the class's ``__post_init__``, which may normalize them with
+    ``object.__setattr__``.  Equality and hashing read the fields named by
+    ``_compared`` (all of them unless the class says otherwise), and the
+    ``repr`` lists every field.  Assignment and deletion raise
+    :class:`AttributeError`.  The instance ``__dict__`` holds the fields and
+    any ``cached_property`` values.  This is what a frozen dataclass gives,
+    without the import of :mod:`dataclasses` and the per-class code
+    generation that would slow every command line's start-up.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _compared: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
+        if "_compared" not in cls.__dict__:
+            cls._compared = cls._fields
+
+    def __init__(self, *args, **kwargs) -> None:
+        names, values = self._fields, self.__dict__
+        if len(args) > len(names):
+            raise TypeError(f"{type(self).__name__}() takes {len(names)} arguments"
+                            f" but {len(args)} were given")
+        values.update(zip(names, args))
+        for name in names[len(args):]:
+            if name in kwargs:
+                values[name] = kwargs.pop(name)
+            elif name in self._defaults:
+                values[name] = self._defaults[name]
+            else:
+                raise TypeError(f"{type(self).__name__}() missing argument {name!r}")
+        if kwargs:
+            name = next(iter(kwargs))
+            problem = "multiple values for" if name in names else "an unexpected keyword"
+            raise TypeError(f"{type(self).__name__}() got {problem} argument {name!r}")
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._compared])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Event(_Record):
     name: str
     observable: bool = True
 
@@ -53,8 +123,7 @@ class Event:
             raise ValueError("event observability must be a boolean")
 
 
-@dataclass(frozen=True)
-class Automaton:
+class Automaton(_Record):
     """A nondeterministic finite automaton with a partitioned alphabet.
 
     ``states`` keeps declaration order; ``alphabet`` order is semantically
@@ -119,34 +188,54 @@ class Automaton:
         return _Graph.of(self)
 
     @cached_property
-    def _structure(self) -> StructureReport:
+    def _structure(self) -> dict[str, object]:
+        """The five facts of :class:`StructureReport`, by field name: routing
+        and the command line's reports read them here, and :func:`classify`
+        wraps them."""
         g = self._graph
         po = g.order is not None
-        # A cycle is a self-loop or a cycle of the self-loop-free transitions.
-        acyclic = po and not g.loops
-        deterministic = len(self.initial) == 1 and not g.branching
         observable = len(self.observable_events)
-        return StructureReport(deterministic, acyclic, po, observable, len(self.alphabet) - observable)
+        return {
+            "deterministic": len(self.initial) == 1 and not g.branching,
+            # A cycle is a self-loop or a cycle of the self-loop-free transitions.
+            "acyclic": po and not g.loops,
+            "partially_ordered": po,
+            "observable_event_count": observable,
+            "unobservable_event_count": len(self.alphabet) - observable,
+        }
+
+    @cached_property
+    def _report(self) -> StructureReport:
+        from .structure import StructureReport  # a dataclass: only classify loads it
+
+        return StructureReport(**self._structure)
 
     def is_observable(self, event: str) -> bool:
-        return self.events_by_name[event].observable
+        found = self.events_by_name.get(event)
+        _require(found is not None, "is_observable: the event must be declared")
+        return found.observable
 
     def successors(self, state: str, event: str) -> tuple[str, ...]:
         """The targets of ``state`` under ``event``, sorted by name."""
         g = self._graph
+        _require(state in g.index and event in g.event_index,
+                 "successors: the state and event must be declared")
         targets = g.succ[g.event_index[event]][g.index[state]]
         return tuple(sorted(self.states[j] for j in targets))
 
     def move(self, states: Iterable[str], event: str) -> frozenset[str]:
         g = self._graph
+        states = tuple(states)
+        _require(event in g.event_index and all(map(g.index.__contains__, states)),
+                 "move: the states and event must be declared")
         row = g.succ[g.event_index[event]]
         return frozenset(self.states[j] for p in states for j in row[g.index[p]])
 
     def with_initial(self, initial: Iterable[str]) -> "Automaton":
-        return replace(self, initial=frozenset(initial))
+        return Automaton(self.states, self.alphabet, self.transitions, initial, self.marked)
 
     def with_marked(self, marked: Iterable[str]) -> "Automaton":
-        return replace(self, marked=frozenset(marked))
+        return Automaton(self.states, self.alphabet, self.transitions, self.initial, marked)
 
 
 def _triples(items: Iterable[Sequence[str]]) -> frozenset[Transition]:
@@ -163,17 +252,7 @@ def _triples(items: Iterable[Sequence[str]]) -> frozenset[Transition]:
     return frozenset((p, e, q) for (p, e, q) in items)
 
 
-@dataclass(frozen=True)
-class StructureReport:
-    deterministic: bool
-    acyclic: bool
-    partially_ordered: bool
-    observable_event_count: int
-    unobservable_event_count: int
-
-
-@dataclass(frozen=True)
-class Witness:
+class Witness(_Record):
     """A violating (or, for weak opacity, confirming) observation plus a replayable run.
 
     ``secret_run`` is a full event string over the automaton's alphabet whose
@@ -184,14 +263,14 @@ class Witness:
     secret_run: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(_Record):
     """``algorithm`` names the code that decided: ``observer``, ``inclusion``,
     ``unary-po`` or ``product``.  It takes no part in equality."""
 
     holds: bool
     witness: Optional[Witness] = None
-    algorithm: str = field(default="", compare=False)
+    algorithm: str = ""
+    _compared = ("holds", "witness")
 
 
 class _Graph:
@@ -275,10 +354,11 @@ def classify(a: Automaton) -> StructureReport:
 
     Self-loops count as cycles for acyclicity but are permitted in partially
     ordered automata (every nontrivial strongly connected component breaks the
-    partial order).  The report is computed once per automaton and cached on
-    it, so routing, fast-path preconditions and output share one report.
+    partial order).  The facts are computed once per automaton and cached on
+    it, so routing, fast-path preconditions and output share them; so is the
+    report that holds them.
     """
-    return a._structure
+    return a._report
 
 
 def _reach(seeds: Iterable[int], rows: Sequence[Sequence[Sequence[int]]]) -> set[int]:
@@ -416,7 +496,9 @@ class _EstimateKernel:
     is the closure of the event's successors of node ``i``; the post-image
     of an estimate is the union of its members' rows.  The members of the
     last mask whose post-image was taken are kept, since searches take the
-    post-images of one mask under every event in turn.  On a quotient
+    post-images of one mask under every event in turn; :meth:`step` keeps
+    its own, so a kernel that serves both sides of a search (see
+    :func:`_least_difference`) does not evict the other side's.  On a quotient
     (:func:`_quotient`) an estimate is a set of classes: a class set
     commutes with every post-image and decides whether an estimate meets
     each respected set, and one class estimate stands for every estimate
@@ -447,6 +529,7 @@ class _EstimateKernel:
         self.masks: list[int] = []
         self._ids: dict[int, int] = {}
         self._members_of, self._members = 0, []
+        self._stepped, self._step_members = _EMPTY, []
 
     def close(self, mask: int) -> int:
         out = 0
@@ -478,7 +561,12 @@ class _EstimateKernel:
         """Id of the estimate that event index ``k`` leads to from estimate ``i``."""
         if i == _EMPTY:
             return i
-        return self.intern(self.post(self.masks[i], k))
+        if i != self._stepped:
+            self._stepped, self._step_members = i, _bits(self.masks[i])
+        row, out = self.rows[k], 0
+        for j in self._step_members:
+            out |= row[j]
+        return self.intern(out)
 
     def search(self, start: int, is_goal) -> Optional[Observation]:
         """Breadth-first walk over the nonempty estimates reachable from the
@@ -745,13 +833,12 @@ def _unary_event(a: Automaton) -> Optional[str]:
     """``a``'s observable event if it is the only one and ``a`` is partially
     ordered, else None.  The count goes first, so other automata build no order."""
     events = a.observable_events
-    if len(events) == 1 and classify(a).partially_ordered:
+    if len(events) == 1 and a._structure["partially_ordered"]:
         return events[0]
     return None
 
 
-@dataclass(frozen=True)
-class LengthSet:
+class LengthSet(_Record):
     """Semilinear set of observation lengths: a finite part plus at most one ray.
 
     The denoted set is ``finite union [ray_start, infinity)``; finite points at

@@ -10,10 +10,9 @@ import argparse
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, fields, replace
 
 from . import jsonio
-from .automata import DEFAULT_OBSERVER_CAP, Automaton, Verdict, classify
+from .automata import DEFAULT_OBSERVER_CAP, Automaton, Verdict
 from .errors import OpacheckError
 from .opacity import (
     CSO_ALGORITHMS,
@@ -87,9 +86,10 @@ def _run_verification(args, instance) -> Verdict:
 
 
 def _classification_json(instance) -> dict:
-    """One report per automaton field, keyed by its name, or the report
-    itself when the one field is ``automaton``."""
-    reports = {name: asdict(classify(getattr(instance, name)))
+    """One report (the facts :func:`classify` wraps) per automaton field,
+    keyed by its name, or the report itself when the one field is
+    ``automaton``."""
+    reports = {name: getattr(instance, name)._structure
                for name in jsonio.automaton_fields(instance)}
     return reports.get("automaton", reports)
 
@@ -196,7 +196,7 @@ def _cmd_gen_po_det(args) -> int:
     if found is automaton:
         out = jsonio.automaton_to_dict(result.automaton)
     else:
-        out = jsonio.instance_to_dict(replace(found, automaton=result.automaton))
+        out = jsonio.instance_to_dict(CsoInstance(result.automaton, found.secret, found.nonsecret))
     return _emit({**out, "metadata": result.metadata()})
 
 
@@ -214,7 +214,7 @@ def _automata(data: dict) -> list[tuple[str, Automaton]]:
 
     def rank(notion: str) -> tuple[int, int]:
         cls = classes[notion]
-        return len(jsonio.automaton_fields(cls)), sum(f.name in data for f in fields(cls))
+        return len(jsonio.automaton_fields(cls)), sum(name in data for name in cls._fields)
 
     for notion in sorted(classes, key=rank, reverse=True):
         names = jsonio.automaton_fields(classes[notion])
@@ -224,7 +224,7 @@ def _automata(data: dict) -> list[tuple[str, Automaton]]:
                 raise jsonio.ParseError(f"instance is missing keys: {missing}")
             instance = jsonio.instance_from_dict(data, notion)
             return [(name, getattr(instance, name)) for name in names]
-    known = {f.name for cls in classes.values() for f in fields(cls)}
+    known = {name for cls in classes.values() for name in cls._fields}
     unknown = sorted(set(data) - known - {"metadata"})
     raise jsonio.ParseError(f"instance has unknown keys: {unknown}")
 
@@ -232,15 +232,15 @@ def _automata(data: dict) -> list[tuple[str, Automaton]]:
 def _cmd_classify(args) -> int:
     found = _read(args.file, _automata)
     if args.output == "json":
-        return _emit({role: asdict(classify(a)) for role, a in found})
+        return _emit({role: a._structure for role, a in found})
     for role, automaton in found:
-        report = classify(automaton)
+        report = automaton._structure
         prefix = f"{role}: " if len(found) > 1 else ""
-        print(f"{prefix}deterministic: {report.deterministic}")
-        print(f"{prefix}acyclic: {report.acyclic}")
-        print(f"{prefix}partially_ordered: {report.partially_ordered}")
-        print(f"{prefix}observable_events: {report.observable_event_count}")
-        print(f"{prefix}unobservable_events: {report.unobservable_event_count}")
+        print(f"{prefix}deterministic: {report['deterministic']}")
+        print(f"{prefix}acyclic: {report['acyclic']}")
+        print(f"{prefix}partially_ordered: {report['partially_ordered']}")
+        print(f"{prefix}observable_events: {report['observable_event_count']}")
+        print(f"{prefix}unobservable_events: {report['unobservable_event_count']}")
     return 0
 
 

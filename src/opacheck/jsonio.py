@@ -24,7 +24,6 @@ directions loop over those fields, so no other table describes an instance.
 from __future__ import annotations
 
 import json
-from dataclasses import fields
 from itertools import chain, repeat
 from json.encoder import encode_basestring
 from typing import TYPE_CHECKING, Any
@@ -138,7 +137,7 @@ def _read_field(name: str, value: Any):
 
 def automaton_fields(instance) -> list[str]:
     """The names of the automaton fields of an instance or instance class."""
-    return [f.name for f in fields(instance) if f.name.endswith("automaton")]
+    return [name for name in instance._fields if name.endswith("automaton")]
 
 
 def instance_from_dict(d: dict, notion: str):
@@ -147,7 +146,7 @@ def instance_from_dict(d: dict, notion: str):
     cls = INSTANCE_CLASSES.get(notion)
     if cls is None:
         raise ParseError(f"unknown notion {notion!r}")
-    names = [f.name for f in fields(cls)]
+    names = cls._fields
     _check_keys(d, set(names), f"{notion} instance", optional={"metadata"})
     try:
         return cls(*[_read_field(name, d[name]) for name in names])
@@ -159,9 +158,9 @@ def instance_to_dict(instance, metadata: dict | None = None) -> dict:
     if not isinstance(instance, tuple(INSTANCE_CLASSES.values())):
         raise TypeError(f"cannot serialize {type(instance).__name__}")
     out = {}
-    for f in fields(instance):
-        value = getattr(instance, f.name)
-        out[f.name] = automaton_to_dict(value) if f.name.endswith("automaton") else sorted(value)
+    for name in instance._fields:
+        value = getattr(instance, name)
+        out[name] = automaton_to_dict(value) if name.endswith("automaton") else sorted(value)
     if metadata is not None:
         out["metadata"] = metadata
     return out

@@ -16,7 +16,6 @@ bisimulation that keeps the secret and non-secret sets apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Iterable
 
@@ -26,6 +25,7 @@ from .automata import (
     LengthSet,
     Verdict,
     Witness,
+    _Record,
     inclusion_modulo_projection,
     intersection_nonempty_modulo_projection,
     realize_observation,
@@ -42,8 +42,7 @@ from .errors import PreconditionViolated
 CSO_ALGORITHMS = ("auto", "observer", "inclusion", "unary-po")
 
 
-@dataclass(frozen=True)
-class CsoInstance:
+class CsoInstance(_Record):
     """Current-state opacity instance: which current states are secret/non-secret.
 
     The two sets may overlap, and states in neither set carry no status at all;
@@ -62,8 +61,7 @@ class CsoInstance:
             raise ValueError("secret and non-secret sets must be declared states")
 
 
-@dataclass(frozen=True)
-class LboInstance:
+class LboInstance(_Record):
     """Language-based opacity instance: the secret and non-secret marked languages."""
 
     secret_automaton: Automaton
@@ -74,8 +72,7 @@ class LboInstance:
             raise ValueError("both automata must declare the identical alphabet")
 
 
-@dataclass(frozen=True)
-class IsoInstance:
+class IsoInstance(_Record):
     """Initial-state opacity instance over subsets of the initial states."""
 
     automaton: Automaton
@@ -91,8 +88,7 @@ class IsoInstance:
             raise ValueError("non-secret initial states must be initial states")
 
 
-@dataclass(frozen=True)
-class IfsoInstance:
+class IfsoInstance(_Record):
     """Initial-and-final-state opacity instance: the secret is an (initial, marked) pair."""
 
     automaton: Automaton

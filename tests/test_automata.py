@@ -1,9 +1,13 @@
 """Core data model and language machinery tests."""
 
 import ast
+import copy
+import dataclasses
+import pickle
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -15,9 +19,16 @@ from opacheck import (
     CsoInstance,
     Dag,
     Event,
+    IfsoInstance,
+    IsoInstance,
+    LboInstance,
+    LengthSet,
     ObserverBlowup,
     PreconditionViolated,
+    Verdict,
+    Witness,
     classify,
+    cso_to_lbo,
     gen_cnf_cso,
     gen_dag_cso_unary,
     gen_union_universality_cso,
@@ -26,9 +37,11 @@ from opacheck import (
     project_string,
     realize_observation,
     trim,
+    lbo_to_iso,
     unobservable_reach,
     verify_cso,
     verify_cso_observer,
+    verify_iso,
 )
 from opacheck import automata
 from opacheck.automata import _EMPTY, _EstimateKernel, _closures
@@ -93,6 +106,122 @@ class TestPublicSurface:
         assert "_graph" in a.__dict__
 
 
+class TestRecords:
+    """The value types are immutable records that behave as frozen dataclasses
+    did, apart from ``dataclasses.fields``, ``replace`` and ``asdict``."""
+
+    def example(self):
+        # README's keyword construction; ``marked`` takes its default
+        return Automaton(
+            states=("p", "q", "r"),
+            alphabet=(Event("a"), Event("u", observable=False)),
+            transitions={("p", "a", "q"), ("p", "u", "r")},
+            initial={"p"},
+        )
+
+    def test_keyword_and_positional_construction_agree(self):
+        a = self.example()
+        assert a.marked == frozenset() and a.initial == frozenset({"p"})
+        assert a == Automaton(("p", "q", "r"), (Event("a"), Event("u", False)),
+                              [("p", "u", "r"), ("p", "a", "q")], ["p"])
+        inst = CsoInstance(a, secret={"q"}, nonsecret={"r"})
+        assert inst == CsoInstance(a, frozenset({"q"}), frozenset({"r"}))
+        assert verify_cso(inst).witness.observation == ("a",)
+        assert Automaton._fields == ("states", "alphabet", "transitions", "initial", "marked")
+
+    def test_bad_arguments_are_type_errors(self):
+        a = self.example()
+        with pytest.raises(TypeError, match="missing argument 'initial'"):
+            Automaton(a.states, a.alphabet, a.transitions)
+        with pytest.raises(TypeError, match="unexpected keyword argument 'final'"):
+            Automaton(a.states, a.alphabet, a.transitions, a.initial, final=())
+        with pytest.raises(TypeError, match="multiple values for argument 'states'"):
+            Automaton(a.states, a.alphabet, a.transitions, a.initial, states=())
+        with pytest.raises(TypeError, match="takes 2 arguments but 3 were given"):
+            Event("a", True, "extra")
+
+    def test_equality_and_hashing_leave_the_algorithm_out(self):
+        w = Witness(("a",), ("u", "a"))
+        observer, inclusion = Verdict(False, w, "observer"), Verdict(False, w, "inclusion")
+        assert observer == inclusion and hash(observer) == hash(inclusion)
+        assert observer != Verdict(False, Witness(("a",), ("a",)), "observer")
+        assert Verdict(True) != Verdict(False)
+        assert Verdict(True) != (True, None)  # another class is never equal
+        assert hash(Event("a")) == hash(Event("a", True)) and Event("a") != Event("a", False)
+        a = self.example()
+        assert hash(a) == hash(Automaton(a.states, a.alphabet, a.transitions, a.initial))
+        assert len({a, self.example(), a.with_marked({"q"})}) == 2
+
+    def test_repr_lists_every_field(self):
+        w = Witness(("a",), ("u", "a"))
+        assert repr(Verdict(False, w, "observer")) == (
+            "Verdict(holds=False, witness=Witness(observation=('a',), secret_run=('u', 'a')),"
+            " algorithm='observer')")
+        assert repr(Event("u", observable=False)) == "Event(name='u', observable=False)"
+        assert repr(LengthSet(frozenset({1, 5}), 3)) == (
+            "LengthSet(finite=frozenset({1}), ray_start=3)")
+        one = Automaton(("p",), (Event("a"),), {("p", "a", "p")}, {"p"})
+        assert repr(CsoInstance(one, {"p"}, ())) == (
+            "CsoInstance(automaton=Automaton(states=('p',),"
+            " alphabet=(Event(name='a', observable=True),),"
+            " transitions=frozenset({('p', 'a', 'p')}), initial=frozenset({'p'}),"
+            " marked=frozenset()), secret=frozenset({'p'}), nonsecret=frozenset())")
+
+    def test_assignment_and_deletion_raise_attribute_error(self):
+        a = self.example()
+        values = [a, a.alphabet[0], Verdict(True), Witness((), ()), LengthSet(frozenset()),
+                  CsoInstance(a, (), ()), LboInstance(a, a), IsoInstance(a, (), ()),
+                  IfsoInstance(a, (), ())]
+        for value in values:
+            name = value._fields[0]
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+                delattr(value, name)
+            with pytest.raises(AttributeError):
+                value.unknown = 1
+        assert a.states == ("p", "q", "r")
+
+    def test_copy_and_pickle_round_trips(self):
+        a = self.example()
+        inst = CsoInstance(a, {"q"}, set())
+        verdict = verify_cso(inst)
+        assert not verdict.holds  # the round trips below carry a witness
+        for value in (a, inst, verdict, LengthSet(frozenset({0}), 2)):
+            for twin in (copy.copy(value), copy.deepcopy(value),
+                         pickle.loads(pickle.dumps(value))):
+                assert twin == value and repr(twin) == repr(value)
+        again = pickle.loads(pickle.dumps(inst))
+        assert verify_cso(again) == verdict and verify_cso(again).algorithm == verdict.algorithm
+
+    def test_with_initial_and_with_marked_copy_and_validate(self):
+        a = self.example()
+        b, c = a.with_initial(["q", "r"]), a.with_marked(["r"])
+        assert (b.initial, b.marked) == (frozenset({"q", "r"}), frozenset())
+        assert (c.initial, c.marked) == (frozenset({"p"}), frozenset({"r"}))
+        for other in (b, c):
+            assert (other.states, other.alphabet, other.transitions) == (
+                a.states, a.alphabet, a.transitions)
+        assert a.initial == {"p"} and a.marked == frozenset()
+        with pytest.raises(ValueError, match="'z' is not a declared state"):
+            a.with_initial(["z"])
+        with pytest.raises(ValueError, match="'z' is not a declared state"):
+            a.with_marked(["z"])
+
+    def test_classify_report_is_one_cached_dataclass(self):
+        a = self.example()
+        report = classify(a)
+        assert classify(a) is report
+        assert dataclasses.is_dataclass(report) and report is opacheck.classify(a)
+        assert dataclasses.asdict(report) == a._structure == {
+            "deterministic": True, "acyclic": True, "partially_ordered": True,
+            "observable_event_count": 1, "unobservable_event_count": 1,
+        }
+        assert type(report) is opacheck.StructureReport
+        for value in (a, Verdict(True)):
+            assert not dataclasses.is_dataclass(value)
+
+
 class TestValidation:
     def test_event_name_must_be_nonempty(self):
         with pytest.raises(ValueError):
@@ -145,6 +274,31 @@ class TestValidation:
         for observable in ("no", 0, 1, None):
             with pytest.raises(ValueError, match="event observability must be a boolean"):
                 Event("a", observable=observable)
+
+
+class TestUndeclaredNames:
+    """Every query on an automaton raises PreconditionViolated, not KeyError,
+    on a state or event the automaton does not declare."""
+
+    def test_successors(self):
+        a = aut(["p", "q"], AB, [("p", "a", "q")], ["p"])
+        assert a.successors("p", "a") == ("q",)
+        for state, event in (("zz", "a"), ("p", "zz")):
+            with pytest.raises(PreconditionViolated, match="successors"):
+                a.successors(state, event)
+
+    def test_move(self):
+        a = aut(["p", "q"], AB, [("p", "a", "q")], ["p"])
+        assert a.move({"p", "q"}, "a") == {"q"}
+        for states, event in (({"p", "zz"}, "a"), ({"p"}, "zz")):
+            with pytest.raises(PreconditionViolated, match="move"):
+                a.move(states, event)
+
+    def test_is_observable(self):
+        a = aut(["p"], (Event("a"), Event("u", observable=False)), [], ["p"])
+        assert a.is_observable("a") and not a.is_observable("u")
+        with pytest.raises(PreconditionViolated, match="is_observable"):
+            a.is_observable("zz")
 
 
 class TestLargeConstruction:
@@ -560,6 +714,41 @@ class TestInclusion:
             if not verdict.holds:
                 assert verdict.witness.observation in left - right
 
+
+    def test_a_shared_kernel_keeps_the_left_members_across_right_steps(self, monkeypatch):
+        # ISO runs both sides on one automaton, so one kernel serves both.  The
+        # left side posts one mask under each observable event in turn; right
+        # steps between those posts must not make it take the mask's members
+        # (``_bits``) again.  So the members are taken at most once per group,
+        # and each group but the last posts its mask under every event.
+        formula = CnfFormula(4, (frozenset({1, 2, 3}), frozenset({-1, 2, -4}),
+                                 frozenset({-2, 3, 4}), frozenset({1, -3, -4})))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            inst = lbo_to_iso(cso_to_lbo(gen_cnf_cso(formula))).instance
+        counts = {"post": 0, "members": 0}
+        real_bits, real_post = automata._bits, _EstimateKernel.post
+        posting = []
+
+        def bits(mask):
+            counts["members"] += bool(posting)
+            return real_bits(mask)
+
+        def post(kernel, mask, k):
+            counts["post"] += 1
+            posting.append(mask)
+            try:
+                return real_post(kernel, mask, k)
+            finally:
+                posting.pop()
+
+        expected = verify_iso(inst)
+        monkeypatch.setattr(automata, "_bits", bits)
+        monkeypatch.setattr(_EstimateKernel, "post", post)
+        assert verify_iso(inst) == expected
+        width = len(inst.automaton.observable_events)
+        assert width >= 2 and counts["post"] > 2 * width
+        assert (counts["members"] - 1) * width < counts["post"]
 
 class TestIntersection:
     def test_empty_left_language(self):

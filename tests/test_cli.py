@@ -283,6 +283,40 @@ class TestVerify:
         ).stdout
         assert out.splitlines()[-1] == "1 []"
 
+    @pytest.mark.parametrize("notion, algorithm", [
+        ("cso", "auto"), ("cso", "inclusion"), ("lbo", "auto"), ("lbo-weak", "auto"),
+        ("iso", "auto"), ("ifso", "auto"),
+    ])
+    def test_verify_child_never_imports_dataclasses(self, tmp_path, notion, algorithm):
+        # Importing dataclasses was a large share of a verify child's start-up.
+        # The import trace lists every module the child loaded before it exited.
+        cso = gen_cnf_cso(TWO_CLAUSE)
+        lbo = cso_to_lbo(cso)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            iso = lbo_to_iso(lbo).instance
+        a = cso.automaton
+        instances = {
+            "cso": cso, "lbo": lbo, "iso": iso,
+            "lbo-weak": gen_dag_weak_lbo(Dag(3, frozenset({(0, 1), (1, 2)}), 0, 2)),
+            "ifso": IfsoInstance(a, {(i, s) for i in a.initial for s in cso.secret},
+                                 {(i, s) for i in a.initial for s in cso.nonsecret}),
+        }
+        path = write_instance(tmp_path, f"{notion}.json", instances[notion])
+        src = str(Path(opacheck.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "opacheck.cli", "verify",
+             "--notion", notion, "--algorithm", algorithm, "--output", "json", path],
+            env=env, capture_output=True, text=True, check=False,
+        )
+        assert done.returncode in (0, 1), done.stderr
+        assert json.loads(done.stdout)["notion"] == notion
+        imported = {line.rpartition("|")[2].strip() for line in done.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert {"opacheck.automata", "opacheck.opacity", "opacheck.jsonio"} <= imported
+        assert "dataclasses" not in imported
+
     def test_tiny_observer_cap_fails_loudly(self, tmp_path, capsys):
         path = write_instance(tmp_path, "inst.json", gen_cnf_cso(TWO_CLAUSE))
         assert main(["verify", "--notion", "cso", "--observer-cap", "1", path]) == 2
