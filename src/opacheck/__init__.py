@@ -38,10 +38,9 @@ from .opacity import (
     LengthSet,
     observation_length_set,
     select_cso_algorithm,
+    verify,
     verify_cso,
-    verify_cso_inclusion,
     verify_cso_observer,
-    verify_cso_unary_po,
     verify_ifso,
     verify_iso,
     verify_lbo,
@@ -108,10 +107,9 @@ __all__ = [
     "select_cso_algorithm",
     "trim",
     "unobservable_reach",
+    "verify",
     "verify_cso",
-    "verify_cso_inclusion",
     "verify_cso_observer",
-    "verify_cso_unary_po",
     "verify_ifso",
     "verify_iso",
     "verify_lbo",

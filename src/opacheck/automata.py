@@ -43,6 +43,14 @@ def _require(condition: bool, message: str) -> None:
         raise PreconditionViolated(message)
 
 
+def _names(value, field: str):
+    """``value``, a collection of names; one string would pass for the
+    collection of its characters, so it is rejected."""
+    if isinstance(value, str):
+        raise ValueError(f"{field} must be a collection of names, not a string")
+    return value
+
+
 class _Record:
     """An immutable value whose fields are its class's annotated names, in
     order; a class attribute of the same name is the field's default.
@@ -138,14 +146,16 @@ class Automaton(_Record):
     marked: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "states", tuple(self.states))
+        object.__setattr__(self, "states", tuple(_names(self.states, "states")))
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
         object.__setattr__(self, "transitions", _triples(self.transitions))
-        object.__setattr__(self, "initial", frozenset(self.initial))
-        object.__setattr__(self, "marked", frozenset(self.marked))
+        object.__setattr__(self, "initial", frozenset(_names(self.initial, "initial")))
+        object.__setattr__(self, "marked", frozenset(_names(self.marked, "marked")))
         self._validate()
 
     def _validate(self) -> None:
+        if not all(map(isinstance, self.alphabet, repeat(Event))):
+            raise ValueError("alphabet entries must be Event values")
         if not all(map(isinstance, self.states, repeat(str))):
             raise ValueError("state names must be strings")
         declared = set(self.states)
@@ -849,8 +859,12 @@ class LengthSet(_Record):
     ray_start: Optional[int] = None
 
     def __post_init__(self) -> None:
-        fin = frozenset(int(k) for k in self.finite)
-        if any(k < 0 for k in fin) or (self.ray_start is not None and self.ray_start < 0):
+        fin = frozenset(self.finite)
+        lengths = fin if self.ray_start is None else (*fin, self.ray_start)
+        # bool is a subclass of int, but True is no length
+        if not all(isinstance(k, int) and not isinstance(k, bool) for k in lengths):
+            raise ValueError("observation lengths must be integers")
+        if any(k < 0 for k in lengths):
             raise ValueError("observation lengths are non-negative")
         if self.ray_start is not None:
             fin = frozenset(k for k in fin if k < self.ray_start)

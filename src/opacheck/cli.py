@@ -14,15 +14,8 @@ from contextlib import contextmanager
 from . import jsonio
 from .automata import DEFAULT_OBSERVER_CAP, Automaton, Verdict
 from .errors import OpacheckError
-from .opacity import (
-    CSO_ALGORITHMS,
-    CsoInstance,
-    verify_cso,
-    verify_ifso,
-    verify_iso,
-    verify_lbo,
-    verify_lbo_weak,
-)
+from .opacity import CSO_ALGORITHMS, CsoInstance
+from .opacity import verify as verify_instance  # build_parser binds a local "verify"
 
 NOTION_TITLES = {
     "cso": "current-state opacity",
@@ -76,15 +69,6 @@ def _witness_json(verdict: Verdict):
     }
 
 
-def _run_verification(args, instance) -> Verdict:
-    if args.notion == "cso":
-        return verify_cso(instance, args.algorithm, cap=args.observer_cap)
-    if args.notion == "lbo-weak":
-        return verify_lbo_weak(instance)
-    verify = {"iso": verify_iso, "ifso": verify_ifso, "lbo": verify_lbo}[args.notion]
-    return verify(instance, cap=args.observer_cap)
-
-
 def _classification_json(instance) -> dict:
     """One report (the facts :func:`classify` wraps) per automaton field,
     keyed by its name, or the report itself when the one field is
@@ -114,7 +98,7 @@ def _cmd_verify(args) -> int:
                     file=sys.stderr,
                 )
         started = time.perf_counter()
-        verdict = _run_verification(args, instance)
+        verdict = verify_instance(instance, args.notion, args.algorithm, cap=args.observer_cap)
         return instance, verdict, time.perf_counter() - started
 
     for path in args.files:

@@ -17,8 +17,9 @@ making of tuples to the constructors, which make them once.
 An input file is an instance file when it has a key ending in ``automaton``,
 and an automaton file otherwise; either may carry a ``metadata`` object, which
 the readers check is an object and otherwise ignore.  An instance file's keys
-are exactly the fields of its notion's class in ``INSTANCE_CLASSES``.  Both
-directions loop over those fields, so no other table describes an instance.
+are exactly the fields of its notion's class in ``opacity.INSTANCE_CLASSES``.
+Both directions loop over those fields, so no other table describes an
+instance.
 """
 
 from __future__ import annotations
@@ -30,17 +31,10 @@ from typing import TYPE_CHECKING, Any
 
 from .automata import Automaton, Event
 from .errors import ParseError
-from .opacity import CsoInstance, IfsoInstance, IsoInstance, LboInstance
+from .opacity import INSTANCE_CLASSES
 
 if TYPE_CHECKING:
     from .gadgets import CnfFormula, Dag
-
-# The instance class of each notion.  Its fields are the keys of the
-# notion's instance file, and a field's name gives its kind: an automaton
-# when it ends in "automaton", a set of [initial, marked] pairs when it ends
-# in "_pairs", and a set of state names otherwise.
-INSTANCE_CLASSES = {"cso": CsoInstance, "iso": IsoInstance, "ifso": IfsoInstance,
-                    "lbo": LboInstance, "lbo-weak": LboInstance}
 
 _AUTOMATON_KEYS = {"alphabet", "states", "initial", "marked", "transitions"}
 
@@ -128,6 +122,9 @@ def _pair_list(value: Any, what: str) -> list[tuple[str, str]]:
 
 
 def _read_field(name: str, value: Any):
+    """The value of an instance field, whose name gives its kind: an
+    automaton when it ends in "automaton", a set of [initial, marked] pairs
+    when it ends in "_pairs", and a set of state names otherwise."""
     if name.endswith("automaton"):
         return automaton_from_dict(value)
     if name.endswith("_pairs"):

@@ -7,7 +7,8 @@ search on the estimate kernel, or, when both sides are partially ordered
 (their only cycles are self-loops) with a single observable event, compares
 sets of observation lengths instead.  ``unary-po`` is the CSO name of that
 length-set path; it refuses any other automaton.  Weak LBO runs the product
-search.  Every verdict names the algorithm that decided it.
+search.  Every verdict names the algorithm that decided it, and
+:func:`verify` is the one map from a notion to the code that decides it.
 
 Both CSO algorithms build their estimate kernel on the same quotient of the
 automaton's graph: on a partially ordered automaton, the classes of a
@@ -32,6 +33,7 @@ from .automata import (
     _EstimateKernel,
     _inclusion,
     _length_sets,
+    _names,
     _quotient,
     _reach,
     _require,
@@ -54,8 +56,8 @@ class CsoInstance(_Record):
     nonsecret: frozenset[str]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "secret", frozenset(self.secret))
-        object.__setattr__(self, "nonsecret", frozenset(self.nonsecret))
+        for name in ("secret", "nonsecret"):
+            object.__setattr__(self, name, frozenset(_names(getattr(self, name), name)))
         declared = set(self.automaton.states)
         if not self.secret <= declared or not self.nonsecret <= declared:
             raise ValueError("secret and non-secret sets must be declared states")
@@ -80,8 +82,8 @@ class IsoInstance(_Record):
     nonsecret_initial: frozenset[str]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "secret_initial", frozenset(self.secret_initial))
-        object.__setattr__(self, "nonsecret_initial", frozenset(self.nonsecret_initial))
+        for name in ("secret_initial", "nonsecret_initial"):
+            object.__setattr__(self, name, frozenset(_names(getattr(self, name), name)))
         if not self.secret_initial <= self.automaton.initial:
             raise ValueError("secret initial states must be initial states")
         if not self.nonsecret_initial <= self.automaton.initial:
@@ -96,12 +98,9 @@ class IfsoInstance(_Record):
     nonsecret_pairs: frozenset[tuple[str, str]]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "secret_pairs", frozenset((i, f) for (i, f) in self.secret_pairs)
-        )
-        object.__setattr__(
-            self, "nonsecret_pairs", frozenset((i, f) for (i, f) in self.nonsecret_pairs)
-        )
+        for name in ("secret_pairs", "nonsecret_pairs"):
+            pairs = _names(getattr(self, name), name)
+            object.__setattr__(self, name, frozenset((i, f) for (i, f) in pairs))
         declared, initial = set(self.automaton.states), self.automaton.initial
         bad = [
             (i, f) for (i, f) in self.secret_pairs | self.nonsecret_pairs
@@ -134,35 +133,11 @@ def verify_cso_observer(inst: CsoInstance, *, cap: int = DEFAULT_OBSERVER_CAP) -
     return Verdict(False, Witness(obs, realize_observation(a, inst.secret, obs)), "observer")
 
 
-def verify_cso_inclusion(inst: CsoInstance, *, cap: int = DEFAULT_OBSERVER_CAP) -> Verdict:
-    """Current-state opacity as projected language inclusion.
-
-    The automaton marked by the secret set must be included, modulo projection,
-    in the automaton marked by the non-secret set.  Agrees with
-    :func:`verify_cso_observer` on every instance, witness included.  On a
-    partially ordered automaton with one observable event it compares length
-    sets and ignores ``cap``.
-    """
-    a, respect = inst.automaton, (inst.secret, inst.nonsecret)
-    return _inclusion(a, a.initial, inst.secret, a, a.initial, inst.nonsecret, cap, respect)
-
-
 def observation_length_set(a: Automaton, targets: Iterable[str]) -> LengthSet:
     """Observation lengths of runs into ``targets`` for a unary partially ordered automaton."""
     targets = frozenset(targets)
     _require(targets <= set(a.states), "observation_length_set: states must be declared")
     return _length_sets(a, a.initial, [targets])[0]
-
-
-def verify_cso_unary_po(inst: CsoInstance) -> Verdict:
-    """:func:`verify_cso_inclusion` on a partially ordered automaton with a
-    single observable event, which it decides from observation length sets;
-    any other automaton raises :class:`PreconditionViolated`."""
-    if _unary_event(inst.automaton) is None:
-        raise PreconditionViolated(
-            "unary-po requires a partially ordered automaton with exactly one observable event"
-        )
-    return verify_cso_inclusion(inst)
 
 
 def select_cso_algorithm(inst: CsoInstance) -> str:
@@ -179,6 +154,11 @@ def verify_cso(
     ``auto`` routes to the structurally cheapest applicable algorithm; forcing
     an inapplicable one raises :class:`PreconditionViolated`.  All applicable
     choices return the same verdict and witness.
+
+    ``inclusion`` is projected language inclusion of the automaton marked
+    by the secret set in the one marked by the non-secret set.  On a
+    partially ordered automaton with one observable event it compares
+    length sets and ignores ``cap``; ``unary-po`` is that path alone.
     """
     if algorithm not in CSO_ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {CSO_ALGORITHMS}")
@@ -186,9 +166,12 @@ def verify_cso(
         algorithm = select_cso_algorithm(inst)
     if algorithm == "observer":
         return verify_cso_observer(inst, cap=cap)
-    if algorithm == "inclusion":
-        return verify_cso_inclusion(inst, cap=cap)
-    return verify_cso_unary_po(inst)
+    if algorithm == "unary-po" and _unary_event(inst.automaton) is None:
+        raise PreconditionViolated(
+            "unary-po requires a partially ordered automaton with exactly one observable event"
+        )
+    a, respect = inst.automaton, (inst.secret, inst.nonsecret)
+    return _inclusion(a, a.initial, inst.secret, a, a.initial, inst.nonsecret, cap, respect)
 
 
 def verify_lbo(inst: LboInstance, *, cap: int = DEFAULT_OBSERVER_CAP) -> Verdict:
@@ -260,3 +243,31 @@ def verify_ifso(inst: IfsoInstance, *, cap: int = DEFAULT_OBSERVER_CAP) -> Verdi
                 marked[side].extend(name[j] for j in reached if j in name)
     copies = Automaton(tuple(states), a.alphabet, transitions, ())
     return _inclusion(copies, starts[0], marked[0], copies, starts[1], marked[1], cap)
+
+
+# The instance class of each notion; LBO and weak LBO share one.  Its fields
+# are the keys of the notion's instance file (see :mod:`opacheck.jsonio`).
+INSTANCE_CLASSES = {"cso": CsoInstance, "iso": IsoInstance, "ifso": IfsoInstance,
+                    "lbo": LboInstance, "lbo-weak": LboInstance}
+
+
+def verify(instance, notion: str, algorithm: str = "auto", *,
+           cap: int = DEFAULT_OBSERVER_CAP) -> Verdict:
+    """Decide ``notion`` on ``instance``, of the notion's class in
+    :data:`INSTANCE_CLASSES`; ``algorithm`` is a :func:`verify_cso` choice,
+    for ``cso`` only.  Weak LBO's product search builds no estimates and
+    ignores ``cap``.  An unknown notion, an instance of another class or an
+    algorithm for another notion raises :class:`ValueError`."""
+    cls = INSTANCE_CLASSES.get(notion)
+    if cls is None:
+        raise ValueError(f"unknown notion {notion!r}, expected one of {tuple(INSTANCE_CLASSES)}")
+    if not isinstance(instance, cls):
+        raise ValueError(f"a {notion} instance must be a {cls.__name__},"
+                         f" not a {type(instance).__name__}")
+    if notion == "cso":
+        return verify_cso(instance, algorithm, cap=cap)
+    if algorithm != "auto":
+        raise ValueError(f"an algorithm can only be chosen for cso, not for {notion}")
+    if notion == "lbo-weak":
+        return verify_lbo_weak(instance)
+    return {"iso": verify_iso, "ifso": verify_ifso, "lbo": verify_lbo}[notion](instance, cap=cap)

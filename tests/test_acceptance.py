@@ -25,9 +25,7 @@ from opacheck import (
     po_determinize,
     unobservable_reach,
     verify_cso,
-    verify_cso_inclusion,
     verify_cso_observer,
-    verify_cso_unary_po,
     verify_iso,
     verify_lbo,
     verify_lbo_weak,
@@ -90,7 +88,7 @@ def equivalence_results():
     for k in range(500):
         alphabet = ALPHABET_2OBS_1UO if k % 2 else ALPHABET_1OBS_1UO
         inst = rand_cso(rng, alphabet, max_states=7)
-        records.append((inst, verify_cso_observer(inst), verify_cso_inclusion(inst)))
+        records.append((inst, verify_cso_observer(inst), verify_cso(inst, "inclusion")))
     return records, time.perf_counter() - started
 
 
@@ -109,7 +107,7 @@ def definitional_results():
     for _ in range(300):
         inst = rand_cso(rng, ALPHABET_2OBS_1UO, max_states=8, structure="acyclic")
         records.append(
-            (inst, enum_cso_acyclic(inst), verify_cso_observer(inst), verify_cso_inclusion(inst))
+            (inst, enum_cso_acyclic(inst), verify_cso_observer(inst), verify_cso(inst, "inclusion"))
         )
     return records, time.perf_counter() - started
 
@@ -231,11 +229,11 @@ def fast_path_results():
     acyclic = []
     for _ in range(300):
         inst = rand_cso(rng, ALPHABET_1OBS_1UO, max_states=7, structure="acyclic")
-        acyclic.append((inst, verify_cso_unary_po(inst), verify_cso_observer(inst)))
+        acyclic.append((inst, verify_cso(inst, "unary-po"), verify_cso_observer(inst)))
     ordered = []
     for _ in range(300):
         inst = rand_cso(rng, ALPHABET_1OBS_1UO, max_states=7, structure="po")
-        ordered.append((inst, verify_cso_unary_po(inst), verify_cso_observer(inst)))
+        ordered.append((inst, verify_cso(inst, "unary-po"), verify_cso_observer(inst)))
     return acyclic, ordered, time.perf_counter() - started
 
 

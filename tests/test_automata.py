@@ -270,6 +270,21 @@ class TestValidation:
             with pytest.raises(ValueError, match="names in transitions, initial and marked"):
                 Automaton(("p", "q"), AB, transitions, initial, marked)
 
+    @pytest.mark.parametrize("field", ["states", "initial", "marked"])
+    def test_a_string_is_not_a_collection_of_names(self, field):
+        # a bare string used to be split into its characters
+        fields = {"states": ("p0", "q"), "alphabet": AB, "transitions": (),
+                  "initial": ("p0",), "marked": ()}
+        fields[field] = "p0"
+        with pytest.raises(ValueError, match=f"{field} must be a collection of names"):
+            Automaton(**fields)
+
+    def test_alphabet_entries_must_be_events(self):
+        # a name in place of an Event used to raise AttributeError
+        with pytest.raises(ValueError, match="alphabet entries must be Event values"):
+            Automaton(("p",), ("a",), (), {"p"})
+        assert Automaton(("p",), iter(AB), (), {"p"}).alphabet == AB
+
     def test_observability_must_be_a_boolean(self):
         for observable in ("no", 0, 1, None):
             with pytest.raises(ValueError, match="event observability must be a boolean"):

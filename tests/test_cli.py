@@ -192,6 +192,11 @@ class TestVerify:
         path = write_instance(tmp_path, "weak.json", gen_dag_weak_lbo(g))
         code = main(["verify", "--notion", "lbo-weak", "--algorithm", "observer", path])
         assert code == 2
+        # the usage error comes before any file is read, so a missing one is not named
+        missing = str(tmp_path / "missing.json")
+        assert main(["verify", "--notion", "lbo", "--algorithm", "inclusion", missing]) == 2
+        assert capsys.readouterr().err == (
+            "error: --algorithm can only be chosen for --notion cso\n" * 2)
 
     def test_malformed_json_exits_two(self, tmp_path, capsys):
         path = write(tmp_path, "broken.json", "{ nope")
@@ -290,6 +295,8 @@ class TestVerify:
     def test_verify_child_never_imports_dataclasses(self, tmp_path, notion, algorithm):
         # Importing dataclasses was a large share of a verify child's start-up.
         # The import trace lists every module the child loaded before it exited.
+        # The modules that only gen, classify and the oracles need stay unloaded
+        # too, whether or not they import dataclasses.
         cso = gen_cnf_cso(TWO_CLAUSE)
         lbo = cso_to_lbo(cso)
         with warnings.catch_warnings():
@@ -316,6 +323,7 @@ class TestVerify:
                     if line.startswith("import time:")}
         assert {"opacheck.automata", "opacheck.opacity", "opacheck.jsonio"} <= imported
         assert "dataclasses" not in imported
+        assert not imported & {"opacheck.gadgets", "opacheck.structure", "opacheck.oracles"}
 
     def test_tiny_observer_cap_fails_loudly(self, tmp_path, capsys):
         path = write_instance(tmp_path, "inst.json", gen_cnf_cso(TWO_CLAUSE))

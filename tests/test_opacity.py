@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 
 from opacheck import (
+    CSO_ALGORITHMS,
     Automaton,
     CnfFormula,
     CsoInstance,
@@ -19,15 +20,16 @@ from opacheck import (
     PreconditionViolated,
     Verdict,
     Witness,
+    cso_to_lbo,
     gen_cnf_cso,
+    gen_dag_cso_unary,
     gen_dag_weak_lbo,
     inclusion_modulo_projection,
     observation_length_set,
     select_cso_algorithm,
+    verify,
     verify_cso,
-    verify_cso_inclusion,
     verify_cso_observer,
-    verify_cso_unary_po,
     verify_ifso,
     verify_iso,
     verify_lbo,
@@ -76,6 +78,31 @@ class TestLengthSet:
         with pytest.raises(ValueError):
             LengthSet(frozenset({-1}))
 
+    @pytest.mark.parametrize("finite, ray_start", [
+        ({1.5, 2}, None),  # was rounded down to {1, 2}
+        ({"3"}, None),  # was parsed as {3}
+        ({1}, 2.5),  # kept a ray at 2.5, so 3 was in it
+        ({True}, None),
+        ((), False),
+    ])
+    def test_non_integer_lengths_rejected(self, finite, ray_start):
+        with pytest.raises(ValueError, match="observation lengths must be integers"):
+            LengthSet(frozenset(finite), ray_start)
+
+
+@pytest.mark.parametrize("cls, field", [
+    (CsoInstance, "secret"), (CsoInstance, "nonsecret"),
+    (IsoInstance, "secret_initial"), (IsoInstance, "nonsecret_initial"),
+    (IfsoInstance, "secret_pairs"), (IfsoInstance, "nonsecret_pairs"),
+])
+def test_a_string_is_not_a_set_of_names(cls, field):
+    # a bare string used to be read as the set of its characters
+    a = aut(["p", "q"], AB, [], ["p", "q"])
+    fields = dict.fromkeys(cls._fields[1:], ())
+    fields[field] = "pq"
+    with pytest.raises(ValueError, match=f"{field} must be a collection of names"):
+        cls(a, **fields)
+
 
 class TestCsoObserver:
     def test_empty_secret_is_opaque(self):
@@ -101,17 +128,17 @@ class TestCsoInclusion:
         rng = make_rng("cso-all-nonsecret")
         a = rand_automaton(rng, ALPHABET_2OBS_1UO)
         inst = CsoInstance(a, frozenset(a.states), frozenset(a.states))
-        assert verify_cso_inclusion(inst).holds
+        assert verify_cso(inst, "inclusion").holds
 
     def test_two_clause_gadget_transparent(self):
-        assert not verify_cso_inclusion(gen_cnf_cso(TWO_CLAUSE)).holds
+        assert not verify_cso(gen_cnf_cso(TWO_CLAUSE), "inclusion").holds
 
     def test_agrees_with_observer_on_random_instances(self):
         rng = make_rng("algorithm-agreement-unit")
         for _ in range(120):
             inst = rand_cso(rng, ALPHABET_2OBS_1UO, max_states=5)
             left = verify_cso_observer(inst)
-            right = verify_cso_inclusion(inst)
+            right = verify_cso(inst, "inclusion")
             assert left.holds == right.holds
             assert left.witness == right.witness
 
@@ -123,27 +150,27 @@ class TestUnaryAcyclic:
         from opacheck import Dag, gen_dag_cso_unary
 
         g = Dag(3, frozenset({(0, 1), (1, 2)}), 0, 2)
-        v = verify_cso_unary_po(gen_dag_cso_unary(g))
+        v = verify_cso(gen_dag_cso_unary(g), "unary-po")
         assert not v.holds and v.witness.observation == ("a", "a")
 
     def test_unreachable_secret_is_opaque(self):
         a = aut(["s", "t"], (Event("a"),), [], ["s"])
-        assert verify_cso_unary_po(CsoInstance(a, {"t"}, frozenset())).holds
+        assert verify_cso(CsoInstance(a, {"t"}, frozenset()), "unary-po").holds
 
     def test_precondition_enforced(self):
         a = aut(["p"], AB, [], ["p"])  # two observable events
         with pytest.raises(PreconditionViolated):
-            verify_cso_unary_po(CsoInstance(a, frozenset(), frozenset()))
+            verify_cso(CsoInstance(a, frozenset(), frozenset()), "unary-po")
         b = aut(["p"], (Event("a"),), [("p", "a", "p")], ["p"])  # self-loop: partially ordered
         inst = CsoInstance(b, {"p"}, frozenset())
-        v = verify_cso_unary_po(inst)
+        v = verify_cso(inst, "unary-po")
         assert v == verify_cso_observer(inst) and not v.holds
 
     def test_agrees_with_observer(self):
         rng = make_rng("unary-acyclic-unit")
         for _ in range(120):
             inst = rand_cso(rng, ALPHABET_1OBS_1UO, max_states=6, structure="acyclic")
-            fast = verify_cso_unary_po(inst)
+            fast = verify_cso(inst, "unary-po")
             slow = verify_cso_observer(inst)
             assert fast == slow
 
@@ -158,7 +185,7 @@ class TestUnaryPo:
         )
         assert observation_length_set(a, {"t"}) == LengthSet(frozenset({1}), None)
         assert observation_length_set(a, {"v"}) == LengthSet(frozenset(), 2)
-        v = verify_cso_unary_po(CsoInstance(a, {"t"}, {"v"}))
+        v = verify_cso(CsoInstance(a, {"t"}, {"v"}), "unary-po")
         assert not v.holds and v.witness.observation == ("a",)
 
     def test_undeclared_target_rejected(self):
@@ -170,13 +197,13 @@ class TestUnaryPo:
 
     def test_state_with_both_statuses_covers_itself(self):
         a = aut(["s", "t"], (Event("a"),), [("s", "a", "t")], ["s"])
-        assert verify_cso_unary_po(CsoInstance(a, {"t"}, {"t"})).holds
+        assert verify_cso(CsoInstance(a, {"t"}, {"t"}), "unary-po").holds
 
     def test_agrees_with_observer(self):
         rng = make_rng("unary-po-unit")
         for _ in range(120):
             inst = rand_cso(rng, ALPHABET_1OBS_1UO, max_states=6, structure="po")
-            fast = verify_cso_unary_po(inst)
+            fast = verify_cso(inst, "unary-po")
             slow = verify_cso_observer(inst)
             assert fast == slow
 
@@ -261,6 +288,46 @@ class TestDispatch:
             assert outcome(inst, "inclusion") == observer
             answered += observer != "cap hit"
         assert answered == 13
+
+
+class TestVerify:
+    """``verify`` routes each notion to its own function, and rejects what
+    none of them decides."""
+
+    def test_each_notion_decides_as_its_own_function(self):
+        cso = gen_cnf_cso(TWO_CLAUSE)
+        a = cso.automaton
+        lbo = cso_to_lbo(cso)
+        cases = [
+            ("iso", IsoInstance(a, a.initial, frozenset()), verify_iso),
+            ("ifso", IfsoInstance(a, {(i, s) for i in a.initial for s in cso.secret},
+                                  {(i, s) for i in a.initial for s in cso.nonsecret}), verify_ifso),
+            ("lbo", lbo, verify_lbo),
+            ("lbo-weak", lbo, verify_lbo_weak),
+        ]
+        for notion, inst, own in cases:
+            got, expected = verify(inst, notion), own(inst)
+            assert (got, got.algorithm) == (expected, expected.algorithm)
+        unary = gen_dag_cso_unary(Dag(3, frozenset({(0, 1), (1, 2)}), 0, 2))
+        for algorithm in CSO_ALGORITHMS:
+            got, expected = verify(unary, "cso", algorithm), verify_cso(unary, algorithm)
+            assert (got, got.algorithm) == (expected, expected.algorithm)
+        with pytest.raises(ObserverBlowup):
+            verify(cso, "cso", "observer", cap=1)
+        with pytest.raises(ObserverBlowup):
+            verify(lbo, "lbo", cap=1)
+
+    def test_rejects_what_no_procedure_decides(self):
+        cso = gen_cnf_cso(TWO_CLAUSE)
+        lbo = cso_to_lbo(cso)
+        with pytest.raises(ValueError, match="unknown notion 'xso', expected one of"):
+            verify(cso, "xso")
+        with pytest.raises(ValueError, match="a lbo instance must be a LboInstance"):
+            verify(cso, "lbo")
+        with pytest.raises(ValueError, match="a cso instance must be a CsoInstance"):
+            verify(lbo, "cso")
+        with pytest.raises(ValueError, match="an algorithm can only be chosen for cso"):
+            verify(lbo, "lbo-weak", "observer")
 
 
 class TestLbo:

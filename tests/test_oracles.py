@@ -11,7 +11,7 @@ from opacheck import (
     PreconditionViolated,
     TooLarge,
     gen_cnf_cso,
-    verify_cso_inclusion,
+    verify_cso,
     verify_cso_observer,
 )
 from opacheck.oracles import (
@@ -95,7 +95,7 @@ class TestEnumCso:
             inst = rand_cso(rng, ALPHABET_2OBS_1UO, max_states=5, structure="acyclic")
             reference = enum_cso_acyclic(inst)
             assert verify_cso_observer(inst) == reference
-            assert verify_cso_inclusion(inst) == reference
+            assert verify_cso(inst, "inclusion") == reference
 
 
 class TestEnumLanguages:

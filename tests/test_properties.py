@@ -595,3 +595,19 @@ def test_length_sets_equal_the_kernel_for_every_inclusion_notion(rng, data):
         unary, kernel = decide(a, b), decide(padded(a), padded(b))
         assert unary == kernel
         assert (unary.algorithm, kernel.algorithm) == ("unary-po", "inclusion")
+
+
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@given(st.randoms(use_true_random=False), st.data())
+def test_the_observer_interns_at_most_one_estimate_per_node_on_unary_po_automata(rng, data):
+    # A run without observable self-loops makes at most |Q| - 1 observations,
+    # and one that makes exactly that many visits every state; so either some
+    # state's observable self-loop keeps its end reachable at every later
+    # length, or every later estimate is empty.  At most |Q| nonempty
+    # estimates remain, and a quotient is again unary and partially ordered.
+    a = unary_po_automaton(rng)
+    states = st.frozensets(st.sampled_from(a.states))
+    secret, nonsecret = data.draw(states), data.draw(states)
+    for respect in ((), (secret, nonsecret)):
+        g, kernel, _ = kernel_search(a, respect)
+        assert len(kernel.masks) <= g.size
