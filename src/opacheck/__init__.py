@@ -15,10 +15,8 @@ from .automata import (
     classify,
     inclusion_modulo_projection,
     intersection_nonempty_modulo_projection,
-    project_string,
     realize_observation,
     trim,
-    unobservable_reach,
 )
 from .errors import (
     InputNotDeterministic,
@@ -35,8 +33,6 @@ from .opacity import (
     IfsoInstance,
     IsoInstance,
     LboInstance,
-    LengthSet,
-    observation_length_set,
     select_cso_algorithm,
     verify,
     verify_cso,
@@ -78,7 +74,6 @@ __all__ = [
     "IsoInstance",
     "IsoReduction",
     "LboInstance",
-    "LengthSet",
     "MalformedFormula",
     "Observation",
     "ObserverBlowup",
@@ -100,13 +95,10 @@ __all__ = [
     "inclusion_modulo_projection",
     "intersection_nonempty_modulo_projection",
     "lbo_to_iso",
-    "observation_length_set",
     "po_determinize",
-    "project_string",
     "realize_observation",
     "select_cso_algorithm",
     "trim",
-    "unobservable_reach",
     "verify",
     "verify_cso",
     "verify_cso_observer",

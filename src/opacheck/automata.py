@@ -235,7 +235,7 @@ class Automaton(_Record):
 
     def move(self, states: Iterable[str], event: str) -> frozenset[str]:
         g = self._graph
-        states = tuple(states)
+        states = tuple(_names(states, "states"))
         _require(event in g.event_index and all(map(g.index.__contains__, states)),
                  "move: the states and event must be declared")
         row = g.succ[g.event_index[event]]
@@ -384,22 +384,6 @@ def _reach(seeds: Iterable[int], rows: Sequence[Sequence[Sequence[int]]]) -> set
                     seen.add(j)
                     todo.append(j)
     return seen
-
-
-def unobservable_reach(a: Automaton, states: Iterable[str]) -> frozenset[str]:
-    """Least superset of ``states`` closed under unobservable transitions."""
-    states = set(states)
-    _require(states <= set(a.states), "unobservable_reach: states must be declared")
-    g = a._graph
-    rows = [row for k, row in enumerate(g.succ) if not g.observable[k]]
-    return frozenset(a.states[i] for i in _reach((g.index[s] for s in states), rows))
-
-
-def project_string(a: Automaton, string: Iterable[str]) -> Observation:
-    """Apply the observation projection to a full event string."""
-    string = tuple(string)
-    _require(set(string) <= a.events_by_name.keys(), "project_string: events must be declared")
-    return tuple(e for e in string if a.is_observable(e))
 
 
 def _bits(mask: int) -> list[int]:
@@ -649,8 +633,8 @@ def realize_observation(
 
     The search's right nodes are the numbers of observations read.
     """
-    targets = frozenset(targets)
-    initial = a.initial if initial is None else frozenset(initial)
+    targets = frozenset(_names(targets, "targets"))
+    initial = a.initial if initial is None else frozenset(_names(initial, "initial"))
     _require(targets | initial <= set(a.states), "realize_observation: states must be declared")
     g = a._graph
     n = len(observation)
@@ -801,7 +785,7 @@ def inclusion_modulo_projection(
     (ties broken by a1's alphabet declaration order) and a string of ``a1``
     realizing it.
     """
-    m1, m2 = frozenset(m1), frozenset(m2)
+    m1, m2 = frozenset(_names(m1, "m1")), frozenset(_names(m2, "m2"))
     _check_language_args(a1, m1, a2, m2)
     return _inclusion(a1, a1.initial, m1, a2, a2.initial, m2, cap)
 
@@ -816,10 +800,11 @@ def _inclusion(
     are trusted; ``respect`` is as in :func:`_least_difference`.
 
     When both sides are partially ordered with one observable event, the
-    inclusion is that of their observation length sets, and no kernel is
-    built (nor is the cap consulted).  Otherwise :func:`_least_difference`
-    decides it.  Either search's tables are garbage before the witness is
-    realized.
+    inclusion is that of their observation length sets: :func:`_length_sets`
+    gives each side's as a ``(mask, ray_start)`` pair, and
+    :func:`_least_uncovered` compares the two.  No kernel is built then (nor
+    is the cap consulted).  Otherwise :func:`_least_difference` decides it.
+    Either search's tables are garbage before the witness is realized.
     """
     event = _unary_event(a1)
     if event is not None and _unary_event(a2) is not None:
@@ -829,7 +814,7 @@ def _inclusion(
         else:
             [left_lengths] = _length_sets(a1, initial1, (m1,))
             [right_lengths] = _length_sets(a2, initial2, (m2,))
-        k = left_lengths.min_uncovered(right_lengths)
+        k = _least_uncovered(left_lengths, right_lengths)
         obs = None if k is None else (event,) * k
     else:
         algorithm = "inclusion"
@@ -848,53 +833,18 @@ def _unary_event(a: Automaton) -> Optional[str]:
     return None
 
 
-class LengthSet(_Record):
-    """Semilinear set of observation lengths: a finite part plus at most one ray.
-
-    The denoted set is ``finite union [ray_start, infinity)``; finite points at
-    or beyond the ray are dropped on construction since they are redundant.
-    """
-
-    finite: frozenset[int]
-    ray_start: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        fin = frozenset(self.finite)
-        lengths = fin if self.ray_start is None else (*fin, self.ray_start)
-        # bool is a subclass of int, but True is no length
-        if not all(isinstance(k, int) and not isinstance(k, bool) for k in lengths):
-            raise ValueError("observation lengths must be integers")
-        if any(k < 0 for k in lengths):
-            raise ValueError("observation lengths are non-negative")
-        if self.ray_start is not None:
-            fin = frozenset(k for k in fin if k < self.ray_start)
-        object.__setattr__(self, "finite", fin)
-
-    def __contains__(self, k: int) -> bool:
-        return k in self.finite or (self.ray_start is not None and k >= self.ray_start)
-
-    def min_uncovered(self, other: "LengthSet") -> Optional[int]:
-        """Smallest length denoted here but missing from ``other`` (None if covered)."""
-        bound = 0
-        for v in (*self.finite, *other.finite, self.ray_start, other.ray_start):
-            if v is not None:
-                bound = max(bound, v + 1)
-        for k in range(bound + 1):
-            if k in self and k not in other:
-                return k
-        return None
-
-
 def _length_sets(
     a: Automaton, initial: Iterable[str], target_sets: Iterable[Collection[str]]
-) -> list[LengthSet]:
+) -> list[tuple[int, Optional[int]]]:
     """Observation lengths of the runs of a unary partially ordered automaton
-    from ``initial`` into each target set.
+    from ``initial`` into each target set, as a ``(mask, ray_start)`` pair:
+    the set holds length ``d`` when bit ``d`` of ``mask`` is set or
+    ``ray_start`` is not None and at most ``d``.
 
-    The finite parts collect runs that use no observable self-loop: one
-    dynamic programming pass over the self-loop-free transitions, which are
-    acyclic, in the topological order that :func:`classify` also reads, with
-    bit ``d`` of ``lengths[i]`` meaning "state ``i`` is reached after ``d``
+    The masks collect runs that use no observable self-loop: one dynamic
+    programming pass over the self-loop-free transitions, which are acyclic,
+    in the topological order that :func:`classify` also reads, with bit
+    ``d`` of ``lengths[i]`` meaning "state ``i`` is reached after ``d``
     observations" (unobservable self-loops contribute nothing).  A single ray
     starts at the cheapest run through any observable self-loop, since that
     loop can be pumped; the same pass keeps that cost per state.
@@ -928,8 +878,22 @@ def _length_sets(
         for t in targets:
             reached |= lengths[g.index[t]]
             ray = min(ray, pumped[g.index[t]])
-        out.append(LengthSet(frozenset(_bits(reached)), ray if ray < n else None))
+        out.append((reached, ray if ray < n else None))
     return out
+
+
+def _least_uncovered(left: tuple[int, Optional[int]],
+                     right: tuple[int, Optional[int]]) -> Optional[int]:
+    """The least length in ``left`` but not in ``right``, two pairs of
+    :func:`_length_sets`; None when there is none.  From the highest set bit
+    and ray start on, membership no longer changes, so each ray is filled
+    into its mask up to that bound and the two masks are compared."""
+    (mask1, ray1), (mask2, ray2) = left, right
+    top = max(mask1.bit_length(), mask2.bit_length(), ray1 or 0, ray2 or 0)
+    have, lack = (mask if ray is None else mask | (2 << top) - (1 << ray)
+                  for mask, ray in (left, right))
+    missing = have & ~lack
+    return (missing & -missing).bit_length() - 1 if missing else None
 
 
 def intersection_nonempty_modulo_projection(
@@ -941,7 +905,7 @@ def intersection_nonempty_modulo_projection(
     when nonempty the verdict holds and the witness is the shortest common
     observation together with a string of ``a1`` realizing it.
     """
-    m1, m2 = frozenset(m1), frozenset(m2)
+    m1, m2 = frozenset(_names(m1, "m1")), frozenset(_names(m2, "m2"))
     _check_language_args(a1, m1, a2, m2)
     obs = _least_common(a1, m1, a2, m2)
     if obs is None:

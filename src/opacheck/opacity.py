@@ -18,12 +18,10 @@ bisimulation that keeps the secret and non-secret sets apart.
 from __future__ import annotations
 
 from itertools import chain, repeat
-from typing import Iterable
 
 from .automata import (
     DEFAULT_OBSERVER_CAP,
     Automaton,
-    LengthSet,
     Verdict,
     Witness,
     _Record,
@@ -32,11 +30,9 @@ from .automata import (
     realize_observation,
     _EstimateKernel,
     _inclusion,
-    _length_sets,
     _names,
     _quotient,
     _reach,
-    _require,
     _unary_event,
 )
 from .errors import PreconditionViolated
@@ -90,6 +86,14 @@ class IsoInstance(_Record):
             raise ValueError("non-secret initial states must be initial states")
 
 
+def _pair(pair, field: str) -> tuple[str, str]:
+    """``pair`` as an (initial, marked) tuple; a string of two characters
+    would pass for a pair of names, so it is rejected."""
+    if isinstance(pair, str) or len(pair) != 2:
+        raise ValueError(f"{field} must hold pairs of names, not {pair!r}")
+    return tuple(pair)
+
+
 class IfsoInstance(_Record):
     """Initial-and-final-state opacity instance: the secret is an (initial, marked) pair."""
 
@@ -100,7 +104,7 @@ class IfsoInstance(_Record):
     def __post_init__(self) -> None:
         for name in ("secret_pairs", "nonsecret_pairs"):
             pairs = _names(getattr(self, name), name)
-            object.__setattr__(self, name, frozenset((i, f) for (i, f) in pairs))
+            object.__setattr__(self, name, frozenset(_pair(p, name) for p in pairs))
         declared, initial = set(self.automaton.states), self.automaton.initial
         bad = [
             (i, f) for (i, f) in self.secret_pairs | self.nonsecret_pairs
@@ -131,13 +135,6 @@ def verify_cso_observer(inst: CsoInstance, *, cap: int = DEFAULT_OBSERVER_CAP) -
     if obs is None:
         return Verdict(True, algorithm="observer")
     return Verdict(False, Witness(obs, realize_observation(a, inst.secret, obs)), "observer")
-
-
-def observation_length_set(a: Automaton, targets: Iterable[str]) -> LengthSet:
-    """Observation lengths of runs into ``targets`` for a unary partially ordered automaton."""
-    targets = frozenset(targets)
-    _require(targets <= set(a.states), "observation_length_set: states must be declared")
-    return _length_sets(a, a.initial, [targets])[0]
 
 
 def select_cso_algorithm(inst: CsoInstance) -> str:

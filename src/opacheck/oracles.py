@@ -184,6 +184,18 @@ def observation_feasible(a: Automaton, targets: Iterable[str], observation: Obse
     return False
 
 
+def unobservable_closure(a: Automaton, states: Iterable[str]) -> frozenset[str]:
+    """The least superset of ``states`` closed under unobservable transitions."""
+    hidden = {e.name for e in a.alphabet if not e.observable}
+    closed = set(states)
+    grew = True
+    while grew:
+        found = {q for (p, e, q) in a.transitions if p in closed and e in hidden}
+        grew = not found <= closed
+        closed |= found
+    return frozenset(closed)
+
+
 def string_reaches(a: Automaton, targets: Iterable[str], string: Iterable[str]) -> bool:
     """Membership query: does this full event string have a run into ``targets``?"""
     targets = frozenset(targets)

@@ -14,11 +14,10 @@ from opacheck import (
     Event,
     LboInstance,
     Verdict,
-    project_string,
     trim,
 )
 from opacheck.automata import _EstimateKernel, _quotient
-from opacheck.oracles import observation_feasible, string_reaches
+from opacheck.oracles import _project, observation_feasible, string_reaches
 
 ALPHABET_2OBS_1UO = (Event("a"), Event("b"), Event("u", observable=False))
 ALPHABET_1OBS_1UO = (Event("a"), Event("u", observable=False))
@@ -155,7 +154,7 @@ def replay(notion: str, inst, verdict: Verdict) -> bool:
     if notion == "cso":
         a = inst.automaton
         return (
-            project_string(a, run) == obs
+            _project(a, run) == obs
             and string_reaches(a, inst.secret, run)
             and observation_feasible(a, inst.secret, obs)
             and not observation_feasible(a, inst.nonsecret, obs)
@@ -163,7 +162,7 @@ def replay(notion: str, inst, verdict: Verdict) -> bool:
     if notion == "lbo":
         s, ns = inst.secret_automaton, inst.nonsecret_automaton
         return (
-            project_string(s, run) == obs
+            _project(s, run) == obs
             and string_reaches(s, s.marked, run)
             and observation_feasible(s, s.marked, obs)
             and not observation_feasible(ns, ns.marked, obs)
@@ -171,7 +170,7 @@ def replay(notion: str, inst, verdict: Verdict) -> bool:
     if notion == "lbo-weak":
         s, ns = inst.secret_automaton, inst.nonsecret_automaton
         return (
-            project_string(s, run) == obs
+            _project(s, run) == obs
             and string_reaches(s, s.marked, run)
             and observation_feasible(s, s.marked, obs)
             and observation_feasible(ns, ns.marked, obs)
@@ -180,7 +179,7 @@ def replay(notion: str, inst, verdict: Verdict) -> bool:
         a = inst.automaton
         everything = set(a.states)
         return (
-            project_string(a, run) == obs
+            _project(a, run) == obs
             and any(
                 string_reaches(a.with_initial({i}), everything, run)
                 for i in inst.secret_initial
@@ -197,7 +196,7 @@ def replay(notion: str, inst, verdict: Verdict) -> bool:
     if notion == "ifso":
         a = inst.automaton
         return (
-            project_string(a, run) == obs
+            _project(a, run) == obs
             and any(
                 string_reaches(a.with_initial({i}), {f}, run)
                 for (i, f) in inst.secret_pairs

@@ -27,7 +27,6 @@ from opacheck import (
     gen_union_universality_cso,
     lbo_to_iso,
     po_determinize,
-    unobservable_reach,
     verify_cso,
     verify_iso,
     verify_lbo,
@@ -35,7 +34,12 @@ from opacheck import (
 )
 from opacheck.gadgets import MAX_GADGET_STATES, _FreshNames
 from opacheck.jsonio import dag_from_dict, dumps, instance_from_dict, instance_to_dict, parse_dimacs
-from opacheck.oracles import brute_sat, dag_reachable, enum_languages_projected
+from opacheck.oracles import (
+    brute_sat,
+    dag_reachable,
+    enum_languages_projected,
+    unobservable_closure,
+)
 
 from helpers import (
     ALPHABET_2OBS_1UO,
@@ -241,7 +245,7 @@ class TestUnionGadget:
             family = [rand_dfa(rng) for _ in range(rng.randint(2, 4))]
             result = gen_union_universality_cso(family)
             a = result.instance.automaton
-            assert unobservable_reach(a, a.initial) == set(result.component_initials)
+            assert unobservable_closure(a, a.initial) == set(result.component_initials)
 
     def test_incomplete_inputs_still_match_universality(self):
         # a one-state DFA accepting 0* only; incomplete on event 1

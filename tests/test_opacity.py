@@ -15,7 +15,6 @@ from opacheck import (
     IfsoInstance,
     IsoInstance,
     LboInstance,
-    LengthSet,
     ObserverBlowup,
     PreconditionViolated,
     Verdict,
@@ -25,7 +24,6 @@ from opacheck import (
     gen_dag_cso_unary,
     gen_dag_weak_lbo,
     inclusion_modulo_projection,
-    observation_length_set,
     select_cso_algorithm,
     verify,
     verify_cso,
@@ -35,6 +33,7 @@ from opacheck import (
     verify_lbo,
     verify_lbo_weak,
 )
+from opacheck.automata import _least_uncovered, _length_sets
 from opacheck.oracles import enum_languages_projected
 
 from helpers import (
@@ -56,38 +55,31 @@ def aut(states, alphabet, transitions, initial, marked=()):
 
 
 class TestLengthSet:
+    """The least uncovered length of two length sets, each a ``(mask,
+    ray_start)`` pair: bit ``d`` of the mask, or a ray start at most ``d``,
+    puts length ``d`` in the set."""
+
     def test_redundant_finite_points_dropped(self):
-        ls = LengthSet(frozenset({1, 3, 5}), ray_start=3)
-        assert ls.finite == {1}
-        assert 3 in ls and 4 in ls and 2 not in ls
+        # {1} and the ray from 3: the points 3 and 5 add nothing
+        with_points, without = (0b101010, 3), (0b10, 3)
+        for other in [(0b10, None), (0b1110, None), (0b100, None), (0, 4), (0b111111, None)]:
+            assert _least_uncovered(with_points, other) == _least_uncovered(without, other)
+            assert _least_uncovered(other, with_points) == _least_uncovered(other, without)
+        assert _least_uncovered(with_points, (0b11010, None)) == 5  # 3 and 4 are covered
+        assert _least_uncovered((0b1110, None), with_points) == 2
 
     def test_ray_covered_only_by_earlier_ray(self):
-        assert LengthSet(frozenset(), 4).min_uncovered(LengthSet(frozenset(), 3)) is None
-        assert LengthSet(frozenset(), 3).min_uncovered(LengthSet(frozenset(), 4)) == 3
-        assert LengthSet(frozenset(), 3).min_uncovered(LengthSet(frozenset(range(100)))) == 100
+        assert _least_uncovered((0, 4), (0, 3)) is None
+        assert _least_uncovered((0, 3), (0, 4)) == 3
+        assert _least_uncovered((0, 3), ((1 << 100) - 1, None)) == 100
 
     def test_min_uncovered(self):
-        a = LengthSet(frozenset({0, 2}), 5)
-        b = LengthSet(frozenset({0, 2, 5, 6}), None)
-        assert a.min_uncovered(b) == 7
-        assert b.min_uncovered(a) is None  # every point of b sits in a's finite part or ray
-        assert b.min_uncovered(LengthSet(frozenset({0}), None)) == 2
-        assert a.min_uncovered(LengthSet(frozenset(), 0)) is None
-
-    def test_negative_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            LengthSet(frozenset({-1}))
-
-    @pytest.mark.parametrize("finite, ray_start", [
-        ({1.5, 2}, None),  # was rounded down to {1, 2}
-        ({"3"}, None),  # was parsed as {3}
-        ({1}, 2.5),  # kept a ray at 2.5, so 3 was in it
-        ({True}, None),
-        ((), False),
-    ])
-    def test_non_integer_lengths_rejected(self, finite, ray_start):
-        with pytest.raises(ValueError, match="observation lengths must be integers"):
-            LengthSet(frozenset(finite), ray_start)
+        a = (0b101, 5)  # {0, 2} and the ray from 5
+        b = (0b1100101, None)  # {0, 2, 5, 6}
+        assert _least_uncovered(a, b) == 7
+        assert _least_uncovered(b, a) is None  # every point of b sits in a's mask or ray
+        assert _least_uncovered(b, (0b1, None)) == 2
+        assert _least_uncovered(a, (0, 0)) is None
 
 
 @pytest.mark.parametrize("cls, field", [
@@ -102,6 +94,18 @@ def test_a_string_is_not_a_set_of_names(cls, field):
     fields[field] = "pq"
     with pytest.raises(ValueError, match=f"{field} must be a collection of names"):
         cls(a, **fields)
+
+
+@pytest.mark.parametrize("field", ["secret_pairs", "nonsecret_pairs"])
+@pytest.mark.parametrize("pair", ["pq", ("p",), ("p", "q", "q")])
+def test_an_ifso_pair_is_two_names(field, pair):
+    # the string "pq" used to be read as the pair (p, q)
+    a = aut(["p", "q", "pq"], AB, [], ["p", "pq"])
+    fields = {"secret_pairs": (), "nonsecret_pairs": ()}
+    fields[field] = {pair}
+    with pytest.raises(ValueError, match=f"{field} must hold pairs of names"):
+        IfsoInstance(a, **fields)
+    assert IfsoInstance(a, [["pq", "q"]], ()).secret_pairs == {("pq", "q")}
 
 
 class TestCsoObserver:
@@ -183,17 +187,9 @@ class TestUnaryPo:
             [("s", "a", "t"), ("s", "a", "r"), ("r", "a", "r"), ("r", "a", "v")],
             ["s"],
         )
-        assert observation_length_set(a, {"t"}) == LengthSet(frozenset({1}), None)
-        assert observation_length_set(a, {"v"}) == LengthSet(frozenset(), 2)
+        assert _length_sets(a, a.initial, [{"t"}, {"v"}]) == [(0b10, None), (0b100, 2)]
         v = verify_cso(CsoInstance(a, {"t"}, {"v"}), "unary-po")
         assert not v.holds and v.witness.observation == ("a",)
-
-    def test_undeclared_target_rejected(self):
-        a = aut(["s"], (Event("a"),), [], ["s"])
-        with pytest.raises(
-            PreconditionViolated, match="observation_length_set: states must be declared"
-        ):
-            observation_length_set(a, {"zz"})
 
     def test_state_with_both_statuses_covers_itself(self):
         a = aut(["s", "t"], (Event("a"),), [("s", "a", "t")], ["s"])

@@ -31,21 +31,27 @@ from opacheck import (
     inclusion_modulo_projection,
     intersection_nonempty_modulo_projection,
     lbo_to_iso,
-    observation_length_set,
     po_determinize,
     realize_observation,
-    unobservable_reach,
     verify_cso,
     verify_ifso,
     verify_iso,
     verify_lbo,
 )
-from opacheck.automata import _closures, _inclusion, _lex_least_label, _quotient
+from opacheck.automata import (
+    _closures,
+    _inclusion,
+    _least_uncovered,
+    _length_sets,
+    _lex_least_label,
+    _quotient,
+)
 from opacheck.oracles import (
     enum_cso_acyclic,
     enum_languages_projected,
     observation_feasible,
     string_reaches,
+    unobservable_closure,
 )
 
 from helpers import ALPHABET_1OBS_1UO, ALPHABET_2OBS_1UO, kernel_search, members, rand_automaton
@@ -181,7 +187,7 @@ def test_the_closure_of_each_node_is_the_unobservable_reach_of_its_state(a):
     g = a._graph
     closure = _closures(g)
     for s in a.states:
-        assert closure[g.index[s]] == g.mask(unobservable_reach(a, {s}))
+        assert closure[g.index[s]] == g.mask(unobservable_closure(a, {s}))
 
 
 @PROPERTY_SETTINGS
@@ -569,9 +575,27 @@ def padded(a: Automaton) -> Automaton:
 def test_length_set_matches_membership_on_unary_po_automata(rng, data):
     a = unary_po_automaton(rng)
     targets = data.draw(st.frozensets(st.sampled_from(a.states)))
-    lengths = observation_length_set(a, targets)
+    [(mask, ray)] = _length_sets(a, a.initial, [targets])
     for k in range(2 * len(a.states) + 3):
-        assert (k in lengths) == observation_feasible(a, targets, ("a",) * k)
+        member = bool(mask >> k & 1) or (ray is not None and k >= ray)
+        assert member == observation_feasible(a, targets, ("a",) * k)
+
+
+# Length sets as (mask, ray start) pairs with every bit and ray start below
+# BOUND, so membership no longer changes from BOUND on.
+BOUND = 14
+length_sets = st.tuples(st.integers(min_value=0, max_value=2**BOUND - 1),
+                        st.none() | st.integers(min_value=0, max_value=BOUND - 1))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=500)
+@given(length_sets, length_sets)
+def test_least_uncovered_is_the_least_length_in_one_set_and_not_the_other(left, right):
+    def member(k, mask, ray):
+        return bool(mask >> k & 1) or (ray is not None and k >= ray)
+
+    missing = [k for k in range(BOUND + 1) if member(k, *left) and not member(k, *right)]
+    assert _least_uncovered(left, right) == (missing[0] if missing else None)
 
 
 @settings(PROPERTY_SETTINGS, max_examples=300)
