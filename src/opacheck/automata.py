@@ -63,7 +63,9 @@ class _Record:
     :class:`AttributeError`.  The instance ``__dict__`` holds the fields and
     any ``cached_property`` values.  This is what a frozen dataclass gives,
     without the import of :mod:`dataclasses` and the per-class code
-    generation that would slow every command line's start-up.
+    generation that would slow every command line's start-up.  Every value
+    type of the package is one, the generators' inputs and results included,
+    except :class:`~opacheck.structure.StructureReport`, the one dataclass.
     """
 
     _fields: tuple[str, ...] = ()
@@ -199,9 +201,9 @@ class Automaton(_Record):
 
     @cached_property
     def _structure(self) -> dict[str, object]:
-        """The five facts of :class:`StructureReport`, by field name: routing
-        and the command line's reports read them here, and :func:`classify`
-        wraps them."""
+        """The five facts of :class:`StructureReport`, by field name: routing,
+        the generators' preconditions and the command line's reports read them
+        here, and :func:`classify` wraps them."""
         g = self._graph
         po = g.order is not None
         observable = len(self.observable_events)

@@ -15,18 +15,11 @@ returned metadata so outputs are reproducible.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .automata import (
-    Automaton,
-    Event,
-    classify,
-    topological_order,
-    trim,
-)
+from .automata import Automaton, Event, _Record, topological_order, trim
 from .errors import InputNotDeterministic, MalformedFormula, PreconditionViolated, TooLarge
 from .opacity import CsoInstance, IsoInstance, LboInstance
 
@@ -60,8 +53,7 @@ class _FreshNames:
         return name
 
 
-@dataclass(frozen=True)
-class CnfFormula:
+class CnfFormula(_Record):
     """A CNF formula as clause sets of signed variable indices (DIMACS convention).
 
     A clause may not contain a variable in both polarities; such input is
@@ -88,8 +80,7 @@ class CnfFormula:
                     )
 
 
-@dataclass(frozen=True)
-class Dag:
+class Dag(_Record):
     """A directed acyclic graph over vertices ``0 .. vertex_count-1`` with two
     distinguished vertices (``source`` may equal ``target``)."""
 
@@ -221,8 +212,7 @@ def gen_dag_cso_unary(g: Dag) -> CsoInstance:
     return CsoInstance(automaton, frozenset({str(g.target)}), frozenset())
 
 
-@dataclass(frozen=True)
-class UnionUniversalityCso:
+class UnionUniversalityCso(_Record):
     """Output of :func:`gen_union_universality_cso` with its freshness metadata."""
 
     instance: CsoInstance
@@ -270,7 +260,7 @@ def gen_union_universality_cso(components: Sequence[Automaton]) -> UnionUniversa
     for k, component in enumerate(components, start=1):
         if {(e.name, e.observable) for e in component.alphabet} != signature:
             raise PreconditionViolated("all components must share one alphabet")
-        if not classify(component).deterministic:
+        if not component._structure["deterministic"]:
             raise InputNotDeterministic(f"component {k} is not a single-initial DFA")
         prefix = f"c{k}."
         local_states = [prefix + s for s in component.states]
@@ -330,8 +320,7 @@ def gen_union_universality_cso(components: Sequence[Automaton]) -> UnionUniversa
     )
 
 
-@dataclass(frozen=True)
-class Split:
+class Split(_Record):
     """One eliminated nondeterministic transition: (source, event, target) was
     rerouted through ``detour_state``, the ``code``-th state of the
     unobservable chain leaving ``source``."""
@@ -343,8 +332,7 @@ class Split:
     detour_state: str
 
 
-@dataclass(frozen=True)
-class PoDeterminization:
+class PoDeterminization(_Record):
     """Output of :func:`po_determinize` with its freshness metadata.
 
     ``splits`` is in creation order, grouped by source.  A split's code is its
@@ -399,7 +387,7 @@ def po_determinize(a: Automaton, chain_event: str) -> PoDeterminization:
     over the original states the current-state opacity verdict is preserved.
     The output is deterministic and partially ordered.
     """
-    if not classify(a).partially_ordered:
+    if not a._structure["partially_ordered"]:
         raise PreconditionViolated("po_determinize requires a partially ordered automaton")
     chain = a.events_by_name.get(chain_event)
     if chain is None or not chain.observable:
@@ -466,8 +454,7 @@ def cso_to_lbo(inst: CsoInstance) -> LboInstance:
     )
 
 
-@dataclass(frozen=True)
-class IsoReduction:
+class IsoReduction(_Record):
     """Output of :func:`lbo_to_iso` with its freshness metadata."""
 
     instance: IsoInstance

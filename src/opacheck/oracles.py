@@ -8,12 +8,14 @@ goal; inputs beyond desk scale are rejected or simply slow.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from .automata import Automaton, Observation, Verdict, Witness
 from .errors import PreconditionViolated, TooLarge
-from .gadgets import CnfFormula, Dag
 from .opacity import CsoInstance
+
+if TYPE_CHECKING:
+    from .gadgets import CnfFormula, Dag
 
 MAX_SAT_VARIABLES = 24
 

@@ -1,9 +1,11 @@
 """The report of :func:`opacheck.classify`.
 
-It is a dataclass, so :func:`dataclasses.asdict` gives its fields by name.
-It lives apart from :mod:`opacheck.automata` because importing
-:mod:`dataclasses` is a large share of a command line's start-up: a verify
-run reads the automaton's facts directly and never loads this module.
+It is the package's one dataclass, so :func:`dataclasses.asdict` gives its
+fields by name; every other value type is an ``automata._Record``.  It lives
+apart from :mod:`opacheck.automata` because importing :mod:`dataclasses` is a
+large share of a command line's start-up: only :func:`~opacheck.classify`
+loads this module, and no command line calls it, since each reads the
+automaton's facts directly.
 """
 
 from __future__ import annotations

@@ -22,6 +22,7 @@ from opacheck import (
     IfsoInstance,
     IsoInstance,
     LboInstance,
+    MalformedFormula,
     ObserverBlowup,
     PreconditionViolated,
     Verdict,
@@ -36,12 +37,14 @@ from opacheck import (
     realize_observation,
     trim,
     lbo_to_iso,
+    po_determinize,
     verify_cso,
     verify_cso_observer,
     verify_iso,
 )
 from opacheck import automata
-from opacheck.automata import _EMPTY, _EstimateKernel, _closures
+from opacheck.automata import _EMPTY, _EstimateKernel, _Record, _closures
+from opacheck.gadgets import Split
 from opacheck.oracles import (
     _project,
     enum_languages_projected,
@@ -112,8 +115,9 @@ class TestPublicSurface:
 
 
 class TestRecords:
-    """The value types are immutable records that behave as frozen dataclasses
-    did, apart from ``dataclasses.fields``, ``replace`` and ``asdict``."""
+    """The value types, the generators' results included, are immutable
+    records that behave as frozen dataclasses did, apart from
+    ``dataclasses.fields``, ``replace`` and ``asdict``."""
 
     def example(self):
         # README's keyword construction; ``marked`` takes its default
@@ -124,6 +128,21 @@ class TestRecords:
             initial={"p"},
         )
 
+    def generator_values(self):
+        """One value of each generator type, the results as the generators
+        build them."""
+        dfa = Automaton(("p", "q"), (Event("a"),), {("p", "a", "q"), ("q", "a", "p")},
+                        {"p"}, {"q"})
+        po = Automaton(("p", "q", "r"), (Event("a"),), {("p", "a", "q"), ("p", "a", "r")},
+                       {"p", "q"})
+        determinized = po_determinize(po, "a")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            reduction = lbo_to_iso(cso_to_lbo(gen_cnf_cso(CnfFormula(1, [[1]]))))
+        return [CnfFormula(2, [[1, -2], [2]]), Dag(3, [[0, 1], [1, 2]], 0, 2),
+                gen_union_universality_cso([dfa, dfa]), determinized.splits[0], determinized,
+                reduction]
+
     def test_keyword_and_positional_construction_agree(self):
         a = self.example()
         assert a.marked == frozenset() and a.initial == frozenset({"p"})
@@ -133,6 +152,17 @@ class TestRecords:
         assert inst == CsoInstance(a, frozenset({"q"}), frozenset({"r"}))
         assert verify_cso(inst).witness.observation == ("a",)
         assert Automaton._fields == ("states", "alphabet", "transitions", "initial", "marked")
+        fields = [("variable_count", "clauses"), ("vertex_count", "edges", "source", "target"),
+                  ("instance", "chain_event", "component_initials", "completed_components",
+                   "copied_components"),
+                  ("code", "source", "event", "target", "detour_state"),
+                  ("automaton", "unobservable_event", "splits", "initial_chain"),
+                  ("instance", "query_event", "secret_sink", "nonsecret_sink", "trimmed")]
+        for value, names in zip(self.generator_values(), fields, strict=True):
+            cls, values = type(value), [getattr(value, name) for name in names]
+            assert isinstance(value, _Record) and cls._fields == names
+            assert cls(*values) == value == cls(**dict(zip(names, values)))
+            assert cls(values[0], **dict(zip(names[1:], values[1:]))) == value
 
     def test_bad_arguments_are_type_errors(self):
         a = self.example()
@@ -144,6 +174,15 @@ class TestRecords:
             Automaton(a.states, a.alphabet, a.transitions, a.initial, states=())
         with pytest.raises(TypeError, match="takes 2 arguments but 3 were given"):
             Event("a", True, "extra")
+        with pytest.raises(TypeError, match="Dag\\(\\) missing argument 'target'"):
+            Dag(3, [], 0)
+        with pytest.raises(TypeError, match="takes 2 arguments but 3 were given"):
+            CnfFormula(1, (), 2)
+        with pytest.raises(TypeError, match="unexpected keyword argument 'detour'"):
+            Split(1, "p", "a", "q", "p'", detour="p'")
+        reduction = self.generator_values()[-1]
+        with pytest.raises(TypeError, match="multiple values for argument 'query_event'"):
+            type(reduction)(reduction.instance, "@", "x_s", "x_ns", False, query_event="@")
 
     def test_equality_and_hashing_leave_the_algorithm_out(self):
         w = Witness(("a",), ("u", "a"))
@@ -169,11 +208,21 @@ class TestRecords:
             " alphabet=(Event(name='a', observable=True),),"
             " transitions=frozenset({('p', 'a', 'p')}), initial=frozenset({'p'}),"
             " marked=frozenset()), secret=frozenset({'p'}), nonsecret=frozenset())")
+        assert repr(Dag(3, [[0, 1]], 0, 2)) == (
+            "Dag(vertex_count=3, edges=frozenset({(0, 1)}), source=0, target=2)")
+        assert repr(CnfFormula(1, [[1]])) == (
+            "CnfFormula(variable_count=1, clauses=(frozenset({1}),))")
+        assert repr(Split(1, "p", "a", "q", "p'")) == (
+            "Split(code=1, source='p', event='a', target='q', detour_state=\"p'\")")
+        for value in self.generator_values():
+            shown = ", ".join(f"{name}={getattr(value, name)!r}" for name in value._fields)
+            assert repr(value) == f"{type(value).__name__}({shown})"
 
     def test_assignment_and_deletion_raise_attribute_error(self):
         a = self.example()
         values = [a, a.alphabet[0], Verdict(True), Witness((), ()), CsoInstance(a, (), ()),
-                  LboInstance(a, a), IsoInstance(a, (), ()), IfsoInstance(a, (), ())]
+                  LboInstance(a, a), IsoInstance(a, (), ()), IfsoInstance(a, (), ()),
+                  *self.generator_values()]
         for value in values:
             name = value._fields[0]
             with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
@@ -189,11 +238,12 @@ class TestRecords:
         inst = CsoInstance(a, {"q"}, set())
         verdict = verify_cso(inst)
         assert not verdict.holds  # the round trips below carry a witness
-        for value in (a, inst, verdict, verdict.witness, a.alphabet[1]):
+        generated = self.generator_values()
+        for value in (a, inst, verdict, verdict.witness, a.alphabet[1], *generated):
             for twin in (copy.copy(value), copy.deepcopy(value),
                          pickle.loads(pickle.dumps(value))):
                 assert type(twin) is type(value) and twin == value
-                if isinstance(value, (Automaton, CsoInstance)):
+                if isinstance(value, (Automaton, CsoInstance, *map(type, generated))):
                     # A rebuilt set may list two colliding entries the other way
                     # round, so only the text of these records can differ.
                     for name in value._fields:
@@ -203,6 +253,9 @@ class TestRecords:
                     assert repr(twin) == repr(value)
         again = pickle.loads(pickle.dumps(inst))
         assert verify_cso(again) == verdict and verify_cso(again).algorithm == verdict.algorithm
+        for value in generated:
+            if hasattr(value, "metadata"):
+                assert pickle.loads(pickle.dumps(value)).metadata() == value.metadata()
 
     def test_with_initial_and_with_marked_copy_and_validate(self):
         a = self.example()
@@ -218,6 +271,32 @@ class TestRecords:
         with pytest.raises(ValueError, match="'z' is not a declared state"):
             a.with_marked(["z"])
 
+    def test_generator_types_compare_and_hash_by_field(self):
+        g = Dag(3, [[0, 1]], 0, 2)
+        assert g == Dag(3, {(0, 1)}, 0, 2) and hash(g) == hash(Dag(3, {(0, 1)}, 0, 2))
+        assert g != Dag(3, [[0, 1]], 0, 1) and g != Dag(3, [[1, 2]], 0, 2)
+        formula = CnfFormula(2, [[1, -2]])
+        assert formula == CnfFormula(2, ([-2, 1],)) and formula != CnfFormula(3, [[1, -2]])
+        assert hash(formula) == hash(CnfFormula(2, ([-2, 1],)))
+        assert Split(1, "p", "a", "q", "p'") != (1, "p", "a", "q", "p'")
+        for value in self.generator_values():
+            twin = type(value)(*(getattr(value, name) for name in value._fields))
+            assert twin is not value and hash(twin) == hash(value) and len({value, twin}) == 1
+        assert len(set(self.generator_values()) | set(self.generator_values())) == 6
+
+    def test_generator_types_still_normalize_and_validate(self):
+        assert Dag(3, [[0, 1]], 0, 2).edges == frozenset({(0, 1)})
+        assert Dag(3, [("0", "1")], 0, 2).edges == frozenset({(0, 1)})
+        clauses = CnfFormula(2, [[1, -2], (2,)]).clauses
+        assert clauses == (frozenset({1, -2}), frozenset({2}))
+        assert all(type(clause) is frozenset for clause in clauses)
+        with pytest.raises(ValueError, match="acyclic"):
+            Dag(2, [(0, 1), (1, 0)], 0, 1)
+        with pytest.raises(MalformedFormula, match="out of range"):
+            CnfFormula(1, [[2]])
+        with pytest.raises(MalformedFormula, match="both polarities"):
+            CnfFormula(1, [[1, -1]])
+
     def test_classify_report_is_one_cached_dataclass(self):
         a = self.example()
         report = classify(a)
@@ -228,7 +307,7 @@ class TestRecords:
             "observable_event_count": 1, "unobservable_event_count": 1,
         }
         assert type(report) is opacheck.StructureReport
-        for value in (a, Verdict(True)):
+        for value in (a, Verdict(True), *self.generator_values()):
             assert not dataclasses.is_dataclass(value)
 
 

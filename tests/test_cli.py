@@ -52,6 +52,20 @@ def write_instance(tmp_path, name, instance, metadata=None):
     return write(tmp_path, name, dumps(instance_to_dict(instance, metadata)))
 
 
+def child_imports(argv):
+    """Run ``opacheck ARGV`` in a fresh interpreter under ``-X importtime``:
+    the finished process, and every module it loaded before it exited."""
+    src = str(Path(opacheck.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "opacheck.cli", *argv],
+        env=env, capture_output=True, text=True, check=False,
+    )
+    imported = {line.rpartition("|")[2].strip() for line in done.stderr.splitlines()
+                if line.startswith("import time:")}
+    return done, imported
+
+
 # JSON nested deeper than the decoder's recursion limit.
 DEEP_JSON = "[" * 100_000
 
@@ -310,17 +324,10 @@ class TestVerify:
                                  {(i, s) for i in a.initial for s in cso.nonsecret}),
         }
         path = write_instance(tmp_path, f"{notion}.json", instances[notion])
-        src = str(Path(opacheck.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=src)
-        done = subprocess.run(
-            [sys.executable, "-X", "importtime", "-m", "opacheck.cli", "verify",
-             "--notion", notion, "--algorithm", algorithm, "--output", "json", path],
-            env=env, capture_output=True, text=True, check=False,
-        )
+        done, imported = child_imports(
+            ["verify", "--notion", notion, "--algorithm", algorithm, "--output", "json", path])
         assert done.returncode in (0, 1), done.stderr
         assert json.loads(done.stdout)["notion"] == notion
-        imported = {line.rpartition("|")[2].strip() for line in done.stderr.splitlines()
-                    if line.startswith("import time:")}
         assert {"opacheck.automata", "opacheck.opacity", "opacheck.jsonio"} <= imported
         assert "dataclasses" not in imported
         assert not imported & {"opacheck.gadgets", "opacheck.structure", "opacheck.oracles"}
@@ -329,6 +336,43 @@ class TestVerify:
         path = write_instance(tmp_path, "inst.json", gen_cnf_cso(TWO_CLAUSE))
         assert main(["verify", "--notion", "cso", "--observer-cap", "1", path]) == 2
         assert "cap of 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    "gen cnf", "gen union", "gen po-det", "gen cso2lbo", "gen lbo2iso", "dot", "classify",
+    "oracle sat", "oracle enum-cso",
+], ids=lambda command: command.replace(" ", "-"))
+def test_no_command_child_imports_dataclasses(tmp_path, command):
+    # Like verify's, every other command's start-up stays free of dataclasses:
+    # the generators' results are records, and no command builds the report of
+    # classify, so opacheck.structure stays unloaded too.
+    cnf = write(tmp_path, "two.cnf", TWO_CLAUSE_DIMACS)
+    cso = write_instance(tmp_path, "cso.json", gen_cnf_cso(TWO_CLAUSE))
+    lbo = write_instance(tmp_path, "lbo.json", cso_to_lbo(gen_cnf_cso(TWO_CLAUSE)))
+    dfa = Automaton(("p", "q"), (Event("a"),), {("p", "a", "q"), ("q", "a", "p")}, {"p"}, {"q"})
+    po = Automaton(("p", "q", "r"), (Event("a"),), {("p", "a", "q"), ("p", "a", "r")}, {"p", "q"})
+    dfa_file = write(tmp_path, "dfa.json", dumps(automaton_to_dict(dfa)))
+    po_file = write(tmp_path, "po.json", dumps(automaton_to_dict(po)))
+    # each command's arguments and a module its trace must show
+    argv, needed = {
+        "gen cnf": ([cnf], "opacheck.gadgets"),
+        "gen union": ([dfa_file, dfa_file], "opacheck.gadgets"),
+        "gen po-det": ([po_file, "--chain-event", "a"], "opacheck.gadgets"),
+        "gen cso2lbo": ([cso], "opacheck.gadgets"),
+        "gen lbo2iso": ([lbo], "opacheck.gadgets"),
+        "dot": ([cso], "opacheck.gadgets"),
+        "classify": ([lbo, "--output", "json"], "opacheck.jsonio"),
+        "oracle sat": ([cnf], "opacheck.oracles"),
+        "oracle enum-cso": ([cso], "opacheck.oracles"),
+    }[command]
+    done, imported = child_imports([*command.split(), *argv])
+    assert done.returncode in (0, 1), done.stderr
+    assert done.stdout and "Traceback" not in done.stderr
+    assert {"opacheck.jsonio", needed} <= imported
+    assert not imported & {"dataclasses", "opacheck.structure"}
+    if command in ("classify", "oracle enum-cso"):
+        # neither needs a generator: the oracles name gadgets' types only in annotations
+        assert "opacheck.gadgets" not in imported
 
 
 # Runs each argv through ``cli.main`` and prints one JSON list of
