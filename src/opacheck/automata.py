@@ -51,6 +51,37 @@ def _names(value, field: str):
     return value
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an int; a bool (what JSON true parses to) is not."""
+    return type(value) is int
+
+
+def _shown(item) -> str:
+    """``repr(item)``, a set's members sorted: the text does not depend on the hash seed."""
+    if isinstance(item, (set, frozenset)) and item:
+        return "{" + ", ".join(sorted(map(repr, item))) + "}"
+    return repr(item)
+
+
+def _rows(items: Iterable, width: int, field: str, what: str, kind: Optional[type] = None):
+    """``items``, read once, as a frozenset of tuples, made in bulk passes.  Each
+    item is a list or tuple of ``width`` values, all of type ``kind`` if given
+    (checked before the set merges True with 1); anything else raises, naming
+    the least offender by its text."""
+    if iter(items) is items:
+        items = tuple(items)
+    kinds = set(map(type, items))
+    if kinds <= {list, tuple} or all(map(isinstance, items, repeat((list, tuple)))):
+        rows = frozenset(items) if kinds <= {tuple} else frozenset(map(tuple, items))
+        if set(map(len, rows)) <= {width} and (
+            kind is None or set(map(type, chain.from_iterable(items))) <= {kind}
+        ):
+            return rows
+    bad = [r for r in items if not isinstance(r, (list, tuple)) or len(r) != width
+           or kind is not None and not set(map(type, r)) <= {kind}]
+    raise ValueError(f"{field} must hold {what}, not {min(map(_shown, bad))}")
+
+
 class _Record:
     """An immutable value whose fields are its class's annotated names, in
     order; a class attribute of the same name is the field's default.
@@ -150,7 +181,8 @@ class Automaton(_Record):
     def __post_init__(self) -> None:
         object.__setattr__(self, "states", tuple(_names(self.states, "states")))
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
-        object.__setattr__(self, "transitions", _triples(self.transitions))
+        rows = _rows(self.transitions, 3, "transitions", "(source, event, target) triples")
+        object.__setattr__(self, "transitions", rows)
         object.__setattr__(self, "initial", frozenset(_names(self.initial, "initial")))
         object.__setattr__(self, "marked", frozenset(_names(self.marked, "marked")))
         self._validate()
@@ -248,20 +280,6 @@ class Automaton(_Record):
 
     def with_marked(self, marked: Iterable[str]) -> "Automaton":
         return Automaton(self.states, self.alphabet, self.transitions, self.initial, marked)
-
-
-def _triples(items: Iterable[Sequence[str]]) -> frozenset[Transition]:
-    """``items`` as a set of (source, event, target) tuples, made in one
-    bulk pass.  Anything that is not a triple fails as unpacking it would."""
-    if iter(items) is items:  # a one-shot iterator: keep it for the fallback
-        items = tuple(items)
-    try:
-        triples = frozenset(map(tuple, items))
-        if set(map(len, triples)) <= {3}:
-            return triples
-    except TypeError:
-        pass
-    return frozenset((p, e, q) for (p, e, q) in items)
 
 
 class Witness(_Record):

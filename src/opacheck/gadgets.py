@@ -19,7 +19,7 @@ from itertools import chain, repeat
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .automata import Automaton, Event, _Record, topological_order, trim
+from .automata import Automaton, Event, _Record, _is_int, _rows, _shown, topological_order, trim
 from .errors import InputNotDeterministic, MalformedFormula, PreconditionViolated, TooLarge
 from .opacity import CsoInstance, IsoInstance, LboInstance
 
@@ -64,9 +64,14 @@ class CnfFormula(_Record):
     clauses: tuple[frozenset[int], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "clauses", tuple(frozenset(int(x) for x in c) for c in self.clauses)
-        )
+        if not _is_int(self.variable_count):
+            raise MalformedFormula(f"variable count must be an int, not {self.variable_count!r}")
+        # a clause that is not a set is checked before one merges True with 1
+        clauses = [c if isinstance(c, (str, set, frozenset)) else list(c) for c in self.clauses]
+        for c in clauses:
+            if isinstance(c, str) or not all(map(_is_int, c)):
+                raise MalformedFormula(f"a clause must hold int literals, not {_shown(c)}")
+        object.__setattr__(self, "clauses", tuple(map(frozenset, clauses)))
         if self.variable_count < 0:
             raise MalformedFormula("variable count must be non-negative")
         for clause in self.clauses:
@@ -90,11 +95,13 @@ class Dag(_Record):
     target: int
 
     def __post_init__(self) -> None:
+        if not all(map(_is_int, (self.vertex_count, self.source, self.target))):
+            raise ValueError("vertex count, source and target must be ints")
         if self.vertex_count < 1:
             raise ValueError("a DAG needs at least one vertex")
         if self.vertex_count > MAX_GADGET_STATES:
             raise TooLarge(f"a DAG has at most {MAX_GADGET_STATES} vertices")
-        object.__setattr__(self, "edges", _int_pairs(self.edges))
+        object.__setattr__(self, "edges", _rows(self.edges, 2, "edges", "pairs of ints", int))
         vertices = range(self.vertex_count)
         ends = list(chain.from_iterable(self.edges))
         if ends and (min(ends) < 0 or max(ends) >= self.vertex_count):
@@ -108,21 +115,6 @@ class Dag(_Record):
             out[u].append(v)
         if any(u == v for (u, v) in self.edges) or topological_order(len(out), [out]) is None:
             raise ValueError("edge relation must be acyclic")
-
-
-def _int_pairs(items: Iterable[Sequence]) -> frozenset[tuple[int, int]]:
-    """``items`` as a set of (int, int) tuples.  Pairs of ints are taken as
-    they are, in bulk passes; anything else is converted, or fails, as
-    unpacking and ``int`` would."""
-    if iter(items) is items:  # a one-shot iterator: keep it for the fallback
-        items = tuple(items)
-    try:
-        pairs = list(map(tuple, items))
-        if set(map(len, pairs)) <= {2} and set(map(type, chain.from_iterable(pairs))) <= {int}:
-            return frozenset(pairs)
-    except TypeError:
-        pass
-    return frozenset((int(u), int(v)) for (u, v) in items)
 
 
 def gen_cnf_cso(formula: CnfFormula) -> CsoInstance:

@@ -29,7 +29,7 @@ from itertools import chain, repeat
 from json.encoder import encode_basestring
 from typing import TYPE_CHECKING, Any
 
-from .automata import Automaton, Event
+from .automata import Automaton, Event, _is_int
 from .errors import ParseError
 from .opacity import INSTANCE_CLASSES
 
@@ -194,7 +194,7 @@ def _write(value: Any, prefix: str, newline: str, out: list[str]) -> None:
             return
         width = _row_width(value)
         if width:
-            out.append(prefix + "[" + inner + _rows(value, width, inner) + newline + "]")
+            out.append(prefix + "[" + inner + _row_text(value, width, inner) + newline + "]")
             return
         prefix += "[" + inner
         for item in value:
@@ -205,7 +205,7 @@ def _write(value: Any, prefix: str, newline: str, out: list[str]) -> None:
         out.append(prefix + json.dumps(value))
 
 
-def _rows(value: list | tuple, width: int, newline: str) -> str:
+def _row_text(value: list | tuple, width: int, newline: str) -> str:
     """The text of the items of ``value``, arrays of ``width`` strings each,
     from the first item's "[" to the last one's "]".  ``newline`` is that of
     the items' lines.  Each string is followed by the separator its position
@@ -243,11 +243,6 @@ def load_json_file(path: str) -> dict:
     if not isinstance(data, dict):
         raise ParseError("top-level JSON value must be an object")
     return data
-
-
-def _is_int(value: Any) -> bool:
-    # JSON true/false parse to bool, which is a subclass of int.
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def dag_from_dict(d: dict) -> Dag:

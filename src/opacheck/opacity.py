@@ -33,6 +33,7 @@ from .automata import (
     _names,
     _quotient,
     _reach,
+    _rows,
     _unary_event,
 )
 from .errors import PreconditionViolated
@@ -86,14 +87,6 @@ class IsoInstance(_Record):
             raise ValueError("non-secret initial states must be initial states")
 
 
-def _pair(pair, field: str) -> tuple[str, str]:
-    """``pair`` as an (initial, marked) tuple; a string of two characters
-    would pass for a pair of names, so it is rejected."""
-    if isinstance(pair, str) or len(pair) != 2:
-        raise ValueError(f"{field} must hold pairs of names, not {pair!r}")
-    return tuple(pair)
-
-
 class IfsoInstance(_Record):
     """Initial-and-final-state opacity instance: the secret is an (initial, marked) pair."""
 
@@ -103,8 +96,8 @@ class IfsoInstance(_Record):
 
     def __post_init__(self) -> None:
         for name in ("secret_pairs", "nonsecret_pairs"):
-            pairs = _names(getattr(self, name), name)
-            object.__setattr__(self, name, frozenset(_pair(p, name) for p in pairs))
+            pairs = _rows(_names(getattr(self, name), name), 2, name, "pairs of names")
+            object.__setattr__(self, name, pairs)
         declared, initial = set(self.automaton.states), self.automaton.initial
         bad = [
             (i, f) for (i, f) in self.secret_pairs | self.nonsecret_pairs

@@ -3,7 +3,10 @@
 import ast
 import copy
 import dataclasses
+import json
+import os
 import pickle
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -286,7 +289,8 @@ class TestRecords:
 
     def test_generator_types_still_normalize_and_validate(self):
         assert Dag(3, [[0, 1]], 0, 2).edges == frozenset({(0, 1)})
-        assert Dag(3, [("0", "1")], 0, 2).edges == frozenset({(0, 1)})
+        with pytest.raises(ValueError, match=r"edges must hold pairs of ints, not \('0', '1'\)"):
+            Dag(3, [("0", "1")], 0, 2)
         clauses = CnfFormula(2, [[1, -2], (2,)]).clauses
         assert clauses == (frozenset({1, -2}), frozenset({2}))
         assert all(type(clause) is frozenset for clause in clauses)
@@ -426,8 +430,10 @@ class TestUndeclaredNames:
 
 
 class TestLargeConstruction:
-    """Construction checks a large transition set in bulk passes; the
-    accepted inputs and the error texts are those of one check per transition."""
+    """Construction checks a large transition set in bulk passes.  A row is a
+    list or tuple of three names; any other row raises a ValueError that names
+    the least offender by its text, and the error texts for undeclared names
+    are those of one check per transition."""
 
     STATES = tuple(f"p{i}" for i in range(600))
     ROWS = [[f"p{i // 2}", "ab"[i % 2], f"p{(i * 7 + 1) % 600}"] for i in range(1200)]
@@ -443,12 +449,16 @@ class TestLargeConstruction:
 
     @pytest.mark.parametrize("bad", [["p1", "a"], ["p1", "a", "p2", "p3"], "pq"])
     def test_wrong_arity_is_a_value_error(self, bad):
-        with pytest.raises(ValueError, match="values to unpack"):
+        with pytest.raises(ValueError) as caught:
             self.build(self.ROWS[:700] + [bad] + self.ROWS[700:])
+        assert str(caught.value) == (
+            f"transitions must hold (source, event, target) triples, not {bad!r}"
+        )
 
-    def test_non_sequence_transition_fails_as_unpacking_does(self):
-        with pytest.raises(TypeError, match="cannot unpack non-iterable int object"):
+    def test_non_sequence_transition_is_a_value_error(self):
+        with pytest.raises(ValueError) as caught:
             self.build(self.ROWS + [5])
+        assert str(caught.value) == "transitions must hold (source, event, target) triples, not 5"
 
     @pytest.mark.parametrize(
         "bad, message",
@@ -462,6 +472,57 @@ class TestLargeConstruction:
         with pytest.raises(ValueError) as caught:
             self.build(self.ROWS + [list(bad)])
         assert str(caught.value) == message
+
+
+SET_ROWS_CHILD = """
+import json
+from opacheck import Automaton, Event, IfsoInstance
+a = Automaton(("p", "q"), (Event("a"),), [], {"p", "q"})
+builds = [
+    lambda: Automaton(("p", "q"), (Event("a"),), [{"p", "a", "q"}], {"p"}),
+    lambda: IfsoInstance(a, [{"p", "q"}], ()),
+    lambda: IfsoInstance(a, (), [frozenset({"p", "q"})]),
+]
+texts = []
+for build in builds:
+    try:
+        texts.append(repr(build()))
+    except ValueError as exc:
+        texts.append(str(exc))
+print(json.dumps(texts))
+"""
+
+
+class TestRows:
+    """Transitions and IFSO pairs go through one row check: each row is a
+    list or tuple of the row's width, never something that only iterates
+    like one."""
+
+    def test_a_string_of_three_names_is_not_a_transition(self):
+        # "pab" used to be read as the transition (p, a, b)
+        with pytest.raises(ValueError) as caught:
+            Automaton(("p", "b"), (Event("a"),), ["pab"], {"p"})
+        assert str(caught.value) == (
+            "transitions must hold (source, event, target) triples, not 'pab'"
+        )
+
+    def test_set_rows_raise_one_text_under_every_hash_seed(self):
+        # a set used to be read in hash order: the transition {p, a, q} became
+        # (p, a, q) or (q, a, p) or raised, and the pair {p, q} (p, q) or (q, p)
+        src = str(Path(opacheck.__file__).resolve().parent.parent)
+        runs = [
+            json.loads(subprocess.run(
+                [sys.executable, "-c", SET_ROWS_CHILD],
+                env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+                capture_output=True, text=True, check=True,
+            ).stdout)
+            for seed in ("0", "1", "5")
+        ]
+        assert runs == [[
+            "transitions must hold (source, event, target) triples, not {'a', 'p', 'q'}",
+            "secret_pairs must hold pairs of names, not {'p', 'q'}",
+            "nonsecret_pairs must hold pairs of names, not {'p', 'q'}",
+        ]] * 3
 
 
 def closure_of(a, state):

@@ -112,6 +112,24 @@ class TestCnfFormula:
         with pytest.raises(MalformedFormula):
             CnfFormula(2, (frozenset({3}),))
 
+    @pytest.mark.parametrize("clauses, message", [
+        ([[1, 2.7]], "a clause must hold int literals, not [1, 2.7]"),  # used to hold {1, 2}
+        ([[1, True]], "a clause must hold int literals, not [1, True]"),  # a set merges the two
+        ([{"2", "1"}], "a clause must hold int literals, not {'1', '2'}"),  # in any hash order
+        (["12"], "a clause must hold int literals, not '12'"),  # also {1, 2}
+        ([""], "a clause must hold int literals, not ''"),  # the empty clause
+    ])
+    def test_literals_are_ints_not_converted(self, clauses, message):
+        with pytest.raises(MalformedFormula) as caught:
+            CnfFormula(2, clauses)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("count", [2.5, True, "2"])
+    def test_variable_count_is_an_int(self, count):
+        with pytest.raises(MalformedFormula) as caught:
+            CnfFormula(count, [[1]])
+        assert str(caught.value) == f"variable count must be an int, not {count!r}"
+
 
 class TestCnfGadget:
     def test_two_clause_structure(self):
@@ -181,8 +199,9 @@ class TestDagGadgets:
 
 
 class TestLargeDag:
-    """The edge checks run in bulk passes; the accepted inputs and the error
-    texts are those of one check per edge."""
+    """The edge checks run in bulk passes.  An edge is a list or tuple of two
+    ints; any other edge raises a ValueError that names the least offender by
+    its text, and the range error texts are those of one check per edge."""
 
     CHAIN = [[i, i + 1] for i in range(1500)]
 
@@ -191,15 +210,39 @@ class TestLargeDag:
         assert g.edges == frozenset(map(tuple, self.CHAIN))
         assert Dag(1501, iter(self.CHAIN), 0, 1500) == g
 
-    def test_non_integer_ends_convert_as_int_does(self):
-        g = Dag(1501, self.CHAIN + [[0.0, "2"], (True, 3)], 0, 1500)
-        assert {(0, 2), (1, 3)} <= g.edges
+    def test_non_integer_ends_are_rejected(self):
+        # they used to be converted as int() would: 0.0 to 0, "2" to 2, True to 1
+        for bad, shown in [([0.0, "2"], "[0.0, '2']"), ((True, 3), "(True, 3)")]:
+            with pytest.raises(ValueError) as caught:
+                Dag(1501, self.CHAIN + [bad], 0, 1500)
+            assert str(caught.value) == f"edges must hold pairs of ints, not {shown}"
+        g = Dag(1501, self.CHAIN, 0, 1500)
         assert all(type(x) is int for e in g.edges for x in e)
 
     @pytest.mark.parametrize("bad", [[4], [4, 5, 6]])
     def test_wrong_arity_is_a_value_error(self, bad):
-        with pytest.raises(ValueError, match="values to unpack"):
+        with pytest.raises(ValueError) as caught:
             Dag(1501, self.CHAIN + [bad], 0, 1500)
+        assert str(caught.value) == f"edges must hold pairs of ints, not {bad!r}"
+
+    @pytest.mark.parametrize("edges, shown", [
+        (["12"], "'12'"),  # used to hold the edge (1, 2)
+        ([(0, 1.9)], "(0, 1.9)"),  # used to hold (0, 1)
+        ([(True, 2)], "(True, 2)"),  # used to hold (1, 2)
+        ([{0, 1}], "{0, 1}"),
+        ([(1, 2), (True, 2)], "(True, 2)"),  # a set would merge it with (1, 2)
+    ])
+    def test_an_edge_is_a_pair_of_ints(self, edges, shown):
+        with pytest.raises(ValueError) as caught:
+            Dag(20, edges, 0, 2)
+        assert str(caught.value) == f"edges must hold pairs of ints, not {shown}"
+
+    @pytest.mark.parametrize("count, source, target", [
+        (3, 0.0, 1), (3, True, 1), (3, 0, 1.0), (2.0, 0, 1), ("3", 0, 1),
+    ])
+    def test_count_and_ends_are_ints(self, count, source, target):
+        with pytest.raises(ValueError, match="^vertex count, source and target must be ints$"):
+            Dag(count, [], source, target)
 
     @pytest.mark.parametrize(
         "bad, message",

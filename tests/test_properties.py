@@ -7,7 +7,8 @@ of witnesses is checked by enumerating observations with the membership-only
 ``oracles.observation_feasible``, and that of realized runs by enumerating
 strings with ``oracles.string_reaches``.  The pair search under them,
 ``_lex_least_label``, is also checked on its own, on drawn move relations
-against plain subset simulation.
+against plain subset simulation.  The records' row check is checked on
+drawn mixes of good rows and items that only pass for rows by accident.
 """
 
 import itertools
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 from opacheck import (
     Automaton,
     CsoInstance,
+    Dag,
     Event,
     IfsoInstance,
     IsoInstance,
@@ -635,3 +637,70 @@ def test_the_observer_interns_at_most_one_estimate_per_node_on_unary_po_automata
     for respect in ((), (secret, nonsecret)):
         g, kernel, _ = kernel_search(a, respect)
         assert len(kernel.masks) <= g.size
+
+
+ROW_STATES = ("p", "q", "r")
+ROW_NAMES = st.sampled_from(ROW_STATES + ("a", "b"))
+
+
+def shown(item) -> str:
+    """``repr(item)``, a set's members in the order of their reprs."""
+    if isinstance(item, set) and item:
+        return "{" + ", ".join(sorted(map(repr, item))) + "}"
+    return repr(item)
+
+
+def check_rows(build, good, bad, field, what, data):
+    """``build`` on a shuffle of ``good`` and ``bad`` rows accepts exactly
+    when ``bad`` is empty, and otherwise names its least item by text."""
+    items = data.draw(st.permutations(good + bad))
+    if not bad:
+        assert build(items) == frozenset(map(tuple, good))
+        return
+    with pytest.raises(ValueError) as caught:
+        build(iter(items) if data.draw(st.booleans()) else items)
+    assert str(caught.value) == f"{field} must hold {what}, not {min(map(shown, bad))}"
+
+
+def bad_rows(width, names):
+    """Items that a row check must reject: strings of the row's width, sets,
+    mappings, ints and lists or tuples of another width."""
+    other = st.integers(0, width + 2).filter(lambda n: n != width)
+    return st.one_of(
+        st.text(alphabet="pqab012", min_size=width, max_size=width),
+        st.sets(names, min_size=1, max_size=width + 1),
+        st.dictionaries(names, names, min_size=1, max_size=width),
+        st.integers(-3, 9),
+        other.flatmap(lambda n: st.lists(names, min_size=n, max_size=n)),
+        other.flatmap(lambda n: st.lists(names, min_size=n, max_size=n).map(tuple)),
+    )
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.lists(st.tuples(st.sampled_from(ROW_STATES), st.sampled_from("ab"),
+                       st.sampled_from(ROW_STATES)).flatmap(lambda t: st.sampled_from([t, list(t)])),
+             max_size=8),
+    st.lists(bad_rows(3, ROW_NAMES), max_size=3),
+    st.data(),
+)
+def test_transitions_accept_exactly_the_rows_of_three_names(good, bad, data):
+    def build(items):
+        return Automaton(ROW_STATES, (Event("a"), Event("b")), items, {"p"}).transitions
+
+    check_rows(build, good, bad, "transitions", "(source, event, target) triples", data)
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.lists(st.tuples(st.integers(0, 4), st.integers(1, 5)).filter(lambda e: e[0] < e[1])
+             .flatmap(lambda e: st.sampled_from([e, list(e)])), max_size=8),
+    st.lists(st.one_of(
+        bad_rows(2, st.integers(0, 5)),
+        st.tuples(st.sampled_from([True, False, 0.0, "1"]), st.integers(0, 5)),
+    ), max_size=3),
+    st.data(),
+)
+def test_dag_edges_accept_exactly_the_pairs_of_ints(good, bad, data):
+    # an end that is not an int is as bad as a row that is not a pair
+    check_rows(lambda items: Dag(6, items, 0, 5).edges, good, bad, "edges", "pairs of ints", data)
