@@ -19,10 +19,11 @@ function of its inputs, so values can be shared freely across threads.
 
 from __future__ import annotations
 
+from collections import abc
 from functools import cached_property
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import TYPE_CHECKING, Collection, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Collection, Iterable, Optional, Sequence
 
 from .errors import ObserverBlowup, PreconditionViolated
 
@@ -43,14 +44,6 @@ def _require(condition: bool, message: str) -> None:
         raise PreconditionViolated(message)
 
 
-def _names(value, field: str):
-    """``value``, a collection of names; one string would pass for the
-    collection of its characters, so it is rejected."""
-    if isinstance(value, str):
-        raise ValueError(f"{field} must be a collection of names, not a string")
-    return value
-
-
 def _is_int(value) -> bool:
     """Whether ``value`` is an int; a bool (what JSON true parses to) is not."""
     return type(value) is int
@@ -63,45 +56,103 @@ def _shown(item) -> str:
     return repr(item)
 
 
-def _rows(items: Iterable, width: int, field: str, what: str, kind: Optional[type] = None):
-    """``items``, read once, as a frozenset of tuples, made in bulk passes.  Each
-    item is a list or tuple of ``width`` values, all of type ``kind`` if given
-    (checked before the set merges True with 1); anything else raises, naming
-    the least offender by its text."""
-    if iter(items) is items:
-        items = tuple(items)
-    kinds = set(map(type, items))
-    if kinds <= {list, tuple} or all(map(isinstance, items, repeat((list, tuple)))):
-        rows = frozenset(items) if kinds <= {tuple} else frozenset(map(tuple, items))
-        if set(map(len, rows)) <= {width} and (
-            kind is None or set(map(type, chain.from_iterable(items))) <= {kind}
-        ):
-            return rows
-    bad = [r for r in items if not isinstance(r, (list, tuple)) or len(r) != width
-           or kind is not None and not set(map(type, r)) <= {kind}]
-    raise ValueError(f"{field} must hold {what}, not {min(map(_shown, bad))}")
+# The kinds of the input records' fields.  A kind returns the value it reads,
+# normalized, or raises a ValueError that says what the value must be and
+# shows the least offender by _shown; _checked puts the field's name first.
+
+
+def _checked(field: str, kind: Callable, value, error: type = ValueError):
+    try:
+        return kind(value)
+    except ValueError as exc:
+        raise error(f"{field} {exc}") from None
+
+
+def _refuse(what: str, bad: list):
+    raise ValueError(f"must {what}, not {min(map(_shown, bad))}")
+
+
+def _scalar(what: str, test: Callable) -> Callable:
+    return lambda value: value if test(value) else _refuse(f"be {what}", [value])
+
+
+_TEXT = _scalar("a non-empty string", lambda v: isinstance(v, str) and v != "")
+_FLAG = _scalar("a bool", lambda v: isinstance(v, bool))
+_INT = _scalar("an int", _is_int)
+_CAP = _scalar("a positive int", lambda v: _is_int(v) and v > 0)
+_AUTOMATON = _scalar("an Automaton", lambda v: isinstance(v, Automaton))
+
+
+def _items(value, what: str):
+    """``value`` if it is a collection of ``what``: an iterable but a string,
+    bytes or a mapping, which only iterate like one.  An iterator is read once."""
+    if not isinstance(value, abc.Iterable) or isinstance(
+            value, (str, bytes, bytearray, abc.Mapping)):
+        _refuse(f"be a collection of {what}", [value])
+    return tuple(value) if iter(value) is value else value
+
+
+def _many(what: str, ok: Callable, make: Callable) -> Callable:
+    """The kind of a collection of ``what``, returned as ``make(items)``.
+    ``ok`` tells in bulk passes whether a collection holds only such items,
+    and, given one item at a time, finds the offenders."""
+    def read(value):
+        items = _items(value, what)
+        if ok(items):
+            return make(items)
+        _refuse(f"hold {what}", [x for x in items if not ok((x,))])
+    return read
+
+
+def _all(*classes: type) -> Callable:
+    return lambda items: set(map(type, items)) <= {*classes} or all(
+        map(isinstance, items, repeat(classes)))
+
+
+_NAMES, _NAME_TUPLE = _many("names", _all(str), frozenset), _many("names", _all(str), tuple)
+_CLAUSES = _many("collections of int literals", lambda clauses: all(
+    isinstance(c, (list, tuple, set, frozenset)) and all(map(_is_int, c)) for c in clauses),
+    lambda clauses: tuple(map(frozenset, clauses)))
+
+
+def _rows(width: int, what: str, kind: type) -> Callable:
+    """The kind of a collection of lists or tuples of ``width`` values of type
+    exactly ``kind``, returned as a frozenset of tuples.  The values' types
+    are checked before the set merges True with 1."""
+    def ok(rows) -> bool:
+        return _all(list, tuple)(rows) and set(map(len, rows)) <= {width} and set(
+            map(type, chain.from_iterable(rows))) <= {kind}
+    def make(rows) -> frozenset:
+        try:  # a set of tuples is copied whole, into a table no larger than it needs
+            return frozenset(rows)
+        except TypeError:  # a list is unhashable
+            return frozenset(map(tuple, rows))
+    return _many(what, ok, make)
 
 
 class _Record:
     """An immutable value whose fields are its class's annotated names, in
     order; a class attribute of the same name is the field's default.
 
-    Construction takes the fields by position or keyword, stores them and
-    then calls the class's ``__post_init__``, which may normalize them with
-    ``object.__setattr__``.  Equality and hashing read the fields named by
-    ``_compared`` (all of them unless the class says otherwise), and the
-    ``repr`` lists every field.  Assignment and deletion raise
-    :class:`AttributeError`.  The instance ``__dict__`` holds the fields and
-    any ``cached_property`` values.  This is what a frozen dataclass gives,
-    without the import of :mod:`dataclasses` and the per-class code
-    generation that would slow every command line's start-up.  Every value
-    type of the package is one, the generators' inputs and results included,
-    except :class:`~opacheck.structure.StructureReport`, the one dataclass.
+    Construction takes the fields by position or keyword, reads each one that
+    ``_kinds`` names by its kind (the one check of field kinds: a value of
+    another kind raises ``_error``, naming the field) and then calls
+    ``__post_init__``, which checks how the fields relate.  Equality and
+    hashing read the fields named by ``_compared`` (all of them unless the
+    class says otherwise), and the ``repr`` lists every field.  Assignment
+    and deletion raise :class:`AttributeError`.  The instance ``__dict__``
+    holds the fields and any ``cached_property`` values.  This is what a
+    frozen dataclass gives, without the import of :mod:`dataclasses` and the
+    per-class code generation that would slow every command line's start-up.
+    Every value type of the package is one, the generators' inputs and
+    results included, except :class:`~opacheck.structure.StructureReport`.
     """
 
     _fields: tuple[str, ...] = ()
     _compared: tuple[str, ...] = ()
     _defaults: dict[str, object] = {}
+    _kinds: dict[str, Callable] = {}
+    _error: type = ValueError
 
     def __init_subclass__(cls) -> None:
         cls._fields = tuple(cls.__annotations__)
@@ -126,6 +177,8 @@ class _Record:
             name = next(iter(kwargs))
             problem = "multiple values for" if name in names else "an unexpected keyword"
             raise TypeError(f"{type(self).__name__}() got {problem} argument {name!r}")
+        for name, kind in self._kinds.items():
+            values[name] = _checked(name, kind, values[name], self._error)
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -156,12 +209,7 @@ class _Record:
 class Event(_Record):
     name: str
     observable: bool = True
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.name, str) or not self.name:
-            raise ValueError("event name must be a non-empty string")
-        if not isinstance(self.observable, bool):
-            raise ValueError("event observability must be a boolean")
+    _kinds = {"name": _TEXT, "observable": _FLAG}
 
 
 class Automaton(_Record):
@@ -177,21 +225,11 @@ class Automaton(_Record):
     transitions: frozenset[Transition]
     initial: frozenset[str]
     marked: frozenset[str] = frozenset()
+    _kinds = {"states": _NAME_TUPLE, "alphabet": _many("Event values", _all(Event), tuple),
+              "transitions": _rows(3, "(source, event, target) triples", str),
+              "initial": _NAMES, "marked": _NAMES}
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "states", tuple(_names(self.states, "states")))
-        object.__setattr__(self, "alphabet", tuple(self.alphabet))
-        rows = _rows(self.transitions, 3, "transitions", "(source, event, target) triples")
-        object.__setattr__(self, "transitions", rows)
-        object.__setattr__(self, "initial", frozenset(_names(self.initial, "initial")))
-        object.__setattr__(self, "marked", frozenset(_names(self.marked, "marked")))
-        self._validate()
-
-    def _validate(self) -> None:
-        if not all(map(isinstance, self.alphabet, repeat(Event))):
-            raise ValueError("alphabet entries must be Event values")
-        if not all(map(isinstance, self.states, repeat(str))):
-            raise ValueError("state names must be strings")
         declared = set(self.states)
         if len(declared) != len(self.states):
             raise ValueError("state names must be unique")
@@ -205,10 +243,7 @@ class Automaton(_Record):
             and declared.issuperset(map(itemgetter(2), t))
             and events.issuperset(map(itemgetter(1), t))
         ):
-            # The least offender, so the message does not depend on the hash seed.  A
-            # name that is not a string is never declared, and would not order.
-            if not all(map(isinstance, chain(undeclared, chain.from_iterable(t)), repeat(str))):
-                raise ValueError("names in transitions, initial and marked must be strings")
+            # The least offender, so the message does not depend on the hash seed.
             for (p, e, q) in sorted(t):
                 if p not in declared or q not in declared:
                     raise ValueError(f"transition ({p!r}, {e!r}, {q!r}) uses an undeclared state")
@@ -269,7 +304,7 @@ class Automaton(_Record):
 
     def move(self, states: Iterable[str], event: str) -> frozenset[str]:
         g = self._graph
-        states = tuple(_names(states, "states"))
+        states = _checked("states", _NAME_TUPLE, states)
         _require(event in g.event_index and all(map(g.index.__contains__, states)),
                  "move: the states and event must be declared")
         row = g.succ[g.event_index[event]]
@@ -653,8 +688,9 @@ def realize_observation(
 
     The search's right nodes are the numbers of observations read.
     """
-    targets = frozenset(_names(targets, "targets"))
-    initial = a.initial if initial is None else frozenset(_names(initial, "initial"))
+    targets = _checked("targets", _NAMES, targets)
+    observation = _checked("observation", _NAME_TUPLE, observation)
+    initial = a.initial if initial is None else _checked("initial", _NAMES, initial)
     _require(targets | initial <= set(a.states), "realize_observation: states must be declared")
     g = a._graph
     n = len(observation)
@@ -805,7 +841,7 @@ def inclusion_modulo_projection(
     (ties broken by a1's alphabet declaration order) and a string of ``a1``
     realizing it.
     """
-    m1, m2 = frozenset(_names(m1, "m1")), frozenset(_names(m2, "m2"))
+    m1, m2 = _checked("m1", _NAMES, m1), _checked("m2", _NAMES, m2)
     _check_language_args(a1, m1, a2, m2)
     return _inclusion(a1, a1.initial, m1, a2, a2.initial, m2, cap)
 
@@ -817,7 +853,7 @@ def _inclusion(
 ) -> Verdict:
     """:func:`inclusion_modulo_projection` with each side started in the
     given states rather than its automaton's initial ones.  The arguments
-    are trusted; ``respect`` is as in :func:`_least_difference`.
+    but ``cap`` are trusted; ``respect`` is as in :func:`_least_difference`.
 
     When both sides are partially ordered with one observable event, the
     inclusion is that of their observation length sets: :func:`_length_sets`
@@ -826,6 +862,7 @@ def _inclusion(
     is the cap consulted).  Otherwise :func:`_least_difference` decides it.
     Either search's tables are garbage before the witness is realized.
     """
+    cap = _checked("cap", _CAP, cap)
     event = _unary_event(a1)
     if event is not None and _unary_event(a2) is not None:
         algorithm = "unary-po"
@@ -925,7 +962,7 @@ def intersection_nonempty_modulo_projection(
     when nonempty the verdict holds and the witness is the shortest common
     observation together with a string of ``a1`` realizing it.
     """
-    m1, m2 = frozenset(_names(m1, "m1")), frozenset(_names(m2, "m2"))
+    m1, m2 = _checked("m1", _NAMES, m1), _checked("m2", _NAMES, m2)
     _check_language_args(a1, m1, a2, m2)
     obs = _least_common(a1, m1, a2, m2)
     if obs is None:

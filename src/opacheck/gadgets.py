@@ -19,7 +19,7 @@ from itertools import chain, repeat
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .automata import Automaton, Event, _Record, _is_int, _rows, _shown, topological_order, trim
+from .automata import _CLAUSES, _INT, Automaton, Event, _Record, _rows, topological_order, trim
 from .errors import InputNotDeterministic, MalformedFormula, PreconditionViolated, TooLarge
 from .opacity import CsoInstance, IsoInstance, LboInstance
 
@@ -62,16 +62,10 @@ class CnfFormula(_Record):
 
     variable_count: int
     clauses: tuple[frozenset[int], ...]
+    _kinds = {"variable_count": _INT, "clauses": _CLAUSES}
+    _error = MalformedFormula
 
     def __post_init__(self) -> None:
-        if not _is_int(self.variable_count):
-            raise MalformedFormula(f"variable count must be an int, not {self.variable_count!r}")
-        # a clause that is not a set is checked before one merges True with 1
-        clauses = [c if isinstance(c, (str, set, frozenset)) else list(c) for c in self.clauses]
-        for c in clauses:
-            if isinstance(c, str) or not all(map(_is_int, c)):
-                raise MalformedFormula(f"a clause must hold int literals, not {_shown(c)}")
-        object.__setattr__(self, "clauses", tuple(map(frozenset, clauses)))
         if self.variable_count < 0:
             raise MalformedFormula("variable count must be non-negative")
         for clause in self.clauses:
@@ -93,15 +87,14 @@ class Dag(_Record):
     edges: frozenset[tuple[int, int]]
     source: int
     target: int
+    _kinds = {"vertex_count": _INT, "edges": _rows(2, "pairs of ints", int),
+              "source": _INT, "target": _INT}
 
     def __post_init__(self) -> None:
-        if not all(map(_is_int, (self.vertex_count, self.source, self.target))):
-            raise ValueError("vertex count, source and target must be ints")
         if self.vertex_count < 1:
             raise ValueError("a DAG needs at least one vertex")
         if self.vertex_count > MAX_GADGET_STATES:
             raise TooLarge(f"a DAG has at most {MAX_GADGET_STATES} vertices")
-        object.__setattr__(self, "edges", _rows(self.edges, 2, "edges", "pairs of ints", int))
         vertices = range(self.vertex_count)
         ends = list(chain.from_iterable(self.edges))
         if ends and (min(ends) < 0 or max(ends) >= self.vertex_count):

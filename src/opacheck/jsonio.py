@@ -222,7 +222,7 @@ def dumps(payload: Any) -> str:
     """Canonical JSON text: sorted keys, fixed indentation, trailing newline.
 
     Byte for byte ``json.dumps(payload, indent=2, sort_keys=True,
-    ensure_ascii=False) + "\\n"`` (object keys must be strings).
+    ensure_ascii=False) + "\\n"`` (object keys are strings).
     """
     out: list[str] = []
     _write(payload, "", "\n", out)

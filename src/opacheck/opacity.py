@@ -17,8 +17,6 @@ bisimulation that keeps the secret and non-secret sets apart.
 
 from __future__ import annotations
 
-from itertools import chain, repeat
-
 from .automata import (
     DEFAULT_OBSERVER_CAP,
     Automaton,
@@ -28,9 +26,13 @@ from .automata import (
     inclusion_modulo_projection,
     intersection_nonempty_modulo_projection,
     realize_observation,
+    _AUTOMATON,
+    _CAP,
+    _NAMES,
+    _TEXT,
     _EstimateKernel,
+    _checked,
     _inclusion,
-    _names,
     _quotient,
     _reach,
     _rows,
@@ -39,6 +41,7 @@ from .automata import (
 from .errors import PreconditionViolated
 
 CSO_ALGORITHMS = ("auto", "observer", "inclusion", "unary-po")
+_PAIRS = _rows(2, "pairs of names", str)
 
 
 class CsoInstance(_Record):
@@ -51,10 +54,9 @@ class CsoInstance(_Record):
     automaton: Automaton
     secret: frozenset[str]
     nonsecret: frozenset[str]
+    _kinds = {"automaton": _AUTOMATON, "secret": _NAMES, "nonsecret": _NAMES}
 
     def __post_init__(self) -> None:
-        for name in ("secret", "nonsecret"):
-            object.__setattr__(self, name, frozenset(_names(getattr(self, name), name)))
         declared = set(self.automaton.states)
         if not self.secret <= declared or not self.nonsecret <= declared:
             raise ValueError("secret and non-secret sets must be declared states")
@@ -65,6 +67,7 @@ class LboInstance(_Record):
 
     secret_automaton: Automaton
     nonsecret_automaton: Automaton
+    _kinds = {"secret_automaton": _AUTOMATON, "nonsecret_automaton": _AUTOMATON}
 
     def __post_init__(self) -> None:
         if self.secret_automaton.alphabet != self.nonsecret_automaton.alphabet:
@@ -77,10 +80,9 @@ class IsoInstance(_Record):
     automaton: Automaton
     secret_initial: frozenset[str]
     nonsecret_initial: frozenset[str]
+    _kinds = {"automaton": _AUTOMATON, "secret_initial": _NAMES, "nonsecret_initial": _NAMES}
 
     def __post_init__(self) -> None:
-        for name in ("secret_initial", "nonsecret_initial"):
-            object.__setattr__(self, name, frozenset(_names(getattr(self, name), name)))
         if not self.secret_initial <= self.automaton.initial:
             raise ValueError("secret initial states must be initial states")
         if not self.nonsecret_initial <= self.automaton.initial:
@@ -93,19 +95,15 @@ class IfsoInstance(_Record):
     automaton: Automaton
     secret_pairs: frozenset[tuple[str, str]]
     nonsecret_pairs: frozenset[tuple[str, str]]
+    _kinds = {"automaton": _AUTOMATON, "secret_pairs": _PAIRS, "nonsecret_pairs": _PAIRS}
 
     def __post_init__(self) -> None:
-        for name in ("secret_pairs", "nonsecret_pairs"):
-            pairs = _rows(_names(getattr(self, name), name), 2, name, "pairs of names")
-            object.__setattr__(self, name, pairs)
         declared, initial = set(self.automaton.states), self.automaton.initial
         bad = [
             (i, f) for (i, f) in self.secret_pairs | self.nonsecret_pairs
             if i not in initial or f not in declared
         ]
         if bad:  # the least offender, so the message does not depend on the hash seed
-            if not all(map(isinstance, chain.from_iterable(bad), repeat(str))):
-                raise ValueError("names in pairs must be strings")  # they would not order
             i, f = min(bad)
             if i not in declared or f not in declared:
                 raise ValueError(f"pair ({i!r}, {f!r}) uses an undeclared state")
@@ -119,6 +117,7 @@ def verify_cso_observer(inst: CsoInstance, *, cap: int = DEFAULT_OBSERVER_CAP) -
     non-secret set.  The witness is the shortest observation (ties broken by
     alphabet declaration order) reaching a violating estimate.
     """
+    cap = _checked("cap", _CAP, cap)
     a = inst.automaton
     g = _quotient(a._graph, (inst.secret, inst.nonsecret))
     kernel = _EstimateKernel(g, cap)
@@ -246,8 +245,11 @@ def verify(instance, notion: str, algorithm: str = "auto", *,
     """Decide ``notion`` on ``instance``, of the notion's class in
     :data:`INSTANCE_CLASSES`; ``algorithm`` is a :func:`verify_cso` choice,
     for ``cso`` only.  Weak LBO's product search builds no estimates and
-    ignores ``cap``.  An unknown notion, an instance of another class or an
-    algorithm for another notion raises :class:`ValueError`."""
+    ignores ``cap``, but checks it as every entry point does.  An unknown
+    notion, an instance of another class or an algorithm for another notion
+    raises :class:`ValueError`."""
+    notion, algorithm = _checked("notion", _TEXT, notion), _checked("algorithm", _TEXT, algorithm)
+    cap = _checked("cap", _CAP, cap)
     cls = INSTANCE_CLASSES.get(notion)
     if cls is None:
         raise ValueError(f"unknown notion {notion!r}, expected one of {tuple(INSTANCE_CLASSES)}")

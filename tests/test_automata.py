@@ -345,23 +345,26 @@ class TestValidation:
     def test_state_names_must_be_strings(self):
         # each of these used to be accepted, and the writer then failed on it
         for name in (1, None, b"p", ("p",)):
-            with pytest.raises(ValueError, match="state names must be strings"):
+            with pytest.raises(ValueError) as caught:
                 aut(["p", name], AB, [], ["p"])
+            assert str(caught.value) == f"states must hold names, not {name!r}"
         # the empty name is legal: JSON files may use it
         assert aut([""], AB, [("", "a", "")], [""]).states == ("",)
 
     def test_names_in_transitions_initial_and_marked_must_be_strings(self):
         # each of these raised a TypeError from the least-offender search
+        triples = "transitions must hold (source, event, target) triples"
         cases = [
-            ([("p", 1, "p"), ("p", "b", "p")], {"p"}, ()),
-            ([("p", "a", 1), ("p", "a", "q")], {"p"}, ()),
-            ([(None, "a", "p"), ("q", "a", "p")], {"p"}, ()),
-            ([], {1, "x"}, ()),
-            ([], {"p"}, {1, "x"}),
+            ([("p", 1, "p"), ("p", "b", "p")], {"p"}, (), f"{triples}, not ('p', 1, 'p')"),
+            ([("p", "a", 1), ("p", "a", "q")], {"p"}, (), f"{triples}, not ('p', 'a', 1)"),
+            ([(None, "a", "p"), ("q", "a", "p")], {"p"}, (), f"{triples}, not (None, 'a', 'p')"),
+            ([], {1, "x"}, (), "initial must hold names, not 1"),
+            ([], {"p"}, {1, "x"}, "marked must hold names, not 1"),
         ]
-        for transitions, initial, marked in cases:
-            with pytest.raises(ValueError, match="names in transitions, initial and marked"):
+        for transitions, initial, marked, message in cases:
+            with pytest.raises(ValueError) as caught:
                 Automaton(("p", "q"), AB, transitions, initial, marked)
+            assert str(caught.value) == message
 
     @pytest.mark.parametrize("field", ["states", "initial", "marked"])
     def test_a_string_is_not_a_collection_of_names(self, field):
@@ -394,14 +397,16 @@ class TestValidation:
 
     def test_alphabet_entries_must_be_events(self):
         # a name in place of an Event used to raise AttributeError
-        with pytest.raises(ValueError, match="alphabet entries must be Event values"):
+        with pytest.raises(ValueError) as caught:
             Automaton(("p",), ("a",), (), {"p"})
+        assert str(caught.value) == "alphabet must hold Event values, not 'a'"
         assert Automaton(("p",), iter(AB), (), {"p"}).alphabet == AB
 
     def test_observability_must_be_a_boolean(self):
         for observable in ("no", 0, 1, None):
-            with pytest.raises(ValueError, match="event observability must be a boolean"):
+            with pytest.raises(ValueError) as caught:
                 Event("a", observable=observable)
+            assert str(caught.value) == f"observable must be a bool, not {observable!r}"
 
 
 class TestUndeclaredNames:

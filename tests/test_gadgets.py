@@ -112,23 +112,29 @@ class TestCnfFormula:
         with pytest.raises(MalformedFormula):
             CnfFormula(2, (frozenset({3}),))
 
-    @pytest.mark.parametrize("clauses, message", [
-        ([[1, 2.7]], "a clause must hold int literals, not [1, 2.7]"),  # used to hold {1, 2}
-        ([[1, True]], "a clause must hold int literals, not [1, True]"),  # a set merges the two
-        ([{"2", "1"}], "a clause must hold int literals, not {'1', '2'}"),  # in any hash order
-        (["12"], "a clause must hold int literals, not '12'"),  # also {1, 2}
-        ([""], "a clause must hold int literals, not ''"),  # the empty clause
+    # The ids are the cases' names from before the text named the field.
+    @pytest.mark.parametrize("clauses, shown", [
+        pytest.param([[1, 2.7]], "[1, 2.7]",  # used to hold {1, 2}
+                     id="clauses0-a clause must hold int literals, not [1, 2.7]"),
+        pytest.param([[1, True]], "[1, True]",  # a set merges the two
+                     id="clauses1-a clause must hold int literals, not [1, True]"),
+        pytest.param([{"2", "1"}], "{'1', '2'}",  # in any hash order
+                     id="clauses2-a clause must hold int literals, not {'1', '2'}"),
+        pytest.param(["12"], "'12'",  # also {1, 2}
+                     id="clauses3-a clause must hold int literals, not '12'"),
+        pytest.param([""], "''",  # the empty clause
+                     id="clauses4-a clause must hold int literals, not ''"),
     ])
-    def test_literals_are_ints_not_converted(self, clauses, message):
+    def test_literals_are_ints_not_converted(self, clauses, shown):
         with pytest.raises(MalformedFormula) as caught:
             CnfFormula(2, clauses)
-        assert str(caught.value) == message
+        assert str(caught.value) == f"clauses must hold collections of int literals, not {shown}"
 
     @pytest.mark.parametrize("count", [2.5, True, "2"])
     def test_variable_count_is_an_int(self, count):
         with pytest.raises(MalformedFormula) as caught:
             CnfFormula(count, [[1]])
-        assert str(caught.value) == f"variable count must be an int, not {count!r}"
+        assert str(caught.value) == f"variable_count must be an int, not {count!r}"
 
 
 class TestCnfGadget:
@@ -241,8 +247,11 @@ class TestLargeDag:
         (3, 0.0, 1), (3, True, 1), (3, 0, 1.0), (2.0, 0, 1), ("3", 0, 1),
     ])
     def test_count_and_ends_are_ints(self, count, source, target):
-        with pytest.raises(ValueError, match="^vertex count, source and target must be ints$"):
+        fields = (("vertex_count", count), ("source", source), ("target", target))
+        field, value = next((field, value) for field, value in fields if type(value) is not int)
+        with pytest.raises(ValueError) as caught:
             Dag(count, [], source, target)
+        assert str(caught.value) == f"{field} must be an int, not {value!r}"
 
     @pytest.mark.parametrize(
         "bad, message",

@@ -36,7 +36,7 @@ def _run(argv: list[str], path: str) -> list:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    return [code, out.getvalue().replace(path, PATH_TOKEN), err.getvalue().replace(path, PATH_TOKEN)]
+    return [code, *(text.getvalue().replace(path, PATH_TOKEN) for text in (out, err))]
 
 
 def _without_time(run: list) -> list:

@@ -92,8 +92,10 @@ def test_a_string_is_not_a_set_of_names(cls, field):
     a = aut(["p", "q"], AB, [], ["p", "q"])
     fields = dict.fromkeys(cls._fields[1:], ())
     fields[field] = "pq"
-    with pytest.raises(ValueError, match=f"{field} must be a collection of names"):
+    what = "pairs of names" if field.endswith("_pairs") else "names"
+    with pytest.raises(ValueError) as caught:
         cls(a, **fields)
+    assert str(caught.value) == f"{field} must be a collection of {what}, not 'pq'"
 
 
 @pytest.mark.parametrize("field", ["secret_pairs", "nonsecret_pairs"])
@@ -326,6 +328,42 @@ class TestVerify:
             verify(lbo, "lbo-weak", "observer")
 
 
+def _cyclic_cso():
+    return CsoInstance(aut(["p", "q"], AB, [("p", "a", "q"), ("q", "b", "p")], ["p"]),
+                       {"q"}, set())
+
+
+def _unary_po_cso():
+    return CsoInstance(aut(["p", "q"], (Event("a"),), [("p", "a", "q")], ["p"]), {"q"}, set())
+
+
+CAP_ENTRY_POINTS = {
+    "verify": lambda inst, cap: verify(inst, "cso", cap=cap),
+    "verify_cso": lambda inst, cap: verify_cso(inst, "inclusion", cap=cap),
+    "verify_cso_observer": lambda inst, cap: verify_cso_observer(inst, cap=cap),
+    "verify_lbo": lambda inst, cap: verify_lbo(cso_to_lbo(inst), cap=cap),
+    "verify_iso": lambda inst, cap: verify_iso(
+        IsoInstance(inst.automaton, inst.automaton.initial, ()), cap=cap),
+    "verify_ifso": lambda inst, cap: verify_ifso(
+        IfsoInstance(inst.automaton, {("p", "q")}, ()), cap=cap),
+    "inclusion_modulo_projection": lambda inst, cap: inclusion_modulo_projection(
+        inst.automaton, inst.secret, inst.automaton, inst.nonsecret, cap=cap),
+}
+
+
+@pytest.mark.parametrize("instance", [_cyclic_cso, _unary_po_cso], ids=["cyclic", "unary-po"])
+@pytest.mark.parametrize("entry", sorted(CAP_ENTRY_POINTS))
+@pytest.mark.parametrize("cap", [0, -1, True, 2.5, "x", None], ids=repr)
+def test_every_entry_point_checks_its_cap(instance, entry, cap):
+    # 0 and -1 used to raise ObserverBlowup, True to report a cap of True, 2.5
+    # to answer, "x" and None to raise a TypeError, and the length-set path of
+    # a unary, partially ordered instance accepted every one of them
+    with pytest.raises(ValueError) as caught:
+        CAP_ENTRY_POINTS[entry](instance(), cap)
+    assert str(caught.value) == f"cap must be a positive int, not {cap!r}"
+    assert CAP_ENTRY_POINTS[entry](instance(), 8) is not None  # a cap that suffices
+
+
 class TestLbo:
     def test_empty_secret_language_is_opaque(self):
         a = aut(["p"], AB, [("p", "a", "p")], ["p"])
@@ -519,10 +557,13 @@ class TestIfso:
     def test_pair_names_must_be_strings(self):
         # two bad pairs of mixed types used to raise a TypeError from min()
         a = aut(["p", "q"], AB, [], ["p"])
-        for bad in ({(1, "p"), ("p", 2)}, {("p", None), (b"p", "q")}):
-            for secret, nonsecret in ((bad, set()), ({("p", "q")}, bad)):
-                with pytest.raises(ValueError, match="names in pairs must be strings"):
+        for bad, shown in (({(1, "p"), ("p", 2)}, "('p', 2)"),
+                           ({("p", None), (b"p", "q")}, "('p', None)")):
+            for secret, nonsecret, field in ((bad, set(), "secret_pairs"),
+                                             ({("p", "q")}, bad, "nonsecret_pairs")):
+                with pytest.raises(ValueError) as caught:
                     IfsoInstance(a, secret, nonsecret)
+                assert str(caught.value) == f"{field} must hold pairs of names, not {shown}"
 
     def test_memory_follows_what_each_start_reaches(self):
         # A 400-state secret chain against 50 non-secret starts that each
