@@ -77,6 +77,7 @@ def _scalar(what: str, test: Callable) -> Callable:
 
 
 _TEXT = _scalar("a non-empty string", lambda v: isinstance(v, str) and v != "")
+_STRING = _scalar("a string", lambda v: isinstance(v, str))
 _FLAG = _scalar("a bool", lambda v: isinstance(v, bool))
 _INT = _scalar("an int", _is_int)
 _CAP = _scalar("a positive int", lambda v: _is_int(v) and v > 0)
@@ -290,12 +291,13 @@ class Automaton(_Record):
         return StructureReport(**self._structure)
 
     def is_observable(self, event: str) -> bool:
-        found = self.events_by_name.get(event)
+        found = self.events_by_name.get(_checked("event", _STRING, event))
         _require(found is not None, "is_observable: the event must be declared")
         return found.observable
 
     def successors(self, state: str, event: str) -> tuple[str, ...]:
         """The targets of ``state`` under ``event``, sorted by name."""
+        state, event = _checked("state", _STRING, state), _checked("event", _STRING, event)
         g = self._graph
         _require(state in g.index and event in g.event_index,
                  "successors: the state and event must be declared")
@@ -304,7 +306,7 @@ class Automaton(_Record):
 
     def move(self, states: Iterable[str], event: str) -> frozenset[str]:
         g = self._graph
-        states = _checked("states", _NAME_TUPLE, states)
+        states, event = _checked("states", _NAME_TUPLE, states), _checked("event", _STRING, event)
         _require(event in g.event_index and all(map(g.index.__contains__, states)),
                  "move: the states and event must be declared")
         row = g.succ[g.event_index[event]]
@@ -423,7 +425,7 @@ def classify(a: Automaton) -> StructureReport:
     it, so routing, fast-path preconditions and output share them; so is the
     report that holds them.
     """
-    return a._report
+    return _checked("a", _AUTOMATON, a)._report
 
 
 def _reach(seeds: Iterable[int], rows: Sequence[Sequence[Sequence[int]]]) -> set[int]:
@@ -657,7 +659,7 @@ def trim(a: Automaton) -> Automaton:
     The marked language is unchanged; an automaton with no marked state trims
     to the empty automaton.
     """
-    g = a._graph
+    g = _checked("a", _AUTOMATON, a)._graph
     backward: list[list[int]] = [[] for _ in a.states]
     for row in g.succ:
         for i, targets in enumerate(row):

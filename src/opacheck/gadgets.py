@@ -19,7 +19,8 @@ from itertools import chain, repeat
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .automata import _CLAUSES, _INT, Automaton, Event, _Record, _rows, topological_order, trim
+from .automata import (_AUTOMATON, _CLAUSES, _INT, _STRING, Automaton, Event, _Record, _all,
+                       _checked, _many, _rows, _scalar, topological_order, trim)
 from .errors import InputNotDeterministic, MalformedFormula, PreconditionViolated, TooLarge
 from .opacity import CsoInstance, IsoInstance, LboInstance
 
@@ -110,6 +111,14 @@ class Dag(_Record):
             raise ValueError("edge relation must be acyclic")
 
 
+# The kinds of the generators' arguments, checked as the records' fields are.
+_FORMULA = _scalar("a CnfFormula", lambda v: isinstance(v, CnfFormula))
+_DAG = _scalar("a Dag", lambda v: isinstance(v, Dag))
+_CSO = _scalar("a CsoInstance", lambda v: isinstance(v, CsoInstance))
+_LBO = _scalar("an LboInstance", lambda v: isinstance(v, LboInstance))
+_AUTOMATA = _many("Automaton values", _all(Automaton), tuple)
+
+
 def gen_cnf_cso(formula: CnfFormula) -> CsoInstance:
     """Current-state opacity instance that is opaque iff the formula is unsatisfiable.
 
@@ -120,6 +129,7 @@ def gen_cnf_cso(formula: CnfFormula) -> CsoInstance:
     the sole secret state; the clause path ends are the non-secret states.
     The instance has exactly (clauses + 1) * (variables + 1) states.
     """
+    formula = _checked("formula", _FORMULA, formula)
     n = formula.variable_count
     size = (len(formula.clauses) + 1) * (n + 1)
     if size > MAX_GADGET_STATES:
@@ -170,7 +180,7 @@ def gen_dag_weak_lbo(g: Dag) -> LboInstance:
     target, the non-secret language marks the fresh state, so the projected
     languages intersect exactly on the paths into the target.
     """
-    states, transitions = _vertex_automaton_parts(g, "a")
+    states, transitions = _vertex_automaton_parts(_checked("g", _DAG, g), "a")
     sink = f"{g.target}'"
     states.append(sink)
     transitions.add((str(g.target), "b", sink))
@@ -190,7 +200,7 @@ def gen_dag_weak_lbo(g: Dag) -> LboInstance:
 def gen_dag_cso_unary(g: Dag) -> CsoInstance:
     """Unary acyclic current-state opacity instance, opaque iff the target is
     unreachable: the target is the sole secret state and nothing is non-secret."""
-    states, transitions = _vertex_automaton_parts(g, "a")
+    states, transitions = _vertex_automaton_parts(_checked("g", _DAG, g), "a")
     automaton = Automaton(
         tuple(states), (Event("a"),), transitions, frozenset({str(g.source)})
     )
@@ -227,6 +237,7 @@ def gen_union_universality_cso(components: Sequence[Automaton]) -> UnionUniversa
     the sole initial state without changing the observer.  Secret states are
     the unmarked ones, non-secret states the marked ones.
     """
+    components = _checked("components", _AUTOMATA, components)
     if not components:
         raise PreconditionViolated("at least one component automaton is required")
     reference = components[0].alphabet
@@ -372,6 +383,8 @@ def po_determinize(a: Automaton, chain_event: str) -> PoDeterminization:
     over the original states the current-state opacity verdict is preserved.
     The output is deterministic and partially ordered.
     """
+    a = _checked("a", _AUTOMATON, a)
+    chain_event = _checked("chain_event", _STRING, chain_event)
     if not a._structure["partially_ordered"]:
         raise PreconditionViolated("po_determinize requires a partially ordered automaton")
     chain = a.events_by_name.get(chain_event)
@@ -433,6 +446,7 @@ def po_determinize(a: Automaton, chain_event: str) -> PoDeterminization:
 def cso_to_lbo(inst: CsoInstance) -> LboInstance:
     """Recast current-state opacity as language inclusion: the secret language
     marks the secret states, the non-secret language the non-secret states."""
+    inst = _checked("inst", _CSO, inst)
     return LboInstance(
         inst.automaton.with_marked(inst.secret),
         inst.automaton.with_marked(inst.nonsecret),
@@ -468,6 +482,7 @@ def lbo_to_iso(inst: LboInstance) -> IsoReduction:
     secret (resp. non-secret) initial states are those of the secret (resp.
     non-secret) side.
     """
+    inst = _checked("inst", _LBO, inst)
     secret = trim(inst.secret_automaton)
     nonsecret = trim(inst.nonsecret_automaton)
     trimmed = secret != inst.secret_automaton or nonsecret != inst.nonsecret_automaton

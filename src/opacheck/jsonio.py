@@ -11,8 +11,10 @@ transitions and the IFSO pairs), is written with one join, so a file costs a
 few Python-level steps per array rather than one per transition.  Unknown
 keys are rejected.
 
-The reader checks the shape of those arrays in bulk passes and leaves the
-making of tuples to the constructors, which make them once.
+The reader checks only what is JSON's own: which values are objects, their
+keys, and that the alphabet is an array of ``name``/``observable`` objects.
+Every other value goes to the records as parsed, and the records check its
+kind, so each value is checked once and a wrong one is named by its key.
 
 An input file is an instance file when it has a key ending in ``automaton``,
 and an automaton file otherwise; either may carry a ``metadata`` object, which
@@ -52,12 +54,6 @@ def _check_keys(d: dict, required: set[str], what: str, optional: set[str] = fro
         raise ParseError("metadata must be a JSON object")
 
 
-def _string_list(value: Any, what: str) -> list[str]:
-    if not isinstance(value, list) or not all(map(isinstance, value, repeat(str))):
-        raise ParseError(f"{what} must be an array of strings")
-    return value
-
-
 def _row_width(value: list | tuple) -> int | None:
     """The length every item of ``value`` has when all items are arrays of
     strings of one length; None when they are not, or ``value`` is empty."""
@@ -76,29 +72,17 @@ def is_instance_file(d: dict) -> bool:
 
 def automaton_from_dict(d: dict) -> Automaton:
     _check_keys(d, _AUTOMATON_KEYS, "automaton", optional={"metadata"})
-    alphabet = []
     if not isinstance(d["alphabet"], list):
         raise ParseError("alphabet must be an array")
-    for entry in d["alphabet"]:
-        _check_keys(entry, {"name", "observable"}, "alphabet entry")
-        name, observable = entry["name"], entry["observable"]
-        if not isinstance(name, str) or not name:
-            raise ParseError("event names must be non-empty strings")
-        if not isinstance(observable, bool):
-            raise ParseError("event observability must be a boolean")
-        alphabet.append(Event(name, observable))
-    states = _string_list(d["states"], "states")
-    initial = _string_list(d["initial"], "initial")
-    marked = _string_list(d["marked"], "marked")
-    if not initial:
+    # A file needs an initial state; the library allows none (IFSO's copies).
+    if d["initial"] == []:
         raise ParseError("initial state set must not be empty")
-    transitions = d["transitions"]
-    if not isinstance(transitions, list):
-        raise ParseError("transitions must be an array")
-    if transitions and _row_width(transitions) != 3:
-        raise ParseError("each transition must be a [source, event, target] triple")
     try:
-        return Automaton(tuple(states), tuple(alphabet), transitions, initial, marked)
+        alphabet = []
+        for entry in d["alphabet"]:
+            _check_keys(entry, {"name", "observable"}, "alphabet entry")
+            alphabet.append(Event(entry["name"], entry["observable"]))
+        return Automaton(d["states"], alphabet, d["transitions"], d["initial"], d["marked"])
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -113,25 +97,6 @@ def automaton_to_dict(a: Automaton) -> dict:
     }
 
 
-def _pair_list(value: Any, what: str) -> list[tuple[str, str]]:
-    if not isinstance(value, list):
-        raise ParseError(f"{what} must be an array of [initial, marked] pairs")
-    if value and _row_width(value) != 2:
-        raise ParseError(f"{what} must contain [initial, marked] string pairs")
-    return list(map(tuple, value))
-
-
-def _read_field(name: str, value: Any):
-    """The value of an instance field, whose name gives its kind: an
-    automaton when it ends in "automaton", a set of [initial, marked] pairs
-    when it ends in "_pairs", and a set of state names otherwise."""
-    if name.endswith("automaton"):
-        return automaton_from_dict(value)
-    if name.endswith("_pairs"):
-        return frozenset(_pair_list(value, name))
-    return frozenset(_string_list(value, name))
-
-
 def automaton_fields(instance) -> list[str]:
     """The names of the automaton fields of an instance or instance class."""
     return [name for name in instance._fields if name.endswith("automaton")]
@@ -139,14 +104,16 @@ def automaton_fields(instance) -> list[str]:
 
 def instance_from_dict(d: dict, notion: str):
     """Parse the instance JSON for a notion: its keys are the fields of the
-    notion's class, read in declaration order."""
+    notion's class, read in declaration order.  The automata are read here;
+    every other value goes as parsed to the class, which checks its kind."""
     cls = INSTANCE_CLASSES.get(notion)
     if cls is None:
         raise ParseError(f"unknown notion {notion!r}")
     names = cls._fields
     _check_keys(d, set(names), f"{notion} instance", optional={"metadata"})
     try:
-        return cls(*[_read_field(name, d[name]) for name in names])
+        return cls(*[automaton_from_dict(d[name]) if name.endswith("automaton") else d[name]
+                     for name in names])
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -168,8 +135,8 @@ def _write(value: Any, prefix: str, newline: str, out: list[str]) -> None:
 
     ``newline`` is a line break followed by the indentation of the line the
     value starts on.  The prefix is joined to the first chunk, and a scalar,
-    an array of strings or an array of same-length string arrays is one
-    chunk, which keeps the chunk list short.
+    a string array or an array of same-length string arrays is one chunk,
+    which keeps the chunk list short.
     """
     if isinstance(value, str):
         out.append(prefix + encode_basestring(value))
@@ -249,21 +216,14 @@ def dag_from_dict(d: dict) -> Dag:
     from .gadgets import Dag
 
     _check_keys(d, {"vertices", "edges", "s", "t"}, "DAG")
+    # Dag's own texts would name its fields, vertex_count, source and target,
+    # which the file does not have; "edges" is both, so Dag checks it.
     if not _is_int(d["vertices"]):
         raise ParseError("vertices must be an integer count")
-    edges = d["edges"]
-    if not isinstance(edges, list):
-        raise ParseError("edges must be an array")
-    if edges and not (
-        all(map(isinstance, edges, repeat(list)))
-        and set(map(len, edges)) == {2}
-        and all(map(_is_int, chain.from_iterable(edges)))
-    ):
-        raise ParseError("each edge must be an [int, int] pair")
     if not _is_int(d["s"]) or not _is_int(d["t"]):
         raise ParseError("s and t must be vertex indices")
     try:
-        return Dag(d["vertices"], edges, d["s"], d["t"])
+        return Dag(d["vertices"], d["edges"], d["s"], d["t"])
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 

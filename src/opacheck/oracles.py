@@ -22,21 +22,42 @@ MAX_SAT_VARIABLES = 24
 Assignment = tuple[bool, ...]
 
 
+_BLOCK_VARIABLES = 16  # brute_sat's low variables: 2**16 assignments, ints of 8 KiB
+
+
 def brute_sat(formula: CnfFormula) -> Optional[Assignment]:
     """Exhaustive satisfiability check; the lexicographically first satisfying
-    assignment (False before True, first variable most significant) or None."""
+    assignment (False before True, first variable most significant) or None.
+
+    The assignments are scanned in order, in blocks that fix the high
+    variables.  In a block, a literal on one of the last ``_BLOCK_VARIABLES``
+    is an int whose bit r is its value in the r-th assignment, and the formula
+    is the AND over clauses of the OR of their literals (skipping the clauses
+    a high literal satisfies): its least set bit is the least model."""
     n = formula.variable_count
     if n > MAX_SAT_VARIABLES:
         raise TooLarge(f"brute_sat handles at most {MAX_SAT_VARIABLES} variables, got {n}")
-    positive = []
-    negative = []
-    for clause in formula.clauses:
-        positive.append(sum(1 << (n - lit) for lit in clause if lit > 0))
-        negative.append(sum(1 << (n + lit) for lit in clause if lit < 0))
-    full = (1 << n) - 1
-    for mask in range(1 << n):
-        if all(mask & p or (full ^ mask) & m for p, m in zip(positive, negative)):
-            return tuple(bool((mask >> (n - j)) & 1) for j in range(1, n + 1))
+    low = min(n, _BLOCK_VARIABLES)
+    high_count, full = n - low, (1 << (1 << low)) - 1
+    rows: dict[int, int] = {}
+    for j in range(high_count + 1, n + 1):
+        run = 1 << (n - j)  # variable j is bit n - j of an assignment's number
+        rows[j] = (((1 << run) - 1) << run) * (full // ((1 << 2 * run) - 1))
+        rows[-j] = full ^ rows[j]
+    for high in range(1 << high_count):
+        true = {j if high >> (high_count - j) & 1 else -j for j in range(1, high_count + 1)}
+        models = full
+        for clause in formula.clauses:
+            if true.isdisjoint(clause):
+                value = 0
+                for lit in clause:
+                    value |= rows.get(lit, 0)
+                models &= value
+                if not models:
+                    break
+        if models:
+            number = high << low | (models & -models).bit_length() - 1
+            return tuple(bool(number >> (n - j) & 1) for j in range(1, n + 1))
     return None
 
 

@@ -1,11 +1,13 @@
 """Properties of the input boundary: ill-typed input is rejected where it enters.
 
 The library side replaces one field of a valid input record, or one argument
-of ``verify`` or ``realize_observation``, with an ill-typed value, and
-requires a ``ValueError`` (``MalformedFormula`` for ``CnfFormula``) whose text
-starts with the field's name.  The command-line side replaces the value at
-one JSON path of a valid instance file of each notion and requires
-``verify``, ``classify`` and ``dot`` to return 0, 1 or 2 and raise nothing.
+of a public function (``verify``, ``realize_observation``, the generators,
+the transformations and ``Automaton``'s queries), with an ill-typed value,
+and requires a ``ValueError`` (``MalformedFormula`` for ``CnfFormula``) whose
+text starts with the field's name.  The command-line side replaces the value
+at one JSON path of a valid file of each kind the command line reads (an
+instance file of each notion, an automaton file and a DAG file) and requires
+every command that reads it to return 0, 1 or 2 and raise nothing.
 """
 
 import contextlib
@@ -27,18 +29,32 @@ from opacheck import (
     IsoInstance,
     LboInstance,
     MalformedFormula,
+    classify,
     cso_to_lbo,
+    gen_cnf_cso,
+    gen_dag_cso_unary,
+    gen_dag_weak_lbo,
+    gen_union_universality_cso,
+    lbo_to_iso,
+    po_determinize,
     realize_observation,
+    trim,
     verify,
 )
 from opacheck.cli import main
-from opacheck.jsonio import dumps, instance_to_dict
+from opacheck.jsonio import automaton_to_dict, dumps, instance_to_dict
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 A = Automaton(("p", "q"), (Event("a"), Event("u", observable=False)),
               [("p", "a", "q"), ("q", "u", "p")], {"p"}, {"q"})
 CSO = CsoInstance(A, {"q"}, {"p"})
+# A partially ordered DFA over a fully observable alphabet, which every
+# generator that reads an automaton accepts.
+B = Automaton(("p", "q", "r"), (Event("a"), Event("b")),
+              [("p", "a", "q"), ("q", "b", "r"), ("r", "a", "r")], {"p"}, {"r"})
+FORMULA = CnfFormula(2, [[1, -2], {2}])
+DAG = Dag(3, [(0, 1), (1, 2)], 0, 2)
 
 # Values of the wrong kind for every field, but for those ``well_typed`` skips.
 ILL_TYPED = [
@@ -59,6 +75,7 @@ def _int(v):
 # Per kind of field, the values of ILL_TYPED that are of that kind after all.
 WELL_TYPED = {
     "name": _name,
+    "string": lambda v: isinstance(v, str),
     "flag": lambda v: isinstance(v, bool),
     "int": _int,
     "cap": lambda v: _int(v) and v > 0,
@@ -89,6 +106,20 @@ CALLS = {
     "realize_observation": (lambda **kw: realize_observation(A, **kw),
                             {"targets": {"q"}, "observation": ("a",), "initial": None},
                             {"initial": "optional"}),
+    "Automaton.is_observable": (A.is_observable, {"event": "a"}, {"event": "string"}),
+    "Automaton.successors": (A.successors, {"state": "p", "event": "a"},
+                             {"state": "string", "event": "string"}),
+    "Automaton.move": (A.move, {"states": {"p"}, "event": "a"}, {"event": "string"}),
+    "classify": (classify, {"a": A}, {}),
+    "trim": (trim, {"a": A}, {}),
+    "gen_cnf_cso": (gen_cnf_cso, {"formula": FORMULA}, {}),
+    "gen_dag_cso_unary": (gen_dag_cso_unary, {"g": DAG}, {}),
+    "gen_dag_weak_lbo": (gen_dag_weak_lbo, {"g": DAG}, {}),
+    "gen_union_universality_cso": (gen_union_universality_cso, {"components": [B, B]}, {}),
+    "po_determinize": (po_determinize, {"a": B, "chain_event": "a"},
+                       {"chain_event": "string"}),
+    "cso_to_lbo": (cso_to_lbo, {"inst": CSO}, {}),
+    "lbo_to_iso": (lbo_to_iso, {"inst": cso_to_lbo(CSO)}, {}),
 }
 
 
@@ -96,25 +127,36 @@ CALLS = {
 @given(st.sampled_from(sorted(CALLS)), st.data())
 def test_an_ill_typed_field_is_named(name, data):
     call, valid, kinds = CALLS[name]
-    field = data.draw(st.sampled_from(sorted(valid)))
-    well_typed = WELL_TYPED[kinds.get(field, "other")]
-    value = data.draw(st.sampled_from([v for v in ILL_TYPED if not well_typed(v)]))
     assert call(**valid) is not None
     error = MalformedFormula if name == "CnfFormula" else ValueError
-    try:
-        call(**{**valid, field: value})
-    except error as exc:
-        assert type(exc) is error and str(exc).startswith(f"{field} must ")
-    else:
-        raise AssertionError(f"{name} accepted {field}={value!r}")
+    for field in sorted(valid):  # each field in turn, so every field is drawn
+        well_typed = WELL_TYPED[kinds.get(field, "other")]
+        value = data.draw(st.sampled_from([v for v in ILL_TYPED if not well_typed(v)]),
+                          label=field)
+        try:
+            call(**{**valid, field: value})
+        except error as exc:
+            assert type(exc) is error and str(exc).startswith(f"{field} must ")
+        else:
+            raise AssertionError(f"{name} accepted {field}={value!r}")
 
 
+def _instance_commands(notion: str) -> list[list[str]]:
+    return [["verify", "--notion", notion], ["classify"], ["dot"]]
+
+
+# Per kind of file, a valid one and the commands that read it.
 DOCUMENTS = {
-    "cso": instance_to_dict(CSO),
-    "iso": instance_to_dict(IsoInstance(A, {"p"}, ())),
-    "ifso": instance_to_dict(IfsoInstance(A, {("p", "q")}, {("p", "p")})),
-    "lbo": instance_to_dict(cso_to_lbo(CSO)),
-    "lbo-weak": instance_to_dict(cso_to_lbo(CSO)),
+    "cso": (instance_to_dict(CSO), _instance_commands("cso")),
+    "iso": (instance_to_dict(IsoInstance(A, {"p"}, ())), _instance_commands("iso")),
+    "ifso": (instance_to_dict(IfsoInstance(A, {("p", "q")}, {("p", "p")})),
+             _instance_commands("ifso")),
+    "lbo": (instance_to_dict(cso_to_lbo(CSO)), _instance_commands("lbo")),
+    "lbo-weak": (instance_to_dict(cso_to_lbo(CSO)), _instance_commands("lbo-weak")),
+    "automaton": (automaton_to_dict(B), [["classify"], ["dot"], ["gen", "union"],
+                                         ["gen", "po-det", "--chain-event", "a"]]),
+    "dag": ({"vertices": 3, "edges": [[0, 1], [1, 2]], "s": 0, "t": 2},
+            [["gen", "dag-unary-cso"], ["gen", "dag-weak-lbo"], ["oracle", "dag-reach"]]),
 }
 
 
@@ -147,14 +189,14 @@ def _replaced(value, path, new):
 
 @SETTINGS
 @given(st.sampled_from(sorted(DOCUMENTS)), st.data())
-def test_the_command_line_answers_every_ill_typed_file(notion, data):
-    document = DOCUMENTS[notion]
+def test_the_command_line_answers_every_ill_typed_file(kind, data):
+    document, commands = DOCUMENTS[kind]
     path = data.draw(st.sampled_from(list(_paths(document))))
     value = data.draw(st.sampled_from(JSON_ILL_TYPED))
     with tempfile.TemporaryDirectory() as directory:
-        file = Path(directory) / "instance.json"
+        file = Path(directory) / "input.json"
         file.write_text(dumps(_replaced(document, path, value)), encoding="utf-8")
-        for argv in (["verify", "--notion", notion], ["classify"], ["dot"]):
+        for argv in commands:
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
                 assert main([*argv, str(file)]) in (0, 1, 2)

@@ -177,19 +177,19 @@ def instance_dict(notion, **changes):
 @pytest.mark.parametrize("notion, changes, message", [
     ("cso", {"nonsecret": None}, "cso instance is missing keys: ['nonsecret']"),
     ("cso", {"secret_initial": []}, "cso instance has unknown keys: ['secret_initial']"),
-    ("cso", {"secret": [1]}, "secret must be an array of strings"),
+    ("cso", {"secret": [1]}, "secret must hold names, not 1"),
     ("cso", {"automaton": [], "secret": 1}, "automaton must be a JSON object"),
     ("iso", {"secret_initial": None}, "iso instance is missing keys: ['secret_initial']"),
     ("iso", {"secret": []}, "iso instance has unknown keys: ['secret']"),
-    ("iso", {"secret_initial": "p"}, "secret_initial must be an array of strings"),
+    ("iso", {"secret_initial": "p"}, "secret_initial must be a collection of names, not 'p'"),
     ("iso", {"secret_initial": 1, "nonsecret_initial": 1},
-     "secret_initial must be an array of strings"),
+     "secret_initial must be a collection of names, not 1"),
     ("ifso", {"nonsecret_pairs": None}, "ifso instance is missing keys: ['nonsecret_pairs']"),
     ("ifso", {"secret_initial": []}, "ifso instance has unknown keys: ['secret_initial']"),
     ("ifso", {"nonsecret_pairs": [["p"]]},
-     "nonsecret_pairs must contain [initial, marked] string pairs"),
+     "nonsecret_pairs must hold pairs of names, not ['p']"),
     ("ifso", {"secret_pairs": {}},
-     "secret_pairs must be an array of [initial, marked] pairs"),
+     "secret_pairs must be a collection of pairs of names, not {}"),
     ("lbo", {"nonsecret_automaton": None},
      "lbo instance is missing keys: ['nonsecret_automaton']"),
     ("lbo", {"automaton": {}}, "lbo instance has unknown keys: ['automaton']"),

@@ -1,5 +1,7 @@
 """Brute-force oracle tests."""
 
+import itertools
+
 import pytest
 
 from opacheck import (
@@ -14,6 +16,7 @@ from opacheck import (
     verify_cso,
     verify_cso_observer,
 )
+from opacheck import oracles
 from opacheck.oracles import (
     brute_sat,
     dag_reachable,
@@ -50,6 +53,34 @@ class TestBruteSat:
     def test_unit_clauses_pin_assignment(self):
         formula = CnfFormula(3, (frozenset({2}), frozenset({-1}), frozenset({3})))
         assert brute_sat(formula) == (False, True, True)
+
+    @pytest.mark.parametrize("block", [16, 3])
+    def test_matches_a_plain_scan(self, monkeypatch, block):
+        # With 3-variable blocks, most of these formulas span several blocks.
+        monkeypatch.setattr(oracles, "_BLOCK_VARIABLES", block)
+        rng = make_rng("brute-sat-scan")
+        for _ in range(150):
+            n = rng.randint(1, 10)
+            clauses = [
+                frozenset(v if rng.random() < 0.5 else -v
+                          for v in rng.sample(range(1, n + 1), min(3, n)))
+                for _ in range(rng.randint(0, 5 * n))
+            ]
+            formula = CnfFormula(n, clauses)
+            first = next((a for a in itertools.product((False, True), repeat=n)
+                          if satisfies(formula, a)), None)
+            assert brute_sat(formula) == first
+
+    def test_first_model_past_the_first_block(self):
+        # Variables 1 and 2 are fixed per block of 2**16 assignments; the
+        # unit clause 2 leaves the first block without a model.
+        formula = CnfFormula(18, [[2], [17, 18], [-18, 3], [-3, -4], [-17, 5, 6]])
+        first = brute_sat(formula)
+        assert first is not None and first[1] and satisfies(formula, first)
+        for a in itertools.product((False, True), repeat=18):
+            if a == first:
+                break
+            assert not satisfies(formula, a)
 
 
 class TestDagReachable:
