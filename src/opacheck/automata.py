@@ -253,10 +253,6 @@ class Automaton(_Record):
             raise ValueError(f"{min(undeclared)!r} is not a declared state")
 
     @cached_property
-    def events_by_name(self) -> dict[str, Event]:
-        return {e.name: e for e in self.alphabet}
-
-    @cached_property
     def observable_events(self) -> tuple[str, ...]:
         """Observable event names in declaration order (the witness tie-break order)."""
         return tuple(e.name for e in self.alphabet if e.observable)
@@ -290,11 +286,6 @@ class Automaton(_Record):
 
         return StructureReport(**self._structure)
 
-    def is_observable(self, event: str) -> bool:
-        found = self.events_by_name.get(_checked("event", _STRING, event))
-        _require(found is not None, "is_observable: the event must be declared")
-        return found.observable
-
     def successors(self, state: str, event: str) -> tuple[str, ...]:
         """The targets of ``state`` under ``event``, sorted by name."""
         state, event = _checked("state", _STRING, state), _checked("event", _STRING, event)
@@ -303,14 +294,6 @@ class Automaton(_Record):
                  "successors: the state and event must be declared")
         targets = g.succ[g.event_index[event]][g.index[state]]
         return tuple(sorted(self.states[j] for j in targets))
-
-    def move(self, states: Iterable[str], event: str) -> frozenset[str]:
-        g = self._graph
-        states, event = _checked("states", _NAME_TUPLE, states), _checked("event", _STRING, event)
-        _require(event in g.event_index and all(map(g.index.__contains__, states)),
-                 "move: the states and event must be declared")
-        row = g.succ[g.event_index[event]]
-        return frozenset(self.states[j] for p in states for j in row[g.index[p]])
 
     def with_initial(self, initial: Iterable[str]) -> "Automaton":
         return Automaton(self.states, self.alphabet, self.transitions, initial, self.marked)
@@ -690,7 +673,7 @@ def realize_observation(
 
     The search's right nodes are the numbers of observations read.
     """
-    targets = _checked("targets", _NAMES, targets)
+    a, targets = _checked("a", _AUTOMATON, a), _checked("targets", _NAMES, targets)
     observation = _checked("observation", _NAME_TUPLE, observation)
     initial = a.initial if initial is None else _checked("initial", _NAMES, initial)
     _require(targets | initial <= set(a.states), "realize_observation: states must be declared")
@@ -782,13 +765,17 @@ def _lex_least_label(start: list[tuple[int, int]], events, move, is_goal) -> Opt
     return None
 
 
-def _check_language_args(a1: Automaton, m1: frozenset[str], a2: Automaton, m2: frozenset[str]):
+def _check_language_args(a1: Automaton, m1: Iterable[str], a2: Automaton, m2: Iterable[str]):
+    """``(m1, m2)`` as frozensets, once the four arguments are checked."""
+    a1, a2 = _checked("a1", _AUTOMATON, a1), _checked("a2", _AUTOMATON, a2)
+    m1, m2 = _checked("m1", _NAMES, m1), _checked("m2", _NAMES, m2)
     _require(m1 <= set(a1.states), "marked set of the first automaton must be declared states")
     _require(m2 <= set(a2.states), "marked set of the second automaton must be declared states")
     _require(
         set(a1.observable_events) == set(a2.observable_events),
         "both automata must share one observable alphabet",
     )
+    return m1, m2
 
 
 def _least_difference(
@@ -843,8 +830,7 @@ def inclusion_modulo_projection(
     (ties broken by a1's alphabet declaration order) and a string of ``a1``
     realizing it.
     """
-    m1, m2 = _checked("m1", _NAMES, m1), _checked("m2", _NAMES, m2)
-    _check_language_args(a1, m1, a2, m2)
+    m1, m2 = _check_language_args(a1, m1, a2, m2)
     return _inclusion(a1, a1.initial, m1, a2, a2.initial, m2, cap)
 
 
@@ -964,8 +950,7 @@ def intersection_nonempty_modulo_projection(
     when nonempty the verdict holds and the witness is the shortest common
     observation together with a string of ``a1`` realizing it.
     """
-    m1, m2 = _checked("m1", _NAMES, m1), _checked("m2", _NAMES, m2)
-    _check_language_args(a1, m1, a2, m2)
+    m1, m2 = _check_language_args(a1, m1, a2, m2)
     obs = _least_common(a1, m1, a2, m2)
     if obs is None:
         return Verdict(False, algorithm="product")

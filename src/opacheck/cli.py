@@ -281,8 +281,9 @@ def _cmd_dot(args) -> int:
             start = _dot_id(names.fresh(f"__start_{cluster}{k}"))
             lines.append(f"  {start} [shape=point];")
             lines.append(f"  {start} -> {_dot_id(prefix + s)};")
+        observable = set(a.observable_events)
         for (p, e, q) in sorted(a.transitions):
-            style = "" if a.is_observable(e) else " style=dashed"
+            style = "" if e in observable else " style=dashed"
             lines.append(
                 f"  {_dot_id(prefix + p)} -> {_dot_id(prefix + q)} [label={_dot_id(e)}{style}];"
             )

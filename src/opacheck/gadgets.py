@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 from .automata import (_AUTOMATON, _CLAUSES, _INT, _STRING, Automaton, Event, _Record, _all,
                        _checked, _many, _rows, _scalar, topological_order, trim)
 from .errors import InputNotDeterministic, MalformedFormula, PreconditionViolated, TooLarge
-from .opacity import CsoInstance, IsoInstance, LboInstance
+from .opacity import _CSO, _LBO, CsoInstance, IsoInstance, LboInstance
 
 MAX_GADGET_STATES = 2**24
 """Largest DAG vertex count and CNF gadget state count accepted; both are
@@ -114,8 +114,6 @@ class Dag(_Record):
 # The kinds of the generators' arguments, checked as the records' fields are.
 _FORMULA = _scalar("a CnfFormula", lambda v: isinstance(v, CnfFormula))
 _DAG = _scalar("a Dag", lambda v: isinstance(v, Dag))
-_CSO = _scalar("a CsoInstance", lambda v: isinstance(v, CsoInstance))
-_LBO = _scalar("an LboInstance", lambda v: isinstance(v, LboInstance))
 _AUTOMATA = _many("Automaton values", _all(Automaton), tuple)
 
 
@@ -387,8 +385,7 @@ def po_determinize(a: Automaton, chain_event: str) -> PoDeterminization:
     chain_event = _checked("chain_event", _STRING, chain_event)
     if not a._structure["partially_ordered"]:
         raise PreconditionViolated("po_determinize requires a partially ordered automaton")
-    chain = a.events_by_name.get(chain_event)
-    if chain is None or not chain.observable:
+    if chain_event not in a.observable_events:
         raise PreconditionViolated(
             f"chain event {chain_event!r} must be an observable event of the automaton"
         )

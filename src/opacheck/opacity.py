@@ -36,6 +36,7 @@ from .automata import (
     _quotient,
     _reach,
     _rows,
+    _scalar,
     _unary_event,
 )
 from .errors import PreconditionViolated
@@ -110,6 +111,13 @@ class IfsoInstance(_Record):
             raise ValueError(f"pair ({i!r}, {f!r}) must start in an initial state")
 
 
+# The kinds of the verifiers' instances, checked as the records' fields are.
+_CSO = _scalar("a CsoInstance", lambda v: isinstance(v, CsoInstance))
+_LBO = _scalar("an LboInstance", lambda v: isinstance(v, LboInstance))
+_ISO = _scalar("an IsoInstance", lambda v: isinstance(v, IsoInstance))
+_IFSO = _scalar("an IfsoInstance", lambda v: isinstance(v, IfsoInstance))
+
+
 def verify_cso_observer(inst: CsoInstance, *, cap: int = DEFAULT_OBSERVER_CAP) -> Verdict:
     """Current-state opacity via the reachable estimates of the observer.
 
@@ -117,7 +125,7 @@ def verify_cso_observer(inst: CsoInstance, *, cap: int = DEFAULT_OBSERVER_CAP) -
     non-secret set.  The witness is the shortest observation (ties broken by
     alphabet declaration order) reaching a violating estimate.
     """
-    cap = _checked("cap", _CAP, cap)
+    inst, cap = _checked("inst", _CSO, inst), _checked("cap", _CAP, cap)
     a = inst.automaton
     g = _quotient(a._graph, (inst.secret, inst.nonsecret))
     kernel = _EstimateKernel(g, cap)
@@ -132,6 +140,7 @@ def verify_cso_observer(inst: CsoInstance, *, cap: int = DEFAULT_OBSERVER_CAP) -
 def select_cso_algorithm(inst: CsoInstance) -> str:
     """Routing used by ``verify_cso(..., "auto")``: ``unary-po`` for a partially
     ordered automaton with one observable event, ``observer`` otherwise."""
+    inst = _checked("inst", _CSO, inst)
     return "observer" if _unary_event(inst.automaton) is None else "unary-po"
 
 
@@ -149,6 +158,7 @@ def verify_cso(
     partially ordered automaton with one observable event it compares
     length sets and ignores ``cap``; ``unary-po`` is that path alone.
     """
+    inst, algorithm = _checked("inst", _CSO, inst), _checked("algorithm", _TEXT, algorithm)
     if algorithm not in CSO_ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {CSO_ALGORITHMS}")
     if algorithm == "auto":
@@ -166,6 +176,7 @@ def verify_cso(
 def verify_lbo(inst: LboInstance, *, cap: int = DEFAULT_OBSERVER_CAP) -> Verdict:
     """Language-based opacity: the projected secret language is contained in the
     projected non-secret language."""
+    inst = _checked("inst", _LBO, inst)
     return inclusion_modulo_projection(
         inst.secret_automaton,
         inst.secret_automaton.marked,
@@ -179,6 +190,7 @@ def verify_lbo_weak(inst: LboInstance) -> Verdict:
     """Language-based weak opacity: some secret string is confused with some
     non-secret string, i.e. the projected languages intersect.  The witness (on
     a holding verdict) is the shortest common observation."""
+    inst = _checked("inst", _LBO, inst)
     return intersection_nonempty_modulo_projection(
         inst.secret_automaton,
         inst.secret_automaton.marked,
@@ -196,6 +208,7 @@ def verify_iso(inst: IsoInstance, *, cap: int = DEFAULT_OBSERVER_CAP) -> Verdict
     shortest observation from any secret initial state, ties broken by
     alphabet declaration order.
     """
+    inst = _checked("inst", _ISO, inst)
     a = inst.automaton
     return _inclusion(a, inst.secret_initial, a.states, a, inst.nonsecret_initial, a.states, cap)
 
@@ -213,6 +226,7 @@ def verify_ifso(inst: IfsoInstance, *, cap: int = DEFAULT_OBSERVER_CAP) -> Verdi
     reach is dropped.  Each side starts in the copies of its own pairs'
     initial states and is marked at their finals.
     """
+    inst = _checked("inst", _IFSO, inst)
     a, g = inst.automaton, inst.automaton._graph
     ends: dict[str, tuple[list[str], list[str]]] = {}  # i -> (secret finals, non-secret finals)
     for side, pairs in enumerate((inst.secret_pairs, inst.nonsecret_pairs)):

@@ -89,7 +89,8 @@ def dag_reachable(g: Dag) -> bool:
 
 
 def _is_unobservable(a: Automaton, event: str) -> bool:
-    return not a.events_by_name[event].observable
+    """Whether the declared ``event`` is unobservable; an undeclared one raises KeyError."""
+    return not {e.name: e.observable for e in a.alphabet}[event]
 
 
 def _assert_acyclic(a: Automaton) -> None:

@@ -86,6 +86,8 @@ class TestPublicSurface:
             assert name not in opacheck.__all__
             assert not hasattr(opacheck, name)
             assert not hasattr(automata, name)
+        for name in ("move", "is_observable", "events_by_name"):
+            assert not hasattr(Automaton, name)
 
     def test_sources_parse_as_python_3_10(self):
         # the package promises Python >= 3.10: no `type X = ...`, no `except*`
@@ -387,7 +389,6 @@ class TestValidation:
         pytest.param(lambda a: realize_observation(a, "pq", ()), "targets", id="realize-targets"),
         pytest.param(lambda a: realize_observation(a, {"pq"}, (), initial="pq"), "initial",
                      id="realize-initial"),
-        pytest.param(lambda a: a.move("pq", "a"), "states", id="move-states"),
     ])
     def test_a_string_is_not_a_set_of_names_in_a_query(self, call, field):
         # "pq" used to stand for the states p and q, not for the state pq
@@ -419,19 +420,6 @@ class TestUndeclaredNames:
         for state, event in (("zz", "a"), ("p", "zz")):
             with pytest.raises(PreconditionViolated, match="successors"):
                 a.successors(state, event)
-
-    def test_move(self):
-        a = aut(["p", "q"], AB, [("p", "a", "q")], ["p"])
-        assert a.move({"p", "q"}, "a") == {"q"}
-        for states, event in (({"p", "zz"}, "a"), ({"p"}, "zz")):
-            with pytest.raises(PreconditionViolated, match="move"):
-                a.move(states, event)
-
-    def test_is_observable(self):
-        a = aut(["p"], (Event("a"), Event("u", observable=False)), [], ["p"])
-        assert a.is_observable("a") and not a.is_observable("u")
-        with pytest.raises(PreconditionViolated, match="is_observable"):
-            a.is_observable("zz")
 
 
 class TestLargeConstruction:
@@ -677,22 +665,24 @@ class TestObserver:
         assert err.value.cap == 1
 
     def test_estimates_are_sound_and_complete(self):
-        # the estimate reached by an observation equals the set of states some
-        # string with that projection can reach, as decided by the independent
-        # membership oracle
+        # the estimate the kernel's close and post images reach by an
+        # observation equals the set of states some string with that
+        # projection can reach, as decided by the independent membership oracle
         import itertools
 
         rng = make_rng("observer-soundness")
         for _ in range(25):
             a = rand_automaton(rng, ALPHABET_2OBS_1UO, max_states=5)
-            observable = a.observable_events
+            g = a._graph
+            kernel = _EstimateKernel(g)
             for length in range(4):
-                for obs in itertools.product(observable, repeat=length):
-                    expected = {q for q in a.states if observation_feasible(a, {q}, obs)}
-                    estimate = unobservable_closure(a, a.initial)
-                    for e in obs:
-                        estimate = unobservable_closure(a, a.move(estimate, e))
-                    assert set(estimate) == expected
+                for ks in itertools.product(range(len(kernel.events)), repeat=length):
+                    obs = tuple(kernel.events[k] for k in ks)
+                    expected = tuple(q for q in a.states if observation_feasible(a, {q}, obs))
+                    estimate = kernel.close(g.mask(a.initial))
+                    for k in ks:
+                        estimate = kernel.post(estimate, k)
+                    assert members(a, g, estimate) == expected
 
 
 def interned(inst, respect):

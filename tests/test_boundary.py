@@ -1,8 +1,8 @@
 """Properties of the input boundary: ill-typed input is rejected where it enters.
 
 The library side replaces one field of a valid input record, or one argument
-of a public function (``verify``, ``realize_observation``, the generators,
-the transformations and ``Automaton``'s queries), with an ill-typed value,
+of a public function (the verifiers, the language functions, the generators,
+the transformations and ``Automaton.successors``), with an ill-typed value,
 and requires a ``ValueError`` (``MalformedFormula`` for ``CnfFormula``) whose
 text starts with the field's name.  The command-line side replaces the value
 at one JSON path of a valid file of each kind the command line reads (an
@@ -35,11 +35,20 @@ from opacheck import (
     gen_dag_cso_unary,
     gen_dag_weak_lbo,
     gen_union_universality_cso,
+    inclusion_modulo_projection,
+    intersection_nonempty_modulo_projection,
     lbo_to_iso,
     po_determinize,
     realize_observation,
+    select_cso_algorithm,
     trim,
     verify,
+    verify_cso,
+    verify_cso_observer,
+    verify_ifso,
+    verify_iso,
+    verify_lbo,
+    verify_lbo_weak,
 )
 from opacheck.cli import main
 from opacheck.jsonio import automaton_to_dict, dumps, instance_to_dict
@@ -49,6 +58,9 @@ SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=
 A = Automaton(("p", "q"), (Event("a"), Event("u", observable=False)),
               [("p", "a", "q"), ("q", "u", "p")], {"p"}, {"q"})
 CSO = CsoInstance(A, {"q"}, {"p"})
+LBO = cso_to_lbo(CSO)
+ISO = IsoInstance(A.with_initial({"p", "q"}), {"p"}, {"q"})
+IFSO = IfsoInstance(A, {("p", "q")}, {("p", "p")})
 # A partially ordered DFA over a fully observable alphabet, which every
 # generator that reads an automaton accepts.
 B = Automaton(("p", "q", "r"), (Event("a"), Event("b")),
@@ -103,13 +115,25 @@ CALLS = {
     "verify": (lambda **kw: verify(CSO, **kw), {"notion": "cso", "algorithm": "auto",
                                                "cap": 8},
                {"notion": "name", "algorithm": "name", "cap": "cap"}),
-    "realize_observation": (lambda **kw: realize_observation(A, **kw),
-                            {"targets": {"q"}, "observation": ("a",), "initial": None},
+    "verify_cso": (verify_cso, {"inst": CSO, "algorithm": "auto", "cap": 8},
+                   {"algorithm": "name", "cap": "cap"}),
+    "verify_cso_observer": (verify_cso_observer, {"inst": CSO, "cap": 8}, {"cap": "cap"}),
+    "select_cso_algorithm": (select_cso_algorithm, {"inst": CSO}, {}),
+    "verify_lbo": (verify_lbo, {"inst": LBO, "cap": 8}, {"cap": "cap"}),
+    "verify_lbo_weak": (verify_lbo_weak, {"inst": LBO}, {}),
+    "verify_iso": (verify_iso, {"inst": ISO, "cap": 8}, {"cap": "cap"}),
+    "verify_ifso": (verify_ifso, {"inst": IFSO, "cap": 8}, {"cap": "cap"}),
+    "inclusion_modulo_projection": (inclusion_modulo_projection,
+                                    {"a1": A, "m1": {"q"}, "a2": A, "m2": {"p"}, "cap": 8},
+                                    {"cap": "cap"}),
+    "intersection_nonempty_modulo_projection": (intersection_nonempty_modulo_projection,
+                                                {"a1": A, "m1": {"q"}, "a2": A, "m2": {"p"}},
+                                                {}),
+    "realize_observation": (realize_observation,
+                            {"a": A, "targets": {"q"}, "observation": ("a",), "initial": None},
                             {"initial": "optional"}),
-    "Automaton.is_observable": (A.is_observable, {"event": "a"}, {"event": "string"}),
     "Automaton.successors": (A.successors, {"state": "p", "event": "a"},
                              {"state": "string", "event": "string"}),
-    "Automaton.move": (A.move, {"states": {"p"}, "event": "a"}, {"event": "string"}),
     "classify": (classify, {"a": A}, {}),
     "trim": (trim, {"a": A}, {}),
     "gen_cnf_cso": (gen_cnf_cso, {"formula": FORMULA}, {}),
@@ -119,7 +143,7 @@ CALLS = {
     "po_determinize": (po_determinize, {"a": B, "chain_event": "a"},
                        {"chain_event": "string"}),
     "cso_to_lbo": (cso_to_lbo, {"inst": CSO}, {}),
-    "lbo_to_iso": (lbo_to_iso, {"inst": cso_to_lbo(CSO)}, {}),
+    "lbo_to_iso": (lbo_to_iso, {"inst": LBO}, {}),
 }
 
 
@@ -149,10 +173,9 @@ def _instance_commands(notion: str) -> list[list[str]]:
 DOCUMENTS = {
     "cso": (instance_to_dict(CSO), _instance_commands("cso")),
     "iso": (instance_to_dict(IsoInstance(A, {"p"}, ())), _instance_commands("iso")),
-    "ifso": (instance_to_dict(IfsoInstance(A, {("p", "q")}, {("p", "p")})),
-             _instance_commands("ifso")),
-    "lbo": (instance_to_dict(cso_to_lbo(CSO)), _instance_commands("lbo")),
-    "lbo-weak": (instance_to_dict(cso_to_lbo(CSO)), _instance_commands("lbo-weak")),
+    "ifso": (instance_to_dict(IFSO), _instance_commands("ifso")),
+    "lbo": (instance_to_dict(LBO), _instance_commands("lbo")),
+    "lbo-weak": (instance_to_dict(LBO), _instance_commands("lbo-weak")),
     "automaton": (automaton_to_dict(B), [["classify"], ["dot"], ["gen", "union"],
                                          ["gen", "po-det", "--chain-event", "a"]]),
     "dag": ({"vertices": 3, "edges": [[0, 1], [1, 2]], "s": 0, "t": 2},

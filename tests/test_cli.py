@@ -869,6 +869,23 @@ class TestDot:
             '}\n'
         )
 
+    def test_unobservable_transitions_are_dashed(self, tmp_path, capsys):
+        a = Automaton(("p", "q"), (Event("a"), Event("u", observable=False)),
+                      {("p", "a", "q"), ("q", "u", "p")}, {"p"}, {"q"})
+        path = write(tmp_path, "a.json", dumps(automaton_to_dict(a)))
+        assert main(["dot", path]) == 0
+        assert capsys.readouterr().out == (
+            'digraph {\n'
+            '  rankdir=LR;\n'
+            '  "p" [shape=circle];\n'
+            '  "q" [shape=doublecircle];\n'
+            '  "__start_0" [shape=point];\n'
+            '  "__start_0" -> "p";\n'
+            '  "p" -> "q" [label="a"];\n'
+            '  "q" -> "p" [label="u" style=dashed];\n'
+            '}\n'
+        )
+
     def test_start_markers_miss_state_names(self, tmp_path, capsys):
         a = Automaton(("__start_0", "q"), (Event("a"),), {("__start_0", "a", "q")}, {"__start_0"})
         path = write(tmp_path, "a.json", dumps(automaton_to_dict(a)))

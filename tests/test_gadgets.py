@@ -337,7 +337,9 @@ class TestUnionGadget:
         d2 = Automaton(("q",), alphabet, {("q", "a", "q"), ("q", "b", "q")}, {"q"}, {"q"})
         result = gen_union_universality_cso([d1, d2])
         assert result.chain_event == "a1"
-        assert not result.instance.automaton.events_by_name["a1"].observable
+        automaton = result.instance.automaton
+        assert Event("a1", observable=False) in automaton.alphabet
+        assert "a1" not in automaton.observable_events
 
     def test_random_families_match_independent_universality(self):
         rng = make_rng("union-unit")

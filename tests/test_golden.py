@@ -1,7 +1,8 @@
 """Golden outputs: the command line's bytes on the benchmark's instances.
 
-The benchmark's three workloads, at desk-check sizes and seeds 11 and 29,
-give 40 instance files.  Each is run through ``cli.main`` three times with
+The benchmark's three workloads at seeds 11 and 29 give 40 instance files
+at desk-check sizes and 156 at full size (named with a ``full-`` prefix).
+Each is run through ``cli.main`` three times with
 its case's ``--algorithm``: ``verify --output json`` (without the run's
 ``time_seconds``), ``verify --witness`` and ``classify --output json``.  Per
 file, ``tests/golden.json`` holds one sha256 of the instance file and one of
@@ -56,28 +57,32 @@ def digests(directory: Path) -> dict[str, dict[str, str]]:
         sys.path.insert(0, str(BENCH))
     import families
 
+    found = {}
+    for tiny, prefix in ((True, ""), (False, "full-")):
+        for workload in WORKLOADS:
+            for seed in SEEDS:
+                for case in families.build_cases(workload, seed, tiny, families.SetupClock()):
+                    name = f"{prefix}{workload}-{seed}-{case.id}.json"
+                    found[name] = _digest(directory / name, case)
+    return found
+
+
+def _digest(path: Path, case) -> dict[str, str]:
+    """The digests of one case's instance file, written to ``path``, and its runs."""
     from opacheck import jsonio
 
-    found = {}
-    for workload in WORKLOADS:
-        for seed in SEEDS:
-            for case in families.build_cases(workload, seed, True, families.SetupClock()):
-                name = f"{workload}-{seed}-{case.id}.json"
-                text = jsonio.dumps(jsonio.instance_to_dict(case.instance, metadata=case.metadata))
-                path = directory / name
-                path.write_text(text, encoding="utf-8")
-                chosen = ["--notion", case.notion, "--algorithm", case.algorithm]
-                runs = [
-                    _without_time(_run(["verify", *chosen, "--output", "json", str(path)],
-                                       str(path))),
-                    _run(["verify", *chosen, "--witness", str(path)], str(path)),
-                    _run(["classify", "--output", "json", str(path)], str(path)),
-                ]
-                found[name] = {
-                    "instance": hashlib.sha256(text.encode("utf-8")).hexdigest(),
-                    "outputs": hashlib.sha256(json.dumps(runs).encode("utf-8")).hexdigest(),
-                }
-    return found
+    text = jsonio.dumps(jsonio.instance_to_dict(case.instance, metadata=case.metadata))
+    path.write_text(text, encoding="utf-8")
+    chosen = ["--notion", case.notion, "--algorithm", case.algorithm]
+    runs = [
+        _without_time(_run(["verify", *chosen, "--output", "json", str(path)], str(path))),
+        _run(["verify", *chosen, "--witness", str(path)], str(path)),
+        _run(["classify", "--output", "json", str(path)], str(path)),
+    ]
+    return {
+        "instance": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+        "outputs": hashlib.sha256(json.dumps(runs).encode("utf-8")).hexdigest(),
+    }
 
 
 def test_outputs_match_the_golden_digests(tmp_path):
