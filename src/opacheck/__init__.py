@@ -1,8 +1,9 @@
 """Opacity verification for partially observed discrete-event systems.
 
-The generators and transformations of :mod:`opacheck.gadgets`, and
-:class:`StructureReport`, are imported on first access, so verifying an
-instance does not load them.
+The generators and transformations of :mod:`opacheck.gadgets`, the
+projected-language layer of :mod:`opacheck.language` and
+:class:`StructureReport` are imported on first access, so verifying an
+instance loads none of them that its route does not run.
 """
 
 from .automata import (
@@ -13,10 +14,7 @@ from .automata import (
     Verdict,
     Witness,
     classify,
-    inclusion_modulo_projection,
-    intersection_nonempty_modulo_projection,
     realize_observation,
-    trim,
 )
 from .errors import (
     InputNotDeterministic,
@@ -37,21 +35,23 @@ from .opacity import (
     verify,
     verify_cso,
     verify_cso_observer,
-    verify_ifso,
-    verify_iso,
-    verify_lbo,
-    verify_lbo_weak,
 )
 
 __version__ = "0.1.0"
 
 
+_LANGUAGE = {"inclusion_modulo_projection", "intersection_nonempty_modulo_projection", "trim",
+             "verify_ifso", "verify_iso", "verify_lbo", "verify_lbo_weak"}
+
+
 def __getattr__(name: str):
     # Every exported name not imported above lives in ``gadgets``, but for
-    # the report of ``classify``.
+    # the projected-language layer and the report of ``classify``.
     if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    if name == "StructureReport":
+    if name in _LANGUAGE:
+        from . import language as module
+    elif name == "StructureReport":
         from . import structure as module
     else:
         from . import gadgets as module
@@ -59,6 +59,11 @@ def __getattr__(name: str):
     value = getattr(module, name)
     globals()[name] = value
     return value
+
+
+def __dir__() -> list[str]:
+    # What is served on first access is listed before it is loaded.
+    return sorted({*globals(), *__all__})
 
 
 __all__ = [

@@ -20,8 +20,9 @@ from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .automata import (_AUTOMATON, _CLAUSES, _INT, _STRING, Automaton, Event, _Record, _all,
-                       _checked, _many, _rows, _scalar, topological_order, trim)
+                       _checked, _many, _rows, _scalar, topological_order)
 from .errors import InputNotDeterministic, MalformedFormula, PreconditionViolated, TooLarge
+from .language import trim
 from .opacity import _CSO, _LBO, CsoInstance, IsoInstance, LboInstance
 
 MAX_GADGET_STATES = 2**24

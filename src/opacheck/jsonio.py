@@ -1,4 +1,5 @@
-"""Canonical JSON and DIMACS parsing/serialization.
+"""Canonical JSON and DIMACS parsing/serialization, and the file reading and
+text output that the command handlers share.
 
 Serialization is canonical so that round-trips are byte-stable: object keys
 are sorted, state and transition lists are sorted lexicographically, and the
@@ -27,12 +28,13 @@ instance.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from itertools import chain, repeat
 from json.encoder import encode_basestring
 from typing import TYPE_CHECKING, Any
 
 from .automata import Automaton, Event, _is_int
-from .errors import ParseError
+from .errors import OpacheckError, ParseError
 from .opacity import INSTANCE_CLASSES
 
 if TYPE_CHECKING:
@@ -276,3 +278,50 @@ def parse_dimacs(text: str) -> CnfFormula:
     if len(clauses) != m:
         raise ParseError(f"header announces {m} clauses but {len(clauses)} were given")
     return CnfFormula(n, tuple(clauses))
+
+
+# What the handlers of opacheck.cli and opacheck.commands share.  ``python -m
+# opacheck.cli`` runs the command line as ``__main__``, so no module imports
+# opacheck.cli, which would run that file a second time.
+
+NOTION_TITLES = {
+    "cso": "current-state opacity",
+    "iso": "initial-state opacity",
+    "ifso": "initial-and-final-state opacity",
+    "lbo": "language-based opacity",
+    "lbo-weak": "language-based weak opacity",
+}
+
+
+# The failures that make an input error (exit 2).  Anything else, a
+# RecursionError of the verify path included, is a bug and stays a crash.
+_INPUT_ERRORS = (OpacheckError, ValueError, OSError)
+
+
+@contextmanager
+def _naming(path: str):
+    """Raise an input error of the block again as ``PATH: reason``, with only
+    an OSError's reason, since its text names the file."""
+    try:
+        yield
+    except _INPUT_ERRORS as exc:
+        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+        raise OpacheckError(f"{path}: {reason}") from exc
+
+
+def _read(path: str, parse):
+    """What ``parse`` makes of the JSON object in ``path`` (of its text, for
+    :func:`parse_dimacs`), with its input errors named by the path."""
+    with _naming(path):
+        if parse is parse_dimacs:
+            with open(path, "r", encoding="utf-8") as handle:
+                return parse(handle.read())
+        return parse(load_json_file(path))
+
+
+def _print_witness(prefix: str, automaton: Automaton, witness) -> None:
+    """Print the witness's observation and run, with event names joined by
+    "." unless each is one character, and an empty string as "ε"."""
+    sep = "" if all(len(e.name) == 1 for e in automaton.alphabet) else "."
+    for label, string in (("observation", witness.observation), ("string", witness.secret_run)):
+        print(f"{prefix}witness {label}: {sep.join(string) or 'ε'}")

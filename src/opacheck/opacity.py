@@ -1,14 +1,18 @@
-"""Decision procedures for the five opacity notions.
+"""The five opacity notions' instances, the CSO observer, and the router
+from a notion to the code that decides it.
 
 Current-state opacity comes in two general algorithms, observer traversal
 and language inclusion, which always agree.  CSO inclusion, LBO, ISO and
-IFSO are each one call of :func:`opacheck.automata._inclusion`, which runs a
-search on the estimate kernel, or, when both sides are partially ordered
+IFSO are each one call of :func:`opacheck.language._inclusion`, which runs
+a search on the estimate kernel, or, when both sides are partially ordered
 (their only cycles are self-loops) with a single observable event, compares
 sets of observation lengths instead.  ``unary-po`` is the CSO name of that
 length-set path; it refuses any other automaton.  Weak LBO runs the product
 search.  Every verdict names the algorithm that decided it, and
 :func:`verify` is the one map from a notion to the code that decides it.
+:mod:`opacheck.language` holds every verifier but the observer, and is
+imported only on the routes that run it, so an observer-routed verification
+never loads it.
 
 Both CSO algorithms build their estimate kernel on the same quotient of the
 automaton's graph: on a partially ordered automaton, the classes of a
@@ -23,8 +27,6 @@ from .automata import (
     Verdict,
     Witness,
     _Record,
-    inclusion_modulo_projection,
-    intersection_nonempty_modulo_projection,
     realize_observation,
     _AUTOMATON,
     _CAP,
@@ -32,9 +34,7 @@ from .automata import (
     _TEXT,
     _EstimateKernel,
     _checked,
-    _inclusion,
     _quotient,
-    _reach,
     _rows,
     _scalar,
     _unary_event,
@@ -169,83 +169,10 @@ def verify_cso(
         raise PreconditionViolated(
             "unary-po requires a partially ordered automaton with exactly one observable event"
         )
+    from .language import _inclusion
+
     a, respect = inst.automaton, (inst.secret, inst.nonsecret)
     return _inclusion(a, a.initial, inst.secret, a, a.initial, inst.nonsecret, cap, respect)
-
-
-def verify_lbo(inst: LboInstance, *, cap: int = DEFAULT_OBSERVER_CAP) -> Verdict:
-    """Language-based opacity: the projected secret language is contained in the
-    projected non-secret language."""
-    inst = _checked("inst", _LBO, inst)
-    return inclusion_modulo_projection(
-        inst.secret_automaton,
-        inst.secret_automaton.marked,
-        inst.nonsecret_automaton,
-        inst.nonsecret_automaton.marked,
-        cap=cap,
-    )
-
-
-def verify_lbo_weak(inst: LboInstance) -> Verdict:
-    """Language-based weak opacity: some secret string is confused with some
-    non-secret string, i.e. the projected languages intersect.  The witness (on
-    a holding verdict) is the shortest common observation."""
-    inst = _checked("inst", _LBO, inst)
-    return intersection_nonempty_modulo_projection(
-        inst.secret_automaton,
-        inst.secret_automaton.marked,
-        inst.nonsecret_automaton,
-        inst.nonsecret_automaton.marked,
-    )
-
-
-def verify_iso(inst: IsoInstance, *, cap: int = DEFAULT_OBSERVER_CAP) -> Verdict:
-    """Initial-state opacity over generated languages.
-
-    Everything observable from the secret initial states must also be
-    observable from the non-secret ones: one projected inclusion, with every
-    state marked since generated languages are used.  The witness is the
-    shortest observation from any secret initial state, ties broken by
-    alphabet declaration order.
-    """
-    inst = _checked("inst", _ISO, inst)
-    a = inst.automaton
-    return _inclusion(a, inst.secret_initial, a.states, a, inst.nonsecret_initial, a.states, cap)
-
-
-def verify_ifso(inst: IfsoInstance, *, cap: int = DEFAULT_OBSERVER_CAP) -> Verdict:
-    """Initial-and-final-state opacity.
-
-    Each pair (i, f) contributes the language of the automaton restarted in i
-    and marked at f; the union of the secret pair languages must be included,
-    modulo projection, in the union of the non-secret pair languages.  Both
-    sides run on one automaton that holds, per distinct initial state of a
-    pair, a copy of the part of ``inst.automaton`` reachable from it: copies
-    restarted in the same state reach the same states, so one copy serves
-    all of that state's pairs on both sides, and a final its start cannot
-    reach is dropped.  Each side starts in the copies of its own pairs'
-    initial states and is marked at their finals.
-    """
-    inst = _checked("inst", _IFSO, inst)
-    a, g = inst.automaton, inst.automaton._graph
-    ends: dict[str, tuple[list[str], list[str]]] = {}  # i -> (secret finals, non-secret finals)
-    for side, pairs in enumerate((inst.secret_pairs, inst.nonsecret_pairs)):
-        for (i, f) in pairs:
-            ends.setdefault(i, ([], []))[side].append(f)
-    states, transitions, starts, marked = [], [], ([], []), ([], [])
-    for k, (i, finals) in enumerate(sorted(ends.items())):
-        kept = sorted(_reach([g.index[i]], g.succ))
-        name = {p: f"{k}:{a.states[p]}" for p in kept}
-        states.extend(name.values())
-        for e, row in zip(a.alphabet, g.succ):
-            transitions.extend((name[p], e.name, name[q]) for p in kept for q in row[p])
-        for side, fs in enumerate(finals):
-            if fs:
-                starts[side].append(name[g.index[i]])
-                reached = (g.index[f] for f in fs)
-                marked[side].extend(name[j] for j in reached if j in name)
-    copies = Automaton(tuple(states), a.alphabet, transitions, ())
-    return _inclusion(copies, starts[0], marked[0], copies, starts[1], marked[1], cap)
 
 
 # The instance class of each notion; LBO and weak LBO share one.  Its fields
@@ -274,6 +201,9 @@ def verify(instance, notion: str, algorithm: str = "auto", *,
         return verify_cso(instance, algorithm, cap=cap)
     if algorithm != "auto":
         raise ValueError(f"an algorithm can only be chosen for cso, not for {notion}")
+    from . import language
+
     if notion == "lbo-weak":
-        return verify_lbo_weak(instance)
-    return {"iso": verify_iso, "ifso": verify_ifso, "lbo": verify_lbo}[notion](instance, cap=cap)
+        return language.verify_lbo_weak(instance)
+    return {"iso": language.verify_iso, "ifso": language.verify_ifso,
+            "lbo": language.verify_lbo}[notion](instance, cap=cap)

@@ -112,6 +112,20 @@ class TestPublicSurface:
                 foreign[path.name] = sorted(names)
         assert foreign == {}
 
+    def test_dir_lists_every_export_before_it_is_loaded(self):
+        # dir() lists the names served on first access without loading
+        # their modules; a fresh interpreter has loaded none of them yet
+        script = (
+            "import sys, opacheck\n"
+            "listed = set(opacheck.__all__) <= set(dir(opacheck))\n"
+            "print(listed, [m for m in ('opacheck.gadgets', 'opacheck.language')"
+            " if m in sys.modules])\n"
+        )
+        src = str(Path(opacheck.__file__).resolve().parent.parent)
+        out = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, check=True).stdout
+        assert out == "True []\n"
+
     def test_integer_graph_is_built_on_first_use(self):
         a = aut(["p", "q"], AB, [("p", "a", "q")], ["p"])
         assert "_graph" not in a.__dict__

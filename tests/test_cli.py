@@ -27,6 +27,7 @@ from opacheck import (
     gen_dag_weak_lbo,
     lbo_to_iso,
 )
+from opacheck import cli
 from opacheck.cli import main
 from opacheck.jsonio import (
     automaton_from_dict,
@@ -310,7 +311,11 @@ class TestVerify:
         # Importing dataclasses was a large share of a verify child's start-up.
         # The import trace lists every module the child loaded before it exited.
         # The modules that only gen, classify and the oracles need stay unloaded
-        # too, whether or not they import dataclasses.
+        # too, whether or not they import dataclasses, and so does the
+        # projected-language layer on the observer route (the cso/auto row: a
+        # CNF instance has two observable events).  The trace never lists
+        # opacheck.cli: the child runs it as __main__, so that entry would mean
+        # some module imported it, running the file a second time.
         cso = gen_cnf_cso(TWO_CLAUSE)
         lbo = cso_to_lbo(cso)
         with warnings.catch_warnings():
@@ -330,7 +335,11 @@ class TestVerify:
         assert json.loads(done.stdout)["notion"] == notion
         assert {"opacheck.automata", "opacheck.opacity", "opacheck.jsonio"} <= imported
         assert "dataclasses" not in imported
-        assert not imported & {"opacheck.gadgets", "opacheck.structure", "opacheck.oracles"}
+        assert not imported & {"opacheck.gadgets", "opacheck.structure", "opacheck.oracles",
+                               "opacheck.commands", "opacheck.cli"}
+        observer = (notion, algorithm) == ("cso", "auto")
+        assert (json.loads(done.stdout)["algorithm"] == "observer") == observer
+        assert ("opacheck.language" in imported) != observer
 
     def test_tiny_observer_cap_fails_loudly(self, tmp_path, capsys):
         path = write_instance(tmp_path, "inst.json", gen_cnf_cso(TWO_CLAUSE))
@@ -345,7 +354,9 @@ class TestVerify:
 def test_no_command_child_imports_dataclasses(tmp_path, command):
     # Like verify's, every other command's start-up stays free of dataclasses:
     # the generators' results are records, and no command builds the report of
-    # classify, so opacheck.structure stays unloaded too.
+    # classify, so opacheck.structure stays unloaded too.  Each loads the
+    # module of its handler, opacheck.commands, and none loads opacheck.cli
+    # a second time.
     cnf = write(tmp_path, "two.cnf", TWO_CLAUSE_DIMACS)
     cso = write_instance(tmp_path, "cso.json", gen_cnf_cso(TWO_CLAUSE))
     lbo = write_instance(tmp_path, "lbo.json", cso_to_lbo(gen_cnf_cso(TWO_CLAUSE)))
@@ -368,11 +379,58 @@ def test_no_command_child_imports_dataclasses(tmp_path, command):
     done, imported = child_imports([*command.split(), *argv])
     assert done.returncode in (0, 1), done.stderr
     assert done.stdout and "Traceback" not in done.stderr
-    assert {"opacheck.jsonio", needed} <= imported
-    assert not imported & {"dataclasses", "opacheck.structure"}
+    assert {"opacheck.jsonio", "opacheck.commands", needed} <= imported
+    assert not imported & {"dataclasses", "opacheck.structure", "opacheck.cli"}
     if command in ("classify", "oracle enum-cso"):
         # neither needs a generator: the oracles name gadgets' types only in annotations
         assert "opacheck.gadgets" not in imported
+
+
+# Command lines that argparse itself ends: help, and usage errors.
+GEN_KINDS = ("cnf", "dag-weak-lbo", "dag-unary-cso", "cso2lbo", "lbo2iso", "union", "po-det")
+ORACLE_KINDS = ("sat", "dag-reach", "enum-cso")
+ARGPARSE_EXITS = [
+    [], ["-h"], ["bogus"], ["--", "verify"],
+    *([command, "-h"] for command in cli.COMMANDS),
+    *(["gen", kind, "-h"] for kind in GEN_KINDS),
+    *(["oracle", kind, "-h"] for kind in ORACLE_KINDS),
+    # a missing argument
+    ["verify", "--notion", "cso"], ["gen"], ["gen", "cnf"], ["gen", "po-det", "f.json"],
+    ["classify"], ["oracle"], ["oracle", "enum-cso"], ["dot"],
+    # a bad choice (dot has none)
+    ["verify", "--notion", "bogus", "f.json"], ["verify", "--notion", "cso", "--algorithm",
+                                                "bogus", "f.json"],
+    ["gen", "bogus"], ["classify", "--output", "bogus", "f.json"], ["oracle", "bogus"],
+    # an unknown option, which the top-level parser reports with its own usage
+    ["verify", "--notion", "cso", "--bogus", "f.json"], ["gen", "cnf", "--bogus", "f.cnf"],
+    ["classify", "--bogus", "f.json"], ["oracle", "sat", "--bogus", "f.cnf"],
+    ["dot", "--bogus", "f.json"],
+]
+
+
+@pytest.mark.parametrize("argv", ARGPARSE_EXITS, ids=lambda argv: " ".join(argv) or "none")
+def test_a_commands_own_parser_prints_what_the_whole_parser_prints(argv, capsys):
+    # main fills in only the arguments of the command it is given; the bytes
+    # and status must be those of the parser that has every command's
+    with pytest.raises(SystemExit) as whole:
+        cli.build_parser().parse_args(argv)
+    expected = (whole.value.code, *capsys.readouterr())
+    with pytest.raises(SystemExit) as own:
+        main(argv)
+    assert (own.value.code, *capsys.readouterr()) == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--notion", "lbo", "--witness", "a.json", "b.json"],
+    ["gen", "po-det", "--chain-event", "a", "f.json"],
+    ["classify", "--output", "json", "f.json"],
+    ["oracle", "enum-cso", "--witness", "f.json"],
+    ["dot", "f.json", "-o", "out.dot"],
+], ids=lambda argv: argv[0])
+def test_a_commands_own_parser_reads_what_the_whole_parser_reads(argv):
+    own, whole = (vars(cli.build_parser(command).parse_args(argv)) for command in (argv[0], None))
+    own.pop("func"), whole.pop("func")
+    assert own == whole
 
 
 # Runs each argv through ``cli.main`` and prints one JSON list of

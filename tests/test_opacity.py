@@ -33,7 +33,7 @@ from opacheck import (
     verify_lbo,
     verify_lbo_weak,
 )
-from opacheck.automata import _least_uncovered, _length_sets
+from opacheck.language import _least_uncovered, _length_sets
 from opacheck.oracles import enum_languages_projected
 
 from helpers import (

@@ -42,12 +42,10 @@ from opacheck import (
 )
 from opacheck.automata import (
     _closures,
-    _inclusion,
-    _least_uncovered,
-    _length_sets,
     _lex_least_label,
     _quotient,
 )
+from opacheck.language import _inclusion, _least_uncovered, _length_sets
 from opacheck.oracles import (
     enum_cso_acyclic,
     enum_languages_projected,
