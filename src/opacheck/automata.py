@@ -440,6 +440,18 @@ def _bits(mask: int) -> list[int]:
 _EMPTY = -1
 
 
+class _Work:
+    """What one search did, filled in as it returns or raises: ``estimates``
+    nonempty estimates interned, ``groups`` ids or groups expanded, ``depth``
+    the breadth-first layer of the last id or group reached, and ``pairs``
+    the set bits of the pair search's left-state masks.  It keeps no table."""
+
+    __slots__ = ("estimates", "groups", "depth", "pairs")
+
+    def __init__(self) -> None:
+        self.estimates = self.groups = self.depth = self.pairs = 0
+
+
 def _closures(g: _Graph) -> list[int]:
     """The closure of each node of ``g`` under its unobservable events, as a
     bitmask.  Nodes are walked successors first, in reverse topological
@@ -601,7 +613,7 @@ class _EstimateKernel:
             out |= row[j]
         return self.intern(out)
 
-    def search(self, start: int, is_goal) -> Optional[Observation]:
+    def search(self, start: int, is_goal, work: _Work) -> Optional[Observation]:
         """Breadth-first walk over the nonempty estimates reachable from the
         closed mask ``start``, on a fresh kernel.
 
@@ -610,29 +622,36 @@ class _EstimateKernel:
         by the shortest, then lexicographically least, observation, which is
         returned.  None means no reachable estimate is a goal; every one of
         them has then been interned.  Ids are interned in discovery order, so
-        ``masks`` is the walk's queue.
+        ``masks`` is the walk's queue, and each layer's ids follow the last.
         """
         # A plain id BFS: on _lex_least_label, with ids as groups, cso-observer ran 5-39 % slower.
         start = self.intern(start)
         if start == _EMPTY:
             return None
-        if is_goal(self.masks[start]):
-            return ()
         width = len(self.events)
         parent = [-1]  # id -> slot (parent id * width + event index) it was found by
-        for i, mask in enumerate(self.masks):  # also visits the ids interned while it runs
-            for k in range(width):
-                j = self.intern(self.post(mask, k))
-                if j < len(parent):  # _EMPTY or found before: a new id is len(parent)
-                    continue
-                parent.append(i * width + k)
-                if is_goal(self.masks[j]):
-                    path: list[str] = []
-                    while parent[j] >= 0:
-                        j, k = divmod(parent[j], width)
-                        path.append(self.events[k])
-                    return tuple(reversed(path))
-        return None
+        i, depth, end = -1, 0, 1  # the id expanded, its layer, and the first id past that layer
+        try:
+            if is_goal(self.masks[start]):
+                return ()
+            for i, mask in enumerate(self.masks):  # also visits the ids interned while it runs
+                if i == end:
+                    depth, end = depth + 1, len(self.masks)
+                for k in range(width):
+                    j = self.intern(self.post(mask, k))
+                    if j < len(parent):  # _EMPTY or found before: a new id is len(parent)
+                        continue
+                    parent.append(i * width + k)
+                    if is_goal(self.masks[j]):
+                        path: list[str] = []
+                        while parent[j] >= 0:
+                            j, k = divmod(parent[j], width)
+                            path.append(self.events[k])
+                        return tuple(reversed(path))
+            return None
+        finally:
+            work.estimates, work.groups = len(self.masks), i + 1
+            work.depth = depth + (len(self.masks) > end)
 
 
 def realize_observation(
@@ -671,13 +690,14 @@ def realize_observation(
     def is_goal(position: int, states: int) -> bool:
         return position == n and bool(states & goal)
 
-    run = _lex_least_label([(0, g.mask(initial))], range(len(a.alphabet)), move, is_goal)
+    run = _lex_least_label([(0, g.mask(initial))], range(len(a.alphabet)), move, is_goal, _Work())
     if run is None:
         raise ValueError("observation is not realizable by any run into the target set")
     return tuple(a.alphabet[k].name for k in run)
 
 
-def _lex_least_label(start: list[tuple[int, int]], events, move, is_goal) -> Optional[tuple]:
+def _lex_least_label(start: list[tuple[int, int]], events, move, is_goal,
+                     work: _Work) -> Optional[tuple]:
     """Minimal-length, then lexicographically minimal, event string that leads
     from the group ``start`` to a goal node.
 
@@ -706,37 +726,47 @@ def _lex_least_label(start: list[tuple[int, int]], events, move, is_goal) -> Opt
     at its own shortest depth, so a group's label is the least shortest label
     of each of its nodes, the next layer is again sorted, and the first
     extension that reaches a goal carries the answer.  The search stops there.
+    ``work`` gets the groups expanded, the layer of the last group reached and
+    the bits of ``reached``, also when a callback raises.
     """
-    if any(is_goal(y, mask) for y, mask in start):
-        return ()
     reached = dict(start)  # right node -> left states paired with it so far
     parents: list[tuple[int, object]] = []  # group -> (parent group, event); -1 is the start
     layer = [(-1, start)]
-    while layer:
-        next_layer = []
-        for group, pairs in layer:
-            for e in events:
-                fresh_pairs = []
-                for y, mask in pairs:
-                    ys, mask2 = move(y, mask, e)
-                    for y2 in ys:
-                        old = reached.get(y2, 0)
-                        fresh = mask2 & ~old
-                        if not fresh:
-                            continue
-                        if is_goal(y2, fresh):
-                            label = [e]
-                            while group >= 0:
-                                group, e = parents[group]
-                                label.append(e)
-                            return tuple(reversed(label))
-                        reached[y2] = old | fresh
-                        fresh_pairs.append((y2, fresh))
-                if fresh_pairs:
-                    parents.append((group, e))
-                    next_layer.append((len(parents) - 1, fresh_pairs))
-        layer = next_layer
-    return None
+    depth = groups = built = 0  # built: the layer that the extensions of ``layer`` reach
+    try:
+        if any(is_goal(y, mask) for y, mask in start):
+            return ()
+        while layer:
+            built += 1
+            next_layer = []
+            for group, pairs in layer:
+                groups += 1
+                for e in events:
+                    fresh_pairs = []
+                    for y, mask in pairs:
+                        ys, mask2 = move(y, mask, e)
+                        for y2 in ys:
+                            old = reached.get(y2, 0)
+                            fresh = mask2 & ~old
+                            if not fresh:
+                                continue
+                            if is_goal(y2, fresh):
+                                depth, label = built, [e]
+                                while group >= 0:
+                                    group, e = parents[group]
+                                    label.append(e)
+                                return tuple(reversed(label))
+                            reached[y2] = old | fresh
+                            fresh_pairs.append((y2, fresh))
+                    if fresh_pairs:
+                        depth = built
+                        parents.append((group, e))
+                        next_layer.append((len(parents) - 1, fresh_pairs))
+            layer = next_layer
+        return None
+    finally:
+        work.groups, work.depth = groups, depth
+        work.pairs = sum(mask.bit_count() for mask in reached.values())
 
 
 def _unary_event(a: Automaton) -> Optional[str]:

@@ -10,11 +10,15 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import TYPE_CHECKING
 
 from . import jsonio
-from .automata import Automaton
-from .jsonio import NOTION_TITLES, _naming, _print_witness, _read
+from .automata import Automaton, _is_int
+from .jsonio import NOTION_TITLES, ParseError, _check_keys, _naming, _print_witness, _read
 from .opacity import CsoInstance
+
+if TYPE_CHECKING:
+    from .gadgets import CnfFormula, Dag
 
 
 def _cso(data: dict) -> CsoInstance:
@@ -25,21 +29,94 @@ def _lbo(data: dict):
     return jsonio.instance_from_dict(data, "lbo")
 
 
+def dag_from_dict(d: dict) -> Dag:
+    from .gadgets import Dag
+
+    _check_keys(d, {"vertices", "edges", "s", "t"}, "DAG")
+    # Dag's own texts would name its fields, vertex_count, source and target,
+    # which the file does not have; "edges" is both, so Dag checks it.
+    if not _is_int(d["vertices"]):
+        raise ParseError("vertices must be an integer count")
+    if not _is_int(d["s"]) or not _is_int(d["t"]):
+        raise ParseError("s and t must be vertex indices")
+    try:
+        return Dag(d["vertices"], d["edges"], d["s"], d["t"])
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+
+
+def parse_dimacs(text: str) -> CnfFormula:
+    """Parse DIMACS CNF: a ``p cnf <vars> <clauses>`` header, comment lines
+    starting with ``c``, and zero-terminated clauses (which may span lines).
+    A line starting with ``%`` ends the formula, as in the SATLIB files."""
+    from .gadgets import CnfFormula
+
+    header: tuple[int, int] | None = None
+    tokens: list[str] = []
+    for line in text.splitlines():
+        line = line.strip()
+        if line.startswith("%"):
+            break
+        if not line or line.startswith("c"):
+            continue
+        if line.startswith("p"):
+            if header is not None:
+                raise ParseError("duplicate DIMACS header")
+            parts = line.split()
+            if len(parts) != 4 or parts[1] != "cnf":
+                raise ParseError(f"malformed DIMACS header: {line!r}")
+            try:
+                header = (int(parts[2]), int(parts[3]))
+            except ValueError as exc:
+                raise ParseError(f"malformed DIMACS header: {line!r}") from exc
+            continue
+        if header is None:
+            raise ParseError("clause data before the DIMACS header")
+        tokens.extend(line.split())
+    if header is None:
+        raise ParseError("missing DIMACS header")
+    clauses: list[frozenset[int]] = []
+    current: set[int] = set()
+    for token in tokens:
+        try:
+            literal = int(token)
+        except ValueError as exc:
+            raise ParseError(f"malformed DIMACS literal: {token!r}") from exc
+        if literal == 0:
+            clauses.append(frozenset(current))
+            current = set()
+        else:
+            current.add(literal)
+    if current:
+        raise ParseError("last clause is not zero-terminated")
+    n, m = header
+    if len(clauses) != m:
+        raise ParseError(f"header announces {m} clauses but {len(clauses)} were given")
+    return CnfFormula(n, tuple(clauses))
+
+
+def _read_text(path: str, parse):
+    """What ``parse`` makes of the text in ``path``, with its input errors
+    named by the path, as :func:`jsonio._read` does for a JSON object."""
+    with _naming(path), open(path, "r", encoding="utf-8") as handle:
+        return parse(handle.read())
+
+
 def _emit(payload: dict) -> int:
     sys.stdout.write(jsonio.dumps(payload))
     return 0
 
 
 def _cmd_gen(args) -> int:
-    """Read the files with ``args.parse``, run the gadget named
-    ``args.gadget`` on them (on the list of them for ``union``) and write its
-    instance, with the result's metadata when it has any.  Each warning the
-    gadget raises is printed as one ``warning:`` line."""
+    """Read the files with ``args.read`` and ``args.parse``, run the gadget
+    named ``args.gadget`` on them (on the list of them for ``union``) and
+    write its instance, with the result's metadata when it has any.  Each
+    warning the gadget raises is printed as one ``warning:`` line."""
     import warnings
 
     from . import gadgets
 
-    found = [_read(path, args.parse) for path in args.files]
+    found = [args.read(path, args.parse) for path in args.files]
     gadget = getattr(gadgets, args.gadget)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -87,12 +164,12 @@ def _automata(data: dict) -> list[tuple[str, Automaton]]:
         if any(name in data for name in names):
             missing = [name for name in names if name not in data]
             if missing:
-                raise jsonio.ParseError(f"instance is missing keys: {missing}")
+                raise ParseError(f"instance is missing keys: {missing}")
             instance = jsonio.instance_from_dict(data, notion)
             return [(name, getattr(instance, name)) for name in names]
     known = {name for cls in classes.values() for name in cls._fields}
     unknown = sorted(set(data) - known - {"metadata"})
-    raise jsonio.ParseError(f"instance has unknown keys: {unknown}")
+    raise ParseError(f"instance has unknown keys: {unknown}")
 
 
 def _cmd_classify(args) -> int:
@@ -113,7 +190,7 @@ def _cmd_classify(args) -> int:
 def _cmd_oracle_sat(args) -> int:
     from . import oracles
 
-    assignment = oracles.brute_sat(_read(args.file, jsonio.parse_dimacs))
+    assignment = oracles.brute_sat(_read_text(args.file, parse_dimacs))
     if assignment is None:
         print("UNSAT")
         return 1
@@ -125,7 +202,7 @@ def _cmd_oracle_sat(args) -> int:
 def _cmd_oracle_dag_reach(args) -> int:
     from . import oracles
 
-    reachable = oracles.dag_reachable(_read(args.file, jsonio.dag_from_dict))
+    reachable = oracles.dag_reachable(_read(args.file, dag_from_dict))
     print("reachable" if reachable else "unreachable")
     return 0 if reachable else 1
 
@@ -181,22 +258,22 @@ def _cmd_dot(args) -> int:
 
 def _gen_arguments(gen: argparse.ArgumentParser) -> None:
     gen_sub = gen.add_subparsers(dest="kind", required=True)
-    # each generator: how many files it reads, their parser, the gadget it runs
-    for kind, nargs, parse, gadget, help_text in (
-        ("cnf", 1, jsonio.parse_dimacs, "gen_cnf_cso",
+    # each generator: how many files it reads, their reader and parser, the gadget it runs
+    for kind, nargs, read, parse, gadget, help_text in (
+        ("cnf", 1, _read_text, parse_dimacs, "gen_cnf_cso",
          "DIMACS file to a CSO instance (opaque iff unsatisfiable)"),
-        ("dag-weak-lbo", 1, jsonio.dag_from_dict, "gen_dag_weak_lbo",
+        ("dag-weak-lbo", 1, _read, dag_from_dict, "gen_dag_weak_lbo",
          "DAG to a weak-opacity instance"),
-        ("dag-unary-cso", 1, jsonio.dag_from_dict, "gen_dag_cso_unary",
+        ("dag-unary-cso", 1, _read, dag_from_dict, "gen_dag_cso_unary",
          "DAG to a unary acyclic CSO instance"),
-        ("cso2lbo", 1, _cso, "cso_to_lbo", "CSO instance to an equivalent LBO instance"),
-        ("lbo2iso", 1, _lbo, "lbo_to_iso", "LBO instance to an equivalent ISO instance"),
-        ("union", "+", jsonio.automaton_from_dict, "gen_union_universality_cso",
+        ("cso2lbo", 1, _read, _cso, "cso_to_lbo", "CSO instance to an equivalent LBO instance"),
+        ("lbo2iso", 1, _read, _lbo, "lbo_to_iso", "LBO instance to an equivalent ISO instance"),
+        ("union", "+", _read, jsonio.automaton_from_dict, "gen_union_universality_cso",
          "DFA files to a CSO instance (opaque iff union universal)"),
     ):
         p = gen_sub.add_parser(kind, help=help_text)
         p.add_argument("files", nargs=nargs, metavar="file" if nargs == 1 else None)
-        p.set_defaults(func=_cmd_gen, parse=parse, gadget=gadget)
+        p.set_defaults(func=_cmd_gen, read=read, parse=parse, gadget=gadget)
     po_det = gen_sub.add_parser("po-det", help="determinize a partially ordered automaton or CSO instance")
     po_det.add_argument("file")
     po_det.add_argument("--chain-event", required=True,

@@ -1,5 +1,5 @@
-"""Canonical JSON and DIMACS parsing/serialization, and the file reading and
-text output that the command handlers share.
+"""Canonical JSON parsing and serialization, and the file reading and text
+output that the command handlers share.
 
 Serialization is canonical so that round-trips are byte-stable: object keys
 are sorted, state and transition lists are sorted lexicographically, and the
@@ -31,14 +31,11 @@ import json
 from contextlib import contextmanager
 from itertools import chain, repeat
 from json.encoder import encode_basestring
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
-from .automata import Automaton, Event, _is_int
+from .automata import Automaton, Event
 from .errors import OpacheckError, ParseError
 from .opacity import INSTANCE_CLASSES
-
-if TYPE_CHECKING:
-    from .gadgets import CnfFormula, Dag
 
 _AUTOMATON_KEYS = {"alphabet", "states", "initial", "marked", "transitions"}
 
@@ -214,72 +211,6 @@ def load_json_file(path: str) -> dict:
     return data
 
 
-def dag_from_dict(d: dict) -> Dag:
-    from .gadgets import Dag
-
-    _check_keys(d, {"vertices", "edges", "s", "t"}, "DAG")
-    # Dag's own texts would name its fields, vertex_count, source and target,
-    # which the file does not have; "edges" is both, so Dag checks it.
-    if not _is_int(d["vertices"]):
-        raise ParseError("vertices must be an integer count")
-    if not _is_int(d["s"]) or not _is_int(d["t"]):
-        raise ParseError("s and t must be vertex indices")
-    try:
-        return Dag(d["vertices"], d["edges"], d["s"], d["t"])
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
-
-
-def parse_dimacs(text: str) -> CnfFormula:
-    """Parse DIMACS CNF: a ``p cnf <vars> <clauses>`` header, comment lines
-    starting with ``c``, and zero-terminated clauses (which may span lines).
-    A line starting with ``%`` ends the formula, as in the SATLIB files."""
-    from .gadgets import CnfFormula
-
-    header: tuple[int, int] | None = None
-    tokens: list[str] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if line.startswith("%"):
-            break
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            if header is not None:
-                raise ParseError("duplicate DIMACS header")
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ParseError(f"malformed DIMACS header: {line!r}")
-            try:
-                header = (int(parts[2]), int(parts[3]))
-            except ValueError as exc:
-                raise ParseError(f"malformed DIMACS header: {line!r}") from exc
-            continue
-        if header is None:
-            raise ParseError("clause data before the DIMACS header")
-        tokens.extend(line.split())
-    if header is None:
-        raise ParseError("missing DIMACS header")
-    clauses: list[frozenset[int]] = []
-    current: set[int] = set()
-    for token in tokens:
-        try:
-            literal = int(token)
-        except ValueError as exc:
-            raise ParseError(f"malformed DIMACS literal: {token!r}") from exc
-        if literal == 0:
-            clauses.append(frozenset(current))
-            current = set()
-        else:
-            current.add(literal)
-    if current:
-        raise ParseError("last clause is not zero-terminated")
-    n, m = header
-    if len(clauses) != m:
-        raise ParseError(f"header announces {m} clauses but {len(clauses)} were given")
-    return CnfFormula(n, tuple(clauses))
-
-
 # What the handlers of opacheck.cli and opacheck.commands share.  ``python -m
 # opacheck.cli`` runs the command line as ``__main__``, so no module imports
 # opacheck.cli, which would run that file a second time.
@@ -310,12 +241,9 @@ def _naming(path: str):
 
 
 def _read(path: str, parse):
-    """What ``parse`` makes of the JSON object in ``path`` (of its text, for
-    :func:`parse_dimacs`), with its input errors named by the path."""
+    """What ``parse`` makes of the JSON object in ``path``, with its input
+    errors named by the path."""
     with _naming(path):
-        if parse is parse_dimacs:
-            with open(path, "r", encoding="utf-8") as handle:
-                return parse(handle.read())
         return parse(load_json_file(path))
 
 

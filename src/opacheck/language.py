@@ -16,7 +16,7 @@ from typing import Collection, Iterable, Optional, Sequence
 
 from .automata import (_AUTOMATON, _CAP, _EMPTY, _NAMES, DEFAULT_OBSERVER_CAP, Automaton,
                        Observation, Verdict, Witness, _bits, _checked, _EstimateKernel,
-                       _lex_least_label, _quotient, _reach, _require, _unary_event,
+                       _lex_least_label, _quotient, _reach, _require, _unary_event, _Work,
                        realize_observation)
 from .opacity import _IFSO, _ISO, _LBO, IfsoInstance, IsoInstance, LboInstance
 
@@ -89,7 +89,11 @@ def _least_difference(
         return bool(states & m1) and (s == _EMPTY or not right.masks[s] & m2)
 
     start = [(right.intern(right.close(g2.mask(initial2))), left.close(g1.mask(initial1)))]
-    obs = _lex_least_label(start, range(len(left.events)), move, refutes)
+    work = _Work()
+    try:
+        obs = _lex_least_label(start, range(len(left.events)), move, refutes, work)
+    finally:
+        work.estimates = len(right.masks)
     return None if obs is None else tuple(left.events[k] for k in obs)
 
 
@@ -148,6 +152,8 @@ def _inclusion(
     if obs is None:
         return Verdict(True, algorithm=algorithm)
     return Verdict(False, Witness(obs, realize_observation(a1, m1, obs, initial=initial1)), algorithm)
+
+
 def _length_sets(
     a: Automaton, initial: Iterable[str], target_sets: Iterable[Collection[str]]
 ) -> list[tuple[int, Optional[int]]]:
@@ -257,7 +263,7 @@ def _least_common(
 
     start = left.close(g1.mask(a1.initial))
     start = [(y, start) for y in _bits(right.close(g2.mask(a2.initial)))]
-    obs = _lex_least_label(start, range(len(left.events)), move, is_goal)
+    obs = _lex_least_label(start, range(len(left.events)), move, is_goal, _Work())
     return None if obs is None else tuple(left.events[k] for k in obs)
 
 

@@ -27,6 +27,7 @@ from .automata import (
     Verdict,
     Witness,
     _Record,
+    _Work,
     realize_observation,
     _AUTOMATON,
     _CAP,
@@ -130,7 +131,8 @@ def verify_cso_observer(inst: CsoInstance, *, cap: int = DEFAULT_OBSERVER_CAP) -
     g = _quotient(a._graph, (inst.secret, inst.nonsecret))
     kernel = _EstimateKernel(g, cap)
     secret, nonsecret = g.mask(inst.secret), g.mask(inst.nonsecret)
-    obs = kernel.search(kernel.close(g.mask(a.initial)), lambda x: x & secret and not x & nonsecret)
+    obs = kernel.search(kernel.close(g.mask(a.initial)),
+                        lambda x: x & secret and not x & nonsecret, _Work())
     del kernel, g  # garbage before the run is realized
     if obs is None:
         return Verdict(True, algorithm="observer")

@@ -6,7 +6,6 @@ from __future__ import annotations
 import random
 
 from opacheck import (
-    DEFAULT_OBSERVER_CAP,
     Automaton,
     CnfFormula,
     CsoInstance,
@@ -16,7 +15,7 @@ from opacheck import (
     Verdict,
     trim,
 )
-from opacheck.automata import _EstimateKernel, _quotient
+from opacheck.automata import _EstimateKernel, _quotient, _Work
 from opacheck.oracles import _project, observation_feasible, string_reaches
 
 ALPHABET_2OBS_1UO = (Event("a"), Event("b"), Event("u", observable=False))
@@ -52,17 +51,46 @@ def rand_automaton(rng, alphabet, max_states=7, *, structure="any", initial_max=
     return Automaton(tuple(states), alphabet, transitions, initial, marked)
 
 
-def kernel_search(a, respect=(), secret=(), nonsecret=(), cap=DEFAULT_OBSERVER_CAP):
+def kernel_search(a, respect=(), secret=(), nonsecret=()):
     """The CSO observer's search for ``secret`` without ``nonsecret``, from
     ``a``'s initial estimate, on a fresh estimate kernel of ``a``'s graph
-    quotiented by ``respect``: the graph, the kernel after the search and the
-    observation found.  With no secret state the search interns every
-    reachable estimate."""
+    quotiented by ``respect``: the kernel after the search, the search's
+    account and the observation found.  With no secret state the search
+    interns every reachable estimate."""
     g = _quotient(a._graph, respect)
-    kernel = _EstimateKernel(g, cap)
+    kernel, work = _EstimateKernel(g), _Work()
     s, ns = g.mask(secret), g.mask(nonsecret)
-    obs = kernel.search(kernel.close(g.mask(a.initial)), lambda x: x & s and not x & ns)
-    return g, kernel, obs
+    obs = kernel.search(kernel.close(g.mask(a.initial)), lambda x: x & s and not x & ns, work)
+    return kernel, work, obs
+
+
+def accounts(monkeypatch) -> list[_Work]:
+    """Every search account made from now on, in the order made, as the
+    searches fill them: one per observer, inclusion, product or realization
+    search that runs."""
+    made, init = [], _Work.__init__
+
+    def record(work):
+        init(work)
+        made.append(work)
+
+    monkeypatch.setattr(_Work, "__init__", record)
+    return made
+
+
+def nth_from_end(n: int) -> Automaton:
+    """The NFA for "the n-th symbol from the end is ``a``" over ``a`` and
+    ``b``: states ``q0 .. qn``, both events looping on ``q0``, ``q0 -a-> q1``
+    and ``qi -a,b-> qi+1`` for 0 < i < n.  Partially ordered with n + 1
+    states, yet after a word the states other than ``q0`` are exactly those
+    ``qi`` whose i-th symbol from the end is ``a``, so 2^n estimates are
+    reachable.  No two states are bisimilar, so no quotient shrinks it: the
+    longest run from ``qi`` has n - i symbols when i > 0, and ``q0`` has
+    runs of every length."""
+    states = [f"q{i}" for i in range(n + 1)]
+    transitions = {("q0", "a", "q0"), ("q0", "b", "q0"), ("q0", "a", "q1")}
+    transitions |= {(states[i], e, states[i + 1]) for i in range(1, n) for e in "ab"}
+    return Automaton(tuple(states), (Event("a"), Event("b")), transitions, {"q0"})
 
 
 def members(a, g, mask) -> tuple[str, ...]:

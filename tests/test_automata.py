@@ -46,7 +46,7 @@ from opacheck import (
     verify_iso,
 )
 from opacheck import automata
-from opacheck.automata import _EMPTY, _EstimateKernel, _Record, _closures
+from opacheck.automata import _EMPTY, _EstimateKernel, _Record, _closures, _Work
 from opacheck.gadgets import Split
 from opacheck.oracles import (
     _project,
@@ -56,7 +56,8 @@ from opacheck.oracles import (
     unobservable_closure,
 )
 
-from helpers import ALPHABET_2OBS_1UO, kernel_search, make_rng, members, rand_automaton
+from helpers import (ALPHABET_2OBS_1UO, accounts, kernel_search, make_rng, members,
+                     nth_from_end, rand_automaton)
 
 
 def aut(states, alphabet, transitions, initial, marked=()):
@@ -67,9 +68,9 @@ AB = (Event("a"), Event("b"))
 A_UO = (Event("a", observable=False),)
 
 
-def explored(a, cap=opacheck.DEFAULT_OBSERVER_CAP):
+def explored(a):
     """An estimate kernel of ``a``'s graph that has interned every reachable estimate."""
-    return kernel_search(a, cap=cap)[1]
+    return kernel_search(a)[0]
 
 
 def estimates(a):
@@ -671,7 +672,7 @@ class TestObserver:
     def test_cap_exceeded_raises(self):
         rng = make_rng("observer-cap")
         a = rand_automaton(rng, ALPHABET_2OBS_1UO, max_states=7)
-        assert len(explored(a).masks) > 1
+        assert kernel_search(a)[1].estimates > 1
         # with no secret state nothing is violated, so the search interns
         # every reachable estimate and must stop at the second one
         with pytest.raises(ObserverBlowup) as err:
@@ -702,8 +703,7 @@ class TestObserver:
 def interned(inst, respect):
     """How many estimates the CSO observer search interns on a kernel of
     ``inst``'s graph quotiented by ``respect``."""
-    _, kernel, _ = kernel_search(inst.automaton, respect, inst.secret, inst.nonsecret)
-    return len(kernel.masks)
+    return kernel_search(inst.automaton, respect, inst.secret, inst.nonsecret)[1].estimates
 
 
 class TestQuotient:
@@ -834,7 +834,7 @@ class TestLexLeastLabel:
         def is_goal(y, mask):
             return y == 2 and bool(mask & 0b10)
 
-        assert automata._lex_least_label([(0, 0b01)], range(2), move, is_goal) == (1,)
+        assert automata._lex_least_label([(0, 0b01)], range(2), move, is_goal, _Work()) == (1,)
 
     def test_pair_reached_again_is_not_moved_again(self):
         # Left states 0 -> 1 -> 2 -> 0 under event 0, and 0 -> 2 under event 1,
@@ -847,10 +847,15 @@ class TestLexLeastLabel:
                 return (y,), (mask << 1 | mask >> 2) & 0b111
             return ((y,), 0b100) if mask & 0b001 else ((), 0)
 
-        result = automata._lex_least_label([(0, 0b001)], range(2), move, lambda y, mask: False)
+        work = _Work()
+        result = automata._lex_least_label([(0, 0b001)], range(2), move,
+                                           lambda y, mask: False, work)
         assert result is None
         assert calls == [(0, 0b001, 0), (0, 0b001, 1), (0, 0b010, 0), (0, 0b010, 1),
                          (0, 0b100, 0), (0, 0b100, 1)]
+        # three groups expanded, the two found by one event, and all three
+        # left states paired with the one right node
+        assert (work.estimates, work.groups, work.depth, work.pairs) == (0, 3, 1, 3)
 
     def test_ties_go_to_the_earlier_event(self):
         # A binary tree numbered from 1, where event e leads from y to 2y + e:
@@ -861,8 +866,91 @@ class TestLexLeastLabel:
         def is_goal(y, mask):
             return y in (5, 6)
 
-        assert automata._lex_least_label([(1, 1)], range(2), move, is_goal) == (0, 1)
-        assert automata._lex_least_label([(1, 1)], (1, 0), move, is_goal) == (1, 0)
+        for events, label in ((range(2), (0, 1)), ((1, 0), (1, 0))):
+            work = _Work()
+            assert automata._lex_least_label([(1, 1)], events, move, is_goal, work) == label
+            # the start and the first group of depth 1 are expanded, and the goal,
+            # at depth 2, is that group's second extension, after its first one
+            assert (work.groups, work.depth, work.pairs) == (2, 2, 4)
+
+
+class TestWorkAccount:
+    """Each search fills one account; its counts are pinned here on
+    ``helpers.nth_from_end(n)``, whose estimates are known from outside the
+    kernel: after a word, ``q0`` and each ``qi`` whose i-th symbol from the
+    end is ``a``.  Each of the 2^n subsets of ``q1 .. qn`` is reachable,
+    first at the depth of its highest index."""
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_the_observer_walks_every_estimate_when_opacity_holds(self, n, monkeypatch):
+        # q0 is in every estimate, so no estimate has qn without q0
+        inst = CsoInstance(nth_from_end(n), {f"q{n}"}, {"q0"})
+        made = accounts(monkeypatch)
+        assert verify_cso(inst, "observer").holds
+        [work] = made
+        assert (work.estimates, work.groups, work.depth, work.pairs) == (2**n, 2**n, n, 0)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_the_observer_stops_at_the_least_violation(self, n, monkeypatch):
+        # A violation is an estimate with qn and not q(n-1): the word's n-th
+        # symbol from the end is a and its (n-1)-th is b, first met as
+        # a b a^(n-2).  The search interns every estimate of depth below n,
+        # the 2^(n-1) whose other members lie in q1 .. q(n-1); then, at depth
+        # n, where each estimate has one word, those of the 2^(n-2) words that
+        # start with a a, and the violation.
+        inst = CsoInstance(nth_from_end(n), {f"q{n}"}, {f"q{n - 1}"})
+        made = accounts(monkeypatch)
+        verdict = verify_cso(inst, "observer")
+        assert verdict.witness.observation == ("a", "b") + ("a",) * (n - 2)
+        work, realized = made
+        assert (work.estimates, work.depth) == (3 * 2 ** (n - 2) + 1, n)
+        assert (realized.estimates, realized.depth) == (0, len(verdict.witness.secret_run))
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_inclusion_interns_the_observers_estimates(self, n, monkeypatch):
+        # One automaton on both sides, from one start: each right estimate is
+        # paired with its own members, so the pairs number sum |E| over the
+        # 2^n estimates E = {q0} + S, which is 2^n + n 2^(n-1).
+        made = accounts(monkeypatch)
+        a = nth_from_end(n)
+        for nonsecret in ("q0", f"q{n - 1}"):
+            inst = CsoInstance(a, {f"q{n}"}, {nonsecret})
+            searches = []
+            for algorithm in ("observer", "inclusion"):
+                made.clear()
+                verify_cso(inst, algorithm)
+                searches.append(made[0])
+            observer, inclusion = searches
+            assert inclusion.estimates == observer.estimates
+            if nonsecret == "q0":
+                assert inclusion.pairs == 2**n + n * 2 ** (n - 1)
+
+    def test_a_cap_hit_leaves_the_partial_counts(self, monkeypatch):
+        # {q0}; {q0, q1}; {q0, q1, q2} and {q0, q2}; then {q0, q1, q2, q3}
+        # from the first of those, whose b-successor would be the sixth: three
+        # estimates expanded, and the last one reached at depth 3
+        inst = CsoInstance(nth_from_end(4), {"q4"}, {"q0"})
+        made = accounts(monkeypatch)
+        with pytest.raises(ObserverBlowup):
+            verify_cso_observer(inst, cap=5)
+        with pytest.raises(ObserverBlowup):
+            verify_cso(inst, "inclusion", cap=5)
+        observer, inclusion = made
+        assert (observer.estimates, observer.groups, observer.depth) == (5, 3, 3)
+        assert inclusion.estimates == 5
+
+    def test_the_product_and_realization_build_no_estimates(self, monkeypatch):
+        a = nth_from_end(5)
+        made = accounts(monkeypatch)
+        verdict = intersection_nonempty_modulo_projection(a, {"q5"}, a, {"q4"})
+        assert verdict.witness.observation == ("a",) * 5
+        product, realized = made
+        assert product.estimates == realized.estimates == 0
+        assert product.depth == realized.depth == 5
+        made.clear()
+        run = realize_observation(a, {"q3"}, ("b", "a", "b", "b"))
+        [realized] = made
+        assert (realized.estimates, realized.depth) == (0, len(run))
 
 
 class TestInclusion:

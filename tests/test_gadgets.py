@@ -33,7 +33,8 @@ from opacheck import (
     verify_lbo_weak,
 )
 from opacheck.gadgets import MAX_GADGET_STATES, _FreshNames
-from opacheck.jsonio import dag_from_dict, dumps, instance_from_dict, instance_to_dict, parse_dimacs
+from opacheck.commands import dag_from_dict, parse_dimacs
+from opacheck.jsonio import dumps, instance_from_dict, instance_to_dict
 from opacheck.oracles import (
     brute_sat,
     dag_reachable,

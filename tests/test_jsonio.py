@@ -7,15 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opacheck import CnfFormula, MalformedFormula, ParseError
+from opacheck.commands import dag_from_dict, parse_dimacs
 from opacheck.jsonio import (
     automaton_from_dict,
     automaton_to_dict,
-    dag_from_dict,
     dumps,
     instance_from_dict,
     instance_to_dict,
     load_json_file,
-    parse_dimacs,
 )
 
 from helpers import (

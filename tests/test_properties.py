@@ -44,6 +44,7 @@ from opacheck.automata import (
     _closures,
     _lex_least_label,
     _quotient,
+    _Work,
 )
 from opacheck.language import _inclusion, _least_uncovered, _length_sets
 from opacheck.oracles import (
@@ -241,8 +242,8 @@ def interned_search(inst, respect=()):
     """The CSO observer search on a fresh kernel of ``inst``'s graph
     quotiented by ``respect``: its observation and how many estimates it
     interned."""
-    _, kernel, obs = kernel_search(inst.automaton, respect, inst.secret, inst.nonsecret)
-    return obs, len(kernel.masks)
+    _, work, obs = kernel_search(inst.automaton, respect, inst.secret, inst.nonsecret)
+    return obs, work.estimates
 
 
 @PROPERTY_SETTINGS
@@ -314,8 +315,8 @@ def test_class_estimates_are_the_estimates_of_states_by_class(inst):
     # the estimates of states closed up to whole classes; so there are at
     # most as many, and the CSO search interns at most as many too.
     a, respect = inst.automaton, (inst.secret, inst.nonsecret)
-    g, raw, _ = kernel_search(a)
-    q, quotient, _ = kernel_search(a, respect)
+    g, q = a._graph, _quotient(a._graph, respect)
+    raw, quotient = kernel_search(a)[0], kernel_search(a, respect)[0]
     by_class = {members(a, q, q.mask(members(a, g, x))) for x in raw.masks}
     assert {members(a, q, x) for x in quotient.masks} == by_class
     _, raw_count = interned_search(inst)
@@ -521,7 +522,24 @@ def test_pair_search_finds_the_least_label_of_subset_simulation(search):
                     seen.add(reached)
                     next_layer.append((label + (k,), reached))
         layer = next_layer
-    assert _lex_least_label(start, events, move, is_goal) == expected
+    work = _Work()
+    assert _lex_least_label(start, events, move, is_goal, work) == expected
+    # The search pairs no node twice; when it finds nothing, it has paired
+    # every node reachable from the start, and when it finds a label, the
+    # goal's group is the last one reached, as deep as the label is long.
+    todo = [(y, b) for y, mask in start for b in range(width) if mask >> b & 1]
+    reachable = set(todo)
+    while todo:
+        node = todo.pop()
+        for found in edges:
+            for (s, t) in found:
+                if s == node and t not in reachable:
+                    reachable.add(t)
+                    todo.append(t)
+    if expected is None:
+        assert work.pairs == len(reachable)
+    else:
+        assert work.pairs <= len(reachable) and work.depth == len(expected)
 
 
 @PROPERTY_SETTINGS
@@ -633,8 +651,7 @@ def test_the_observer_interns_at_most_one_estimate_per_node_on_unary_po_automata
     states = st.frozensets(st.sampled_from(a.states))
     secret, nonsecret = data.draw(states), data.draw(states)
     for respect in ((), (secret, nonsecret)):
-        g, kernel, _ = kernel_search(a, respect)
-        assert len(kernel.masks) <= g.size
+        assert kernel_search(a, respect)[1].estimates <= _quotient(a._graph, respect).size
 
 
 ROW_STATES = ("p", "q", "r")
