@@ -484,9 +484,9 @@ def _closures(g: _Graph) -> list[int]:
     return closure
 
 
-def _quotient(g: _Graph, respect: Sequence[Collection[str]]) -> _Graph:
+def _quotient(g: _Graph, apart: Sequence[Collection[str]]) -> _Graph:
     """``g`` over the classes of a strong bisimulation whose classes agree
-    on membership in each set of ``respect``; ``g`` itself when ``respect``
+    on membership in each set of ``apart``; ``g`` itself when ``apart``
     is empty, when ``g`` is not partially ordered, or when every class is a
     single state.
 
@@ -501,10 +501,10 @@ def _quotient(g: _Graph, respect: Sequence[Collection[str]]) -> _Graph:
     self-loop on ``w``, the two are bisimilar, but ``u`` names ``w``'s class
     where ``w`` has the marker, so they get two classes.
     """
-    if not respect or g.order is None:
+    if not apart or g.order is None:
         return g
     flags = [0] * g.size
-    for bit, states in enumerate(respect):
+    for bit, states in enumerate(apart):
         for s in states:
             flags[g.index[s]] |= 1 << bit
     classes = [0] * g.size
@@ -542,12 +542,11 @@ class _EstimateKernel:
     of an estimate is the union of its members' rows.  The members of the
     last mask whose post-image was taken are kept, since searches take the
     post-images of one mask under every event in turn; :meth:`step` keeps
-    its own, so a kernel that serves both sides of a search (see
-    :func:`_least_difference`) does not evict the other side's.  On a quotient
-    (:func:`_quotient`) an estimate is a set of classes: a class set
-    commutes with every post-image and decides whether an estimate meets
-    each respected set, and one class estimate stands for every estimate
-    with the same classes.
+    its own, so a kernel that serves both sides of a pair search does not
+    evict the other side's.  On a quotient (:func:`_quotient`) an estimate
+    is a set of classes: a class set commutes with every post-image and
+    decides whether an estimate meets each set the quotient keeps apart,
+    and one class estimate stands for every estimate with the same classes.
 
     Estimates reached by a search are interned on demand as small int ids, in
     discovery order; a mask interned again keeps its id.  At most ``cap``
@@ -652,6 +651,19 @@ class _EstimateKernel:
         finally:
             work.estimates, work.groups = len(self.masks), i + 1
             work.depth = depth + (len(self.masks) > end)
+
+
+def _least_violation(a: Automaton, secret: Collection[str], nonsecret: Collection[str],
+                     cap: int) -> Optional[Observation]:
+    """The CSO observer's search, on the kernel of ``a``'s quotient keeping the
+    two sets apart: the least observation whose estimate meets ``secret``
+    and misses ``nonsecret``, or None.  Its graph, kernel and account are
+    garbage once it returns, before any witness run is realized."""
+    g = _quotient(a._graph, (secret, nonsecret))
+    kernel = _EstimateKernel(g, cap)
+    secret, nonsecret = g.mask(secret), g.mask(nonsecret)
+    return kernel.search(kernel.close(g.mask(a.initial)),
+                         lambda x: x & secret and not x & nonsecret, _Work())
 
 
 def realize_observation(

@@ -22,7 +22,6 @@ from typing import Iterable, Optional, Sequence
 from .automata import (_AUTOMATON, _CLAUSES, _INT, _STRING, Automaton, Event, _Record, _all,
                        _checked, _many, _rows, _scalar, topological_order)
 from .errors import InputNotDeterministic, MalformedFormula, PreconditionViolated, TooLarge
-from .language import trim
 from .opacity import _CSO, _LBO, CsoInstance, IsoInstance, LboInstance
 
 MAX_GADGET_STATES = 2**24
@@ -206,7 +205,16 @@ def gen_dag_cso_unary(g: Dag) -> CsoInstance:
     return CsoInstance(automaton, frozenset({str(g.target)}), frozenset())
 
 
-class UnionUniversalityCso(_Record):
+class _Reduction(_Record):
+    """A generator's result: its instance, then the choices its metadata lists."""
+
+    def metadata(self) -> dict:
+        """The fields after the first, by name, with tuples as lists."""
+        values = {name: getattr(self, name) for name in self._fields[1:]}
+        return {name: list(v) if isinstance(v, tuple) else v for name, v in values.items()}
+
+
+class UnionUniversalityCso(_Reduction):
     """Output of :func:`gen_union_universality_cso` with its freshness metadata."""
 
     instance: CsoInstance
@@ -214,14 +222,6 @@ class UnionUniversalityCso(_Record):
     component_initials: tuple[str, ...]
     completed_components: tuple[int, ...]
     copied_components: tuple[int, ...]
-
-    def metadata(self) -> dict:
-        return {
-            "chain_event": self.chain_event,
-            "component_initials": list(self.component_initials),
-            "completed_components": list(self.completed_components),
-            "copied_components": list(self.copied_components),
-        }
 
 
 def gen_union_universality_cso(components: Sequence[Automaton]) -> UnionUniversalityCso:
@@ -451,7 +451,7 @@ def cso_to_lbo(inst: CsoInstance) -> LboInstance:
     )
 
 
-class IsoReduction(_Record):
+class IsoReduction(_Reduction):
     """Output of :func:`lbo_to_iso` with its freshness metadata."""
 
     instance: IsoInstance
@@ -459,14 +459,6 @@ class IsoReduction(_Record):
     secret_sink: str
     nonsecret_sink: str
     trimmed: bool
-
-    def metadata(self) -> dict:
-        return {
-            "query_event": self.query_event,
-            "secret_sink": self.secret_sink,
-            "nonsecret_sink": self.nonsecret_sink,
-            "trimmed": self.trimmed,
-        }
 
 
 def lbo_to_iso(inst: LboInstance) -> IsoReduction:
@@ -480,6 +472,8 @@ def lbo_to_iso(inst: LboInstance) -> IsoReduction:
     secret (resp. non-secret) initial states are those of the secret (resp.
     non-secret) side.
     """
+    from .language import trim  # only this generator trims, so only it loads that layer
+
     inst = _checked("inst", _LBO, inst)
     secret = trim(inst.secret_automaton)
     nonsecret = trim(inst.nonsecret_automaton)

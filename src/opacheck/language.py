@@ -12,7 +12,7 @@ only on the routes that do.
 
 from __future__ import annotations
 
-from typing import Collection, Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional
 
 from .automata import (_AUTOMATON, _CAP, _EMPTY, _NAMES, DEFAULT_OBSERVER_CAP, Automaton,
                        Observation, Verdict, Witness, _bits, _checked, _EstimateKernel,
@@ -59,27 +59,37 @@ def _check_language_args(a1: Automaton, m1: Iterable[str], a2: Automaton, m2: It
     return m1, m2
 
 
+def _pair_kernels(a1: Automaton, m1: Collection[str], a2: Automaton, m2: Collection[str],
+                  cap: int = DEFAULT_OBSERVER_CAP, quotient: bool = False):
+    """A pair search's graphs and kernels, one shared when ``a2 is a1`` (the
+    one place that decides it), and the right index of each left event.
+    With ``quotient``, the left graph is ``a1``'s quotient keeping ``m1``
+    apart, and ``m2`` too when it is shared."""
+    shared = a2 is a1
+    g1 = a1._graph
+    if quotient:
+        g1 = _quotient(g1, (m1, m2) if shared else (m1,))
+    g2 = g1 if shared else a2._graph
+    left = _EstimateKernel(g1, cap)
+    right = left if shared else _EstimateKernel(g2, cap)
+    return g1, g2, left, right, [right.event_index[e] for e in left.events]
+
+
 def _least_difference(
     a1: Automaton, initial1: Collection[str], m1: Collection[str],
     a2: Automaton, initial2: Collection[str], m2: Collection[str], cap: int,
-    respect: Sequence[Collection[str]] = (),
+    quotient: bool = False,
 ) -> Optional[Observation]:
     """Shortest, then least, observation in ``P(L(a1, m1)) - P(L(a2, m2))``
-    with each side started in the given states, on the estimate kernel (one
-    kernel serves both sides when ``a2 is a1``).  ``a1``'s kernel is built on
-    its graph's quotient by ``respect``, which must therefore hold ``m1``,
-    and ``m2`` when that kernel is shared.
+    with each side started in the given states, on the estimate kernels of
+    :func:`_pair_kernels`, quotiented as ``quotient`` says there.
 
     The search's right nodes are estimate ids, interned as the search reaches
     them, which bounds them by the cap plus the empty estimate.  None means
     the inclusion holds.
     """
-    g1 = _quotient(a1._graph, respect)
-    g2 = g1 if a2 is a1 else a2._graph
-    left = _EstimateKernel(g1, cap)
-    right = left if g2 is g1 else _EstimateKernel(g2, cap)
+    g1, g2, left, right, right_event = _pair_kernels(a1, m1, a2, m2, cap, quotient)
     m1, m2 = g1.mask(m1), g2.mask(m2)
-    right_event = [right.event_index[e] for e in left.events]
 
     def move(s: int, states: int, k: int):
         states = left.post(states, k)
@@ -122,11 +132,11 @@ def inclusion_modulo_projection(
 def _inclusion(
     a1: Automaton, initial1: Collection[str], m1: Collection[str],
     a2: Automaton, initial2: Collection[str], m2: Collection[str], cap: int,
-    respect: Sequence[Collection[str]] = (),
+    quotient: bool = False,
 ) -> Verdict:
     """:func:`inclusion_modulo_projection` with each side started in the
     given states rather than its automaton's initial ones.  The arguments
-    but ``cap`` are trusted; ``respect`` is as in :func:`_least_difference`.
+    but ``cap`` are trusted; ``quotient`` is as in :func:`_pair_kernels`.
 
     When both sides are partially ordered with one observable event, the
     inclusion is that of their observation length sets: :func:`_length_sets`
@@ -148,7 +158,7 @@ def _inclusion(
         obs = None if k is None else (event,) * k
     else:
         algorithm = "inclusion"
-        obs = _least_difference(a1, initial1, m1, a2, initial2, m2, cap, respect)
+        obs = _least_difference(a1, initial1, m1, a2, initial2, m2, cap, quotient)
     if obs is None:
         return Verdict(True, algorithm=algorithm)
     return Verdict(False, Witness(obs, realize_observation(a1, m1, obs, initial=initial1)), algorithm)
@@ -242,10 +252,7 @@ def _least_common(
     by its kernel's post-images, the right side by its kernel's
     closed-successor rows.
     """
-    g1, g2 = a1._graph, a2._graph
-    left = _EstimateKernel(g1)
-    right = left if a2 is a1 else _EstimateKernel(g2)
-    right_event = [right.event_index[e] for e in left.events]
+    g1, g2, left, right, right_event = _pair_kernels(a1, m1, a2, m2)
     m1, m2 = g1.mask(m1), g2.mask(m2)
     targets = [[None] * g2.size for _ in left.events]  # right.rows' members, as met
 

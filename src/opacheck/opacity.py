@@ -27,15 +27,13 @@ from .automata import (
     Verdict,
     Witness,
     _Record,
-    _Work,
     realize_observation,
     _AUTOMATON,
     _CAP,
     _NAMES,
     _TEXT,
-    _EstimateKernel,
     _checked,
-    _quotient,
+    _least_violation,
     _rows,
     _scalar,
     _unary_event,
@@ -127,16 +125,11 @@ def verify_cso_observer(inst: CsoInstance, *, cap: int = DEFAULT_OBSERVER_CAP) -
     alphabet declaration order) reaching a violating estimate.
     """
     inst, cap = _checked("inst", _CSO, inst), _checked("cap", _CAP, cap)
-    a = inst.automaton
-    g = _quotient(a._graph, (inst.secret, inst.nonsecret))
-    kernel = _EstimateKernel(g, cap)
-    secret, nonsecret = g.mask(inst.secret), g.mask(inst.nonsecret)
-    obs = kernel.search(kernel.close(g.mask(a.initial)),
-                        lambda x: x & secret and not x & nonsecret, _Work())
-    del kernel, g  # garbage before the run is realized
+    obs = _least_violation(inst.automaton, inst.secret, inst.nonsecret, cap)
     if obs is None:
         return Verdict(True, algorithm="observer")
-    return Verdict(False, Witness(obs, realize_observation(a, inst.secret, obs)), "observer")
+    run = realize_observation(inst.automaton, inst.secret, obs)
+    return Verdict(False, Witness(obs, run), "observer")
 
 
 def select_cso_algorithm(inst: CsoInstance) -> str:
@@ -173,8 +166,8 @@ def verify_cso(
         )
     from .language import _inclusion
 
-    a, respect = inst.automaton, (inst.secret, inst.nonsecret)
-    return _inclusion(a, a.initial, inst.secret, a, a.initial, inst.nonsecret, cap, respect)
+    a = inst.automaton
+    return _inclusion(a, a.initial, inst.secret, a, a.initial, inst.nonsecret, cap, quotient=True)
 
 
 # The instance class of each notion; LBO and weak LBO share one.  Its fields

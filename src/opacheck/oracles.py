@@ -220,6 +220,30 @@ def unobservable_closure(a: Automaton, states: Iterable[str]) -> frozenset[str]:
     return frozenset(closed)
 
 
+def least_cso_violation(inst: CsoInstance) -> Optional[Observation]:
+    """Definitional current-state opacity check on any automaton, cyclic ones
+    included: the least observation after which the states deemed possible
+    meet the secret set and miss the non-secret one, or None when opaque.
+
+    A breadth-first search over every reachable such set, as a frozenset of
+    names closed under the hidden events, expanding observable events in
+    declaration order: the first violating set it takes is the answer."""
+    a = inst.automaton
+    events = [e.name for e in a.alphabet if e.observable]
+    start = unobservable_closure(a, a.initial)
+    queue, seen = [(start, ())], {start}
+    for states, observation in queue:  # also visits the sets queued while it runs
+        if states & inst.secret and not states & inst.nonsecret:
+            return observation
+        for e in events:
+            after = unobservable_closure(
+                a, {q for (p, x, q) in a.transitions if p in states and x == e})
+            if after not in seen:
+                seen.add(after)
+                queue.append((after, observation + (e,)))
+    return None
+
+
 def string_reaches(a: Automaton, targets: Iterable[str], string: Iterable[str]) -> bool:
     """Membership query: does this full event string have a run into ``targets``?"""
     targets = frozenset(targets)

@@ -4,6 +4,7 @@ universality check, and membership-only witness replay."""
 from __future__ import annotations
 
 import random
+import weakref
 
 from opacheck import (
     Automaton,
@@ -75,6 +76,19 @@ def accounts(monkeypatch) -> list[_Work]:
         made.append(work)
 
     monkeypatch.setattr(_Work, "__init__", record)
+    return made
+
+
+def kernels(monkeypatch) -> list[weakref.ref]:
+    """A weak reference to every estimate kernel built from now on, in the
+    order built: a dead one has been freed."""
+    made, init = [], _EstimateKernel.__init__
+
+    def record(kernel, *args):
+        init(kernel, *args)
+        made.append(weakref.ref(kernel))
+
+    monkeypatch.setattr(_EstimateKernel, "__init__", record)
     return made
 
 

@@ -348,16 +348,19 @@ class TestVerify:
 
 
 @pytest.mark.parametrize("command", [
-    "gen cnf", "gen union", "gen po-det", "gen cso2lbo", "gen lbo2iso", "dot", "classify",
-    "oracle sat", "oracle enum-cso",
+    "gen cnf", "gen dag-weak-lbo", "gen dag-unary-cso", "gen union", "gen po-det",
+    "gen cso2lbo", "gen lbo2iso", "dot", "classify", "oracle sat", "oracle dag-reach",
+    "oracle enum-cso",
 ], ids=lambda command: command.replace(" ", "-"))
 def test_no_command_child_imports_dataclasses(tmp_path, command):
     # Like verify's, every other command's start-up stays free of dataclasses:
     # the generators' results are records, and no command builds the report of
     # classify, so opacheck.structure stays unloaded too.  Each loads the
     # module of its handler, opacheck.commands, and none loads opacheck.cli
-    # a second time.
+    # a second time.  Only lbo2iso trims, so only it loads the language layer.
     cnf = write(tmp_path, "two.cnf", TWO_CLAUSE_DIMACS)
+    dag = write(tmp_path, "dag.json", json.dumps(
+        {"vertices": 3, "edges": [[0, 1], [1, 2]], "s": 0, "t": 2}))
     cso = write_instance(tmp_path, "cso.json", gen_cnf_cso(TWO_CLAUSE))
     lbo = write_instance(tmp_path, "lbo.json", cso_to_lbo(gen_cnf_cso(TWO_CLAUSE)))
     dfa = Automaton(("p", "q"), (Event("a"),), {("p", "a", "q"), ("q", "a", "p")}, {"p"}, {"q"})
@@ -367,6 +370,8 @@ def test_no_command_child_imports_dataclasses(tmp_path, command):
     # each command's arguments and a module its trace must show
     argv, needed = {
         "gen cnf": ([cnf], "opacheck.gadgets"),
+        "gen dag-weak-lbo": ([dag], "opacheck.gadgets"),
+        "gen dag-unary-cso": ([dag], "opacheck.gadgets"),
         "gen union": ([dfa_file, dfa_file], "opacheck.gadgets"),
         "gen po-det": ([po_file, "--chain-event", "a"], "opacheck.gadgets"),
         "gen cso2lbo": ([cso], "opacheck.gadgets"),
@@ -374,6 +379,7 @@ def test_no_command_child_imports_dataclasses(tmp_path, command):
         "dot": ([cso], "opacheck.gadgets"),
         "classify": ([lbo, "--output", "json"], "opacheck.jsonio"),
         "oracle sat": ([cnf], "opacheck.oracles"),
+        "oracle dag-reach": ([dag], "opacheck.oracles"),
         "oracle enum-cso": ([cso], "opacheck.oracles"),
     }[command]
     done, imported = child_imports([*command.split(), *argv])
@@ -381,6 +387,7 @@ def test_no_command_child_imports_dataclasses(tmp_path, command):
     assert done.stdout and "Traceback" not in done.stderr
     assert {"opacheck.jsonio", "opacheck.commands", needed} <= imported
     assert not imported & {"dataclasses", "opacheck.structure", "opacheck.cli"}
+    assert ("opacheck.language" in imported) == (command == "gen lbo2iso")
     if command in ("classify", "oracle enum-cso"):
         # neither needs a generator: the oracles name gadgets' types only in annotations
         assert "opacheck.gadgets" not in imported
@@ -422,11 +429,17 @@ def test_a_commands_own_parser_prints_what_the_whole_parser_prints(argv, capsys)
 
 @pytest.mark.parametrize("argv", [
     ["verify", "--notion", "lbo", "--witness", "a.json", "b.json"],
+    ["gen", "cnf", "f.cnf"],
+    ["gen", "dag-weak-lbo", "f.json"],
+    ["gen", "dag-unary-cso", "f.json"],
+    ["gen", "cso2lbo", "f.json"],
+    ["gen", "lbo2iso", "f.json"],
+    ["gen", "union", "f.json", "g.json"],
     ["gen", "po-det", "--chain-event", "a", "f.json"],
     ["classify", "--output", "json", "f.json"],
     ["oracle", "enum-cso", "--witness", "f.json"],
     ["dot", "f.json", "-o", "out.dot"],
-], ids=lambda argv: argv[0])
+], ids=lambda argv: "-".join(argv[:2] if argv[0] in ("gen", "oracle") else argv[:1]))
 def test_a_commands_own_parser_reads_what_the_whole_parser_reads(argv):
     own, whole = (vars(cli.build_parser(command).parse_args(argv)) for command in (argv[0], None))
     own.pop("func"), whole.pop("func")

@@ -23,7 +23,9 @@ from opacheck import (
     gen_cnf_cso,
     gen_dag_cso_unary,
     gen_dag_weak_lbo,
+    gen_union_universality_cso,
     inclusion_modulo_projection,
+    lbo_to_iso,
     select_cso_algorithm,
     verify,
     verify_cso,
@@ -33,13 +35,17 @@ from opacheck import (
     verify_lbo,
     verify_lbo_weak,
 )
+import opacheck.language
+import opacheck.opacity
 from opacheck.language import _least_uncovered, _length_sets
-from opacheck.oracles import enum_languages_projected
+from opacheck.oracles import enum_languages_projected, least_cso_violation
 
 from helpers import (
     ALPHABET_1OBS_1UO,
     ALPHABET_2OBS_1UO,
+    kernels,
     make_rng,
+    nth_from_end,
     rand_automaton,
     rand_cso,
     rand_trim_lbo,
@@ -147,6 +153,59 @@ class TestCsoInclusion:
             right = verify_cso(inst, "inclusion")
             assert left.holds == right.holds
             assert left.witness == right.witness
+
+
+class TestCsoOracle:
+    """Both CSO algorithms against :func:`least_cso_violation`, a search over
+    sets of state names that shares no code with them: the same verdict and
+    witness observation, cyclic automata included."""
+
+    @staticmethod
+    def assert_matches(inst):
+        expected = least_cso_violation(inst)
+        for algorithm in ("observer", "inclusion"):
+            v = verify_cso(inst, algorithm)
+            assert (None if v.holds else v.witness.observation) == expected, algorithm
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_automata_with_a_hidden_event(self, seed):
+        rng = make_rng(f"cso-oracle-{seed}")
+        for draw in range(1500):  # every other draw partially ordered
+            structure = "po" if draw % 2 else "any"
+            self.assert_matches(rand_cso(rng, ALPHABET_2OBS_1UO, max_states=8,
+                                         structure=structure))
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_nth_symbol_from_the_end(self, n):
+        a = nth_from_end(n)
+        holding = CsoInstance(a, {f"q{n}"}, {"q0"})
+        violated = CsoInstance(a, {f"q{n}"}, {f"q{n - 1}"})
+        assert least_cso_violation(holding) is None
+        assert least_cso_violation(violated) == ("a", "b") + ("a",) * (n - 2)
+        self.assert_matches(holding)
+        self.assert_matches(violated)
+
+    def test_prime_cycles_first_all_reject_a29(self):
+        # The cycle of length p accepts a^k unless k = p - 1 mod p, so the
+        # union of the cycles of lengths 2, 3 and 5 first misses a^29; the
+        # components' initial states are chained by a hidden event.
+        def cycle(p):
+            states = tuple(f"r{i}" for i in range(p))
+            transitions = {(states[i], "a", states[(i + 1) % p]) for i in range(p)}
+            return Automaton(states, (Event("a"),), transitions, {"r0"}, states[:-1])
+
+        inst = gen_union_universality_cso([cycle(2), cycle(3), cycle(5)]).instance
+        assert least_cso_violation(inst) == ("a",) * 29
+        self.assert_matches(inst)
+
+    def test_a_self_loop_is_not_an_edge_into_another_class(self):
+        # u loops on a where v steps to w, which takes the first class of the
+        # quotient's pass; read as an edge into that class, u's loop would
+        # merge u with v, and the class would step to the secret w.
+        a = aut(["u", "v", "w"], AB, [("u", "a", "u"), ("v", "a", "w")], ["u"])
+        inst = CsoInstance(a, {"w"}, {"u", "v"})
+        assert least_cso_violation(inst) is None
+        self.assert_matches(inst)
 
 
 class TestUnaryAcyclic:
@@ -612,3 +671,38 @@ class TestMonotonicity:
             assert verify_cso(bigger).holds
             grown += 1
         assert grown > 20
+
+
+def _violated_instances():
+    cso = gen_cnf_cso(TWO_CLAUSE)
+    lbo = cso_to_lbo(cso)
+    a = cso.automaton
+    with pytest.warns(UserWarning):
+        iso = lbo_to_iso(lbo).instance
+    ifso = IfsoInstance(a, {(i, s) for i in a.initial for s in cso.secret},
+                        {(i, s) for i in a.initial for s in cso.nonsecret})
+    return {"cso": cso, "lbo": lbo, "iso": iso, "ifso": ifso}
+
+
+@pytest.mark.parametrize("notion, algorithm", [
+    ("cso", "observer"), ("cso", "inclusion"), ("lbo", "auto"), ("iso", "auto"),
+    ("ifso", "auto"), ("lbo-weak", "auto"),
+])
+def test_every_search_frees_its_kernels_before_the_witness_is_realized(
+        monkeypatch, notion, algorithm):
+    # A violating verdict's peak memory is the larger of search and
+    # realization, not their sum; weak LBO realizes a holding verdict's witness.
+    if notion == "lbo-weak":
+        inst = gen_dag_weak_lbo(Dag(3, frozenset({(0, 1), (1, 2)}), 0, 2))
+    else:
+        inst = _violated_instances()[notion]
+    built, alive = kernels(monkeypatch), []
+    for module in (opacheck.opacity, opacheck.language):
+        def realize(*args, _realize=module.realize_observation, **kwargs):
+            alive.append(sum(ref() is not None for ref in built))
+            return _realize(*args, **kwargs)
+
+        monkeypatch.setattr(module, "realize_observation", realize)
+    v = verify(inst, notion, algorithm)
+    assert v.holds == (notion == "lbo-weak") and v.witness is not None
+    assert built and alive == [0]
