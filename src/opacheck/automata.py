@@ -653,14 +653,29 @@ class _EstimateKernel:
             work.depth = depth + (len(self.masks) > end)
 
 
+def _kernels(a1: Automaton, m1: Collection[str], a2: Automaton, m2: Collection[str],
+             cap: int = DEFAULT_OBSERVER_CAP, cso: bool = False):
+    """Every search's graphs and kernels, and the right index of each left
+    event.  Only the CSO question (``cso``: ``a2 is a1``, marked by the
+    secret set ``m1`` and the non-secret set ``m2``) runs on the quotient
+    keeping the two sets apart, with one kernel serving both sides; over
+    states, equal presentations of any other question hit the cap together."""
+    if cso:
+        g1 = g2 = _quotient(a1._graph, (m1, m2))
+        left = right = _EstimateKernel(g1, cap)
+    else:
+        g1, g2 = a1._graph, a2._graph
+        left, right = _EstimateKernel(g1, cap), _EstimateKernel(g2, cap)
+    return g1, g2, left, right, [right.event_index[e] for e in left.events]
+
+
 def _least_violation(a: Automaton, secret: Collection[str], nonsecret: Collection[str],
                      cap: int) -> Optional[Observation]:
-    """The CSO observer's search, on the kernel of ``a``'s quotient keeping the
-    two sets apart: the least observation whose estimate meets ``secret``
-    and misses ``nonsecret``, or None.  Its graph, kernel and account are
-    garbage once it returns, before any witness run is realized."""
-    g = _quotient(a._graph, (secret, nonsecret))
-    kernel = _EstimateKernel(g, cap)
+    """The CSO observer's search, on the kernel that :func:`_kernels` builds
+    for the CSO question: the least observation whose estimate meets
+    ``secret`` and misses ``nonsecret``, or None.  Its graph, kernel and
+    account are garbage once it returns, before any witness run is realized."""
+    g, _, kernel, _, _ = _kernels(a, secret, a, nonsecret, cap, cso=True)
     secret, nonsecret = g.mask(secret), g.mask(nonsecret)
     return kernel.search(kernel.close(g.mask(a.initial)),
                          lambda x: x & secret and not x & nonsecret, _Work())

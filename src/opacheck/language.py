@@ -15,8 +15,8 @@ from __future__ import annotations
 from typing import Collection, Iterable, Optional
 
 from .automata import (_AUTOMATON, _CAP, _EMPTY, _NAMES, DEFAULT_OBSERVER_CAP, Automaton,
-                       Observation, Verdict, Witness, _bits, _checked, _EstimateKernel,
-                       _lex_least_label, _quotient, _reach, _require, _unary_event, _Work,
+                       Observation, Verdict, Witness, _bits, _checked, _kernels,
+                       _lex_least_label, _reach, _require, _unary_event, _Work,
                        realize_observation)
 from .opacity import _IFSO, _ISO, _LBO, IfsoInstance, IsoInstance, LboInstance
 
@@ -59,36 +59,20 @@ def _check_language_args(a1: Automaton, m1: Iterable[str], a2: Automaton, m2: It
     return m1, m2
 
 
-def _pair_kernels(a1: Automaton, m1: Collection[str], a2: Automaton, m2: Collection[str],
-                  cap: int = DEFAULT_OBSERVER_CAP, quotient: bool = False):
-    """A pair search's graphs and kernels, one shared when ``a2 is a1`` (the
-    one place that decides it), and the right index of each left event.
-    With ``quotient``, the left graph is ``a1``'s quotient keeping ``m1``
-    apart, and ``m2`` too when it is shared."""
-    shared = a2 is a1
-    g1 = a1._graph
-    if quotient:
-        g1 = _quotient(g1, (m1, m2) if shared else (m1,))
-    g2 = g1 if shared else a2._graph
-    left = _EstimateKernel(g1, cap)
-    right = left if shared else _EstimateKernel(g2, cap)
-    return g1, g2, left, right, [right.event_index[e] for e in left.events]
-
-
 def _least_difference(
     a1: Automaton, initial1: Collection[str], m1: Collection[str],
     a2: Automaton, initial2: Collection[str], m2: Collection[str], cap: int,
-    quotient: bool = False,
+    cso: bool = False,
 ) -> Optional[Observation]:
     """Shortest, then least, observation in ``P(L(a1, m1)) - P(L(a2, m2))``
-    with each side started in the given states, on the estimate kernels of
-    :func:`_pair_kernels`, quotiented as ``quotient`` says there.
+    with each side started in the given states, on the estimate kernels
+    that :func:`~opacheck.automata._kernels` builds for ``cso``.
 
     The search's right nodes are estimate ids, interned as the search reaches
     them, which bounds them by the cap plus the empty estimate.  None means
     the inclusion holds.
     """
-    g1, g2, left, right, right_event = _pair_kernels(a1, m1, a2, m2, cap, quotient)
+    g1, g2, left, right, right_event = _kernels(a1, m1, a2, m2, cap, cso)
     m1, m2 = g1.mask(m1), g2.mask(m2)
 
     def move(s: int, states: int, k: int):
@@ -132,33 +116,33 @@ def inclusion_modulo_projection(
 def _inclusion(
     a1: Automaton, initial1: Collection[str], m1: Collection[str],
     a2: Automaton, initial2: Collection[str], m2: Collection[str], cap: int,
-    quotient: bool = False,
+    cso: bool = False,
 ) -> Verdict:
     """:func:`inclusion_modulo_projection` with each side started in the
     given states rather than its automaton's initial ones.  The arguments
-    but ``cap`` are trusted; ``quotient`` is as in :func:`_pair_kernels`.
+    but ``cap`` are trusted; ``cso`` is as in :func:`~opacheck.automata._kernels`.
 
     When both sides are partially ordered with one observable event, the
     inclusion is that of their observation length sets: :func:`_length_sets`
-    gives each side's as a ``(mask, ray_start)`` pair, and
-    :func:`_least_uncovered` compares the two.  No kernel is built then (nor
-    is the cap consulted).  Otherwise :func:`_least_difference` decides it.
-    Either search's tables are garbage before the witness is realized.
+    gives each side's as a ``(mask, ray_start)`` pair, in one pass for both
+    under ``cso``, and :func:`_least_uncovered` compares the two.  No kernel
+    is built then (nor is the cap consulted).  Otherwise
+    :func:`_least_difference` decides it.  Either search's tables are
+    garbage before the witness is realized.
     """
     cap = _checked("cap", _CAP, cap)
     event = _unary_event(a1)
     if event is not None and _unary_event(a2) is not None:
         algorithm = "unary-po"
-        if a2 is a1 and initial2 == initial1:
-            left_lengths, right_lengths = _length_sets(a1, initial1, (m1, m2))
+        if cso:
+            lengths = _length_sets(a1, initial1, (m1, m2))
         else:
-            [left_lengths] = _length_sets(a1, initial1, (m1,))
-            [right_lengths] = _length_sets(a2, initial2, (m2,))
-        k = _least_uncovered(left_lengths, right_lengths)
+            lengths = _length_sets(a1, initial1, [m1]) + _length_sets(a2, initial2, [m2])
+        k = _least_uncovered(*lengths)
         obs = None if k is None else (event,) * k
     else:
         algorithm = "inclusion"
-        obs = _least_difference(a1, initial1, m1, a2, initial2, m2, cap, quotient)
+        obs = _least_difference(a1, initial1, m1, a2, initial2, m2, cap, cso)
     if obs is None:
         return Verdict(True, algorithm=algorithm)
     return Verdict(False, Witness(obs, realize_observation(a1, m1, obs, initial=initial1)), algorithm)
@@ -252,7 +236,7 @@ def _least_common(
     by its kernel's post-images, the right side by its kernel's
     closed-successor rows.
     """
-    g1, g2, left, right, right_event = _pair_kernels(a1, m1, a2, m2)
+    g1, g2, left, right, right_event = _kernels(a1, m1, a2, m2)
     m1, m2 = g1.mask(m1), g2.mask(m2)
     targets = [[None] * g2.size for _ in left.events]  # right.rows' members, as met
 

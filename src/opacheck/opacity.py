@@ -14,9 +14,9 @@ search.  Every verdict names the algorithm that decided it, and
 imported only on the routes that run it, so an observer-routed verification
 never loads it.
 
-Both CSO algorithms build their estimate kernel on the same quotient of the
-automaton's graph: on a partially ordered automaton, the classes of a
-bisimulation that keeps the secret and non-secret sets apart.
+Both CSO algorithms get their kernel from :func:`opacheck.automata._kernels`,
+on one quotient of the automaton's graph: on a partially ordered automaton,
+the classes of a bisimulation that keeps the secret and non-secret sets apart.
 """
 
 from __future__ import annotations
@@ -167,7 +167,7 @@ def verify_cso(
     from .language import _inclusion
 
     a = inst.automaton
-    return _inclusion(a, a.initial, inst.secret, a, a.initial, inst.nonsecret, cap, quotient=True)
+    return _inclusion(a, a.initial, inst.secret, a, a.initial, inst.nonsecret, cap, cso=True)
 
 
 # The instance class of each notion; LBO and weak LBO share one.  Its fields

@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING, Iterable, Optional
 
 from .automata import Automaton, Observation, Verdict, Witness
 from .errors import PreconditionViolated, TooLarge
-from .opacity import CsoInstance
+from .opacity import CsoInstance, IfsoInstance, IsoInstance
 
 if TYPE_CHECKING:
     from .gadgets import CnfFormula, Dag
@@ -220,28 +220,86 @@ def unobservable_closure(a: Automaton, states: Iterable[str]) -> frozenset[str]:
     return frozenset(closed)
 
 
-def least_cso_violation(inst: CsoInstance) -> Optional[Observation]:
-    """Definitional current-state opacity check on any automaton, cyclic ones
-    included: the least observation after which the states deemed possible
-    meet the secret set and miss the non-secret one, or None when opaque.
+def least_observation(a1: Automaton, start1: Iterable[tuple], marks1: Iterable[tuple],
+                      a2: Automaton, start2: Iterable[tuple], marks2: Iterable[tuple], *,
+                      common: bool = False) -> Optional[Observation]:
+    """Definitional projected-language check on any two automata, cyclic ones
+    included: the least observation after which the states that ``a1``
+    deems possible meet ``marks1`` and those that ``a2`` deems possible miss
+    ``marks2`` (meet them, with ``common``), or None when there is none.
 
-    A breadth-first search over every reachable such set, as a frozenset of
-    names closed under the hidden events, expanding observable events in
-    declaration order: the first violating set it takes is the answer."""
-    a = inst.automaton
-    events = [e.name for e in a.alphabet if e.observable]
-    start = unobservable_closure(a, a.initial)
+    Each side holds a set of ``(tag, state)`` names, starting at its
+    ``start``, and a mark is such a name too; the tag is carried along every
+    run, so each tag's states are closed under the hidden events on their
+    own.  A breadth-first search over every reachable pair of such sets, as
+    frozensets, expanding ``a1``'s observable events in declaration order:
+    the first pair it takes that meets the goal is the answer."""
+    events = [e.name for e in a1.alphabet if e.observable]
+    marks1, marks2 = frozenset(marks1), frozenset(marks2)
+
+    def closed(a: Automaton, names) -> frozenset:
+        by_tag: dict = {}
+        for tag, q in names:
+            by_tag.setdefault(tag, set()).add(q)
+        return frozenset((tag, q) for tag, states in by_tag.items()
+                         for q in unobservable_closure(a, states))
+
+    def after(a: Automaton, names, e: str) -> frozenset:
+        return closed(a, {(tag, q) for (tag, p) in names
+                          for (p2, x, q) in a.transitions if p2 == p and x == e})
+
+    start = (closed(a1, start1), closed(a2, start2))
     queue, seen = [(start, ())], {start}
-    for states, observation in queue:  # also visits the sets queued while it runs
-        if states & inst.secret and not states & inst.nonsecret:
+    for (left, right), observation in queue:  # also visits the pairs queued while it runs
+        if left & marks1 and bool(right & marks2) == common:
             return observation
         for e in events:
-            after = unobservable_closure(
-                a, {q for (p, x, q) in a.transitions if p in states and x == e})
-            if after not in seen:
-                seen.add(after)
-                queue.append((after, observation + (e,)))
+            pair = (after(a1, left, e), after(a2, right, e))
+            if pair not in seen:
+                seen.add(pair)
+                queue.append((pair, observation + (e,)))
     return None
+
+
+def _untagged(states: Iterable[str]) -> set:
+    return {(None, q) for q in states}
+
+
+def least_cso_violation(inst: CsoInstance) -> Optional[Observation]:
+    """Current-state opacity by :func:`least_observation`, one automaton on
+    both sides: the least observation after which the states deemed possible
+    meet the secret set and miss the non-secret one, or None when opaque."""
+    a, start = inst.automaton, _untagged(inst.automaton.initial)
+    return least_observation(a, start, _untagged(inst.secret), a, start, _untagged(inst.nonsecret))
+
+
+def least_language_observation(a1: Automaton, m1: Iterable[str], a2: Automaton,
+                               m2: Iterable[str], *, common: bool = False
+                               ) -> Optional[Observation]:
+    """The least observation in ``P(L_m(a1, m1)) - P(L_m(a2, m2))``, or in
+    ``P(L_m(a1, m1)) & P(L_m(a2, m2))`` with ``common``; None when there is
+    none."""
+    return least_observation(a1, _untagged(a1.initial), _untagged(m1),
+                             a2, _untagged(a2.initial), _untagged(m2), common=common)
+
+
+def least_iso_violation(inst: IsoInstance) -> Optional[Observation]:
+    """The least observation generated from a secret initial state and from
+    no non-secret one, or None when initial-state opaque."""
+    a, every = inst.automaton, _untagged(inst.automaton.states)
+    return least_observation(a, _untagged(inst.secret_initial), every,
+                             a, _untagged(inst.nonsecret_initial), every)
+
+
+def least_ifso_violation(inst: IfsoInstance) -> Optional[Observation]:
+    """The least observation of some secret pair's language and of no
+    non-secret pair's, or None when initial-and-final-state opaque: each
+    state is tagged with the initial state its run started in, so a pair
+    ``(i, f)`` is the name ``f`` tagged ``i``."""
+    a = inst.automaton
+    secret, nonsecret = ({(i, i) for i, _ in pairs}
+                         for pairs in (inst.secret_pairs, inst.nonsecret_pairs))
+    return least_observation(a, secret, inst.secret_pairs, a, nonsecret, inst.nonsecret_pairs)
 
 
 def string_reaches(a: Automaton, targets: Iterable[str], string: Iterable[str]) -> bool:

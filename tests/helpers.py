@@ -79,14 +79,21 @@ def accounts(monkeypatch) -> list[_Work]:
     return made
 
 
-def kernels(monkeypatch) -> list[weakref.ref]:
+class KernelRef(weakref.ref):
+    """A weak reference to an estimate kernel, with its graph's node count
+    as ``nodes``."""
+
+
+def kernels(monkeypatch) -> list[KernelRef]:
     """A weak reference to every estimate kernel built from now on, in the
-    order built: a dead one has been freed."""
+    order built, with its node count: a dead one has been freed."""
     made, init = [], _EstimateKernel.__init__
 
     def record(kernel, *args):
         init(kernel, *args)
-        made.append(weakref.ref(kernel))
+        ref = KernelRef(kernel)
+        ref.nodes = len(kernel.closure)
+        made.append(ref)
 
     monkeypatch.setattr(_EstimateKernel, "__init__", record)
     return made

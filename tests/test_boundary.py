@@ -7,7 +7,9 @@ and requires a ``ValueError`` (``MalformedFormula`` for ``CnfFormula``) whose
 text starts with the field's name.  The command-line side replaces the value
 at one JSON path of a valid file of each kind the command line reads (an
 instance file of each notion, an automaton file and a DAG file) and requires
-every command that reads it to return 0, 1 or 2 and raise nothing.
+every command that reads it to return 0, 1 or 2 and raise nothing.  Each
+check that relates well-typed fields is pinned by its message, and for a
+file by the command line's exit code 2 and its ``error: FILE: ...`` line.
 """
 
 import contextlib
@@ -16,6 +18,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,6 +32,7 @@ from opacheck import (
     IsoInstance,
     LboInstance,
     MalformedFormula,
+    PreconditionViolated,
     classify,
     cso_to_lbo,
     gen_cnf_cso,
@@ -223,3 +227,62 @@ def test_the_command_line_answers_every_ill_typed_file(kind, data):
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
                 assert main([*argv, str(file)]) in (0, 1, 2)
+
+
+def _document(**fields) -> str:
+    return dumps({key: automaton_to_dict(value) if isinstance(value, Automaton) else value
+                  for key, value in fields.items()})
+
+
+# The checks that relate well-typed fields of one file: a command, the file
+# it reads and the reason the command line names the file with.
+RELATIONS = [
+    (["verify", "--notion", "lbo"],
+     _document(secret_automaton=A, nonsecret_automaton=Automaton(
+         A.states, A.alphabet[::-1], A.transitions, A.initial, A.marked)),
+     "both automata must declare the identical alphabet"),
+    (["verify", "--notion", "iso"], _document(automaton=A, secret_initial=["q"],
+                                              nonsecret_initial=[]),
+     "secret initial states must be initial states"),
+    (["verify", "--notion", "iso"], _document(automaton=A, secret_initial=[],
+                                              nonsecret_initial=["q"]),
+     "non-secret initial states must be initial states"),
+    (["verify", "--notion", "ifso"], _document(automaton=A, secret_pairs=[["p", "q"]],
+                                               nonsecret_pairs=[["q", "p"]]),
+     "pair ('q', 'p') must start in an initial state"),
+    (["gen", "cnf"], "p cnf -1 0\n", "variable count must be non-negative"),
+    (["gen", "cnf"], "p cnf 1 1\np cnf 1 1\n1 0\n", "duplicate DIMACS header"),
+    (["gen", "cnf"], "c no header\n", "missing DIMACS header"),
+    (["gen", "dag-unary-cso"], _document(vertices=2, edges=[[0, 1]], s=0, t=2),
+     "source and target must be vertices"),
+]
+
+
+@pytest.mark.parametrize("argv, text, reason", RELATIONS,
+                         ids=[reason for _, _, reason in RELATIONS])
+def test_the_command_line_names_the_file_a_relational_check_rejects(
+        argv, text, reason, tmp_path, capsys):
+    path = tmp_path / "input"
+    path.write_text(text, encoding="utf-8")
+    assert main([*argv, str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: {reason}\n")
+
+
+def test_the_relational_checks_that_name_no_file(tmp_path, capsys):
+    other = Automaton(B.states, (*B.alphabet, Event("c")), B.transitions, B.initial, B.marked)
+    paths = []
+    for name, automaton in (("b.json", B), ("other.json", other)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(dumps(automaton_to_dict(automaton)), encoding="utf-8")
+    for argv, reason in (
+        (["verify", "--notion", "cso", "--observer-cap", "0", "missing.json"],
+         "--observer-cap must be positive"),
+        (["gen", "union", *map(str, paths)], "all components must share one alphabet"),
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {reason}\n")
+    for components, reason in (([], "at least one component automaton is required"),
+                               ([B, other], "all components must share one alphabet")):
+        with pytest.raises(PreconditionViolated) as caught:
+            gen_union_universality_cso(components)
+        assert str(caught.value) == reason

@@ -25,6 +25,7 @@ from opacheck import (
     gen_dag_weak_lbo,
     gen_union_universality_cso,
     inclusion_modulo_projection,
+    intersection_nonempty_modulo_projection,
     lbo_to_iso,
     select_cso_algorithm,
     verify,
@@ -38,7 +39,13 @@ from opacheck import (
 import opacheck.language
 import opacheck.opacity
 from opacheck.language import _least_uncovered, _length_sets
-from opacheck.oracles import enum_languages_projected, least_cso_violation
+from opacheck.oracles import (
+    enum_languages_projected,
+    least_cso_violation,
+    least_ifso_violation,
+    least_iso_violation,
+    least_language_observation,
+)
 
 from helpers import (
     ALPHABET_1OBS_1UO,
@@ -206,6 +213,48 @@ class TestCsoOracle:
         inst = CsoInstance(a, {"w"}, {"u", "v"})
         assert least_cso_violation(inst) is None
         self.assert_matches(inst)
+
+
+class TestPairOracle:
+    """Projected inclusion and intersection, ISO and IFSO against the notions
+    of :func:`opacheck.oracles.least_observation`, a search over pairs of
+    sets of state names that shares no code with them: the same verdict and
+    witness observation, on any, partially ordered and acyclic automata with
+    a hidden event."""
+
+    @staticmethod
+    def decide(notion, rng, structure, draw):
+        """One drawn question of ``notion``: its verdict, the oracle's least
+        observation, and whether that observation makes the verdict hold."""
+        a = rand_automaton(rng, ALPHABET_2OBS_1UO, max_states=6, structure=structure,
+                           initial_max=3)
+        if notion in ("inclusion", "intersection"):
+            # every other second automaton declares its events in another order
+            alphabet = ALPHABET_2OBS_1UO[::-1] if draw % 2 else ALPHABET_2OBS_1UO
+            b = rand_automaton(rng, alphabet, max_states=6, structure=structure)
+            args, common = (a, a.marked, b, b.marked), notion == "intersection"
+            search = (intersection_nonempty_modulo_projection if common
+                      else inclusion_modulo_projection)
+            return search(*args), least_language_observation(*args, common=common), common
+        initial = sorted(a.initial)
+        if notion == "iso":
+            secret, nonsecret = ({i for i in initial if rng.random() < 0.5} for _ in "sn")
+            inst = IsoInstance(a, secret, nonsecret)
+            return verify_iso(inst), least_iso_violation(inst), False
+        pairs = [(i, f) for i in initial for f in a.states]
+        secret, nonsecret = ({p for p in pairs if rng.random() < 0.25} for _ in "sn")
+        inst = IfsoInstance(a, secret, nonsecret)
+        return verify_ifso(inst), least_ifso_violation(inst), False
+
+    @pytest.mark.parametrize("structure", ["any", "po", "acyclic"])
+    @pytest.mark.parametrize("notion", ["inclusion", "intersection", "iso", "ifso"])
+    def test_random_automata_with_a_hidden_event(self, notion, structure):
+        rng = make_rng(f"pair-oracle-{notion}-{structure}")
+        for draw in range(2000):
+            verdict, expected, holds_with_it = self.decide(notion, rng, structure, draw)
+            assert verdict.holds == ((expected is not None) == holds_with_it), draw
+            found = None if verdict.witness is None else verdict.witness.observation
+            assert found == expected, draw
 
 
 class TestUnaryAcyclic:
@@ -706,3 +755,26 @@ def test_every_search_frees_its_kernels_before_the_witness_is_realized(
     v = verify(inst, notion, algorithm)
     assert v.holds == (notion == "lbo-weak") and v.witness is not None
     assert built and alive == [0]
+
+
+def test_only_the_cso_question_runs_on_the_quotient(monkeypatch):
+    # The observer and CSO inclusion each build one kernel, on the quotient
+    # that keeps the secret and non-secret sets apart; every other search
+    # builds one kernel per side over its automaton's states, so equal
+    # presentations of one question reach the same cap outcome.
+    built = kernels(monkeypatch)
+
+    def nodes(notion, inst, algorithm="auto"):
+        before = len(built)
+        verify(inst, notion, algorithm)
+        return [ref.nodes for ref in built[before:]]
+
+    instances = _violated_instances()
+    n, iso = len(instances["cso"].automaton.states), instances["iso"]
+    observer = nodes("cso", instances["cso"], "observer")
+    assert len(observer) == 1 and observer[0] < n
+    assert nodes("cso", instances["cso"], "inclusion") == observer
+    for notion in ("lbo", "lbo-weak"):
+        assert nodes(notion, instances["lbo"]) == [n, n]
+    assert nodes("ifso", instances["ifso"]) == [n, n]
+    assert nodes("iso", iso) == [len(iso.automaton.states)] * 2
