@@ -541,12 +541,12 @@ class _EstimateKernel:
     is the closure of the event's successors of node ``i``; the post-image
     of an estimate is the union of its members' rows.  The members of the
     last mask whose post-image was taken are kept, since searches take the
-    post-images of one mask under every event in turn; :meth:`step` keeps
-    its own, so a kernel that serves both sides of a pair search does not
-    evict the other side's.  On a quotient (:func:`_quotient`) an estimate
-    is a set of classes: a class set commutes with every post-image and
-    decides whether an estimate meets each set the quotient keeps apart,
-    and one class estimate stands for every estimate with the same classes.
+    post-images of one mask under every event in turn.  Only the CSO
+    question shares a kernel between a pair search's sides, which then hold
+    equal masks.  On a quotient (:func:`_quotient`) an estimate is a set of
+    classes: a class set commutes with every post-image and decides whether
+    an estimate meets each set the quotient keeps apart, and one class
+    estimate stands for every estimate with the same classes.
 
     Estimates reached by a search are interned on demand as small int ids, in
     discovery order; a mask interned again keeps its id.  At most ``cap``
@@ -573,7 +573,6 @@ class _EstimateKernel:
         self.masks: list[int] = []
         self._ids: dict[int, int] = {}
         self._members_of, self._members = 0, []
-        self._stepped, self._step_members = _EMPTY, []
 
     def close(self, mask: int) -> int:
         out = 0
@@ -600,17 +599,6 @@ class _EstimateKernel:
             self._ids[mask] = i
             self.masks.append(mask)
         return i
-
-    def step(self, i: int, k: int) -> int:
-        """Id of the estimate that event index ``k`` leads to from estimate ``i``."""
-        if i == _EMPTY:
-            return i
-        if i != self._stepped:
-            self._stepped, self._step_members = i, _bits(self.masks[i])
-        row, out = self.rows[k], 0
-        for j in self._step_members:
-            out |= row[j]
-        return self.intern(out)
 
     def search(self, start: int, is_goal, work: _Work) -> Optional[Observation]:
         """Breadth-first walk over the nonempty estimates reachable from the

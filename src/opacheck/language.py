@@ -68,16 +68,20 @@ def _least_difference(
     with each side started in the given states, on the estimate kernels
     that :func:`~opacheck.automata._kernels` builds for ``cso``.
 
-    The search's right nodes are estimate ids, interned as the search reaches
-    them, which bounds them by the cap plus the empty estimate.  None means
-    the inclusion holds.
+    The search's right nodes are estimate ids: a right step interns its
+    estimate's post-image, as the observer's search does, which bounds them
+    by the cap plus the empty estimate.  None means the inclusion holds.
     """
     g1, g2, left, right, right_event = _kernels(a1, m1, a2, m2, cap, cso)
     m1, m2 = g1.mask(m1), g2.mask(m2)
 
     def move(s: int, states: int, k: int):
         states = left.post(states, k)
-        return ((right.step(s, right_event[k]),), states) if states else ((), 0)
+        if not states:
+            return (), 0
+        if s != _EMPTY:
+            s = right.intern(right.post(right.masks[s], right_event[k]))
+        return (s,), states
 
     def refutes(s: int, states: int) -> bool:
         return bool(states & m1) and (s == _EMPTY or not right.masks[s] & m2)

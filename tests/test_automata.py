@@ -20,6 +20,7 @@ from opacheck import (
     Automaton,
     CnfFormula,
     CsoInstance,
+    DEFAULT_OBSERVER_CAP,
     Dag,
     Event,
     IfsoInstance,
@@ -43,11 +44,11 @@ from opacheck import (
     po_determinize,
     verify_cso,
     verify_cso_observer,
-    verify_iso,
 )
 from opacheck import automata
 from opacheck.automata import _EMPTY, _EstimateKernel, _Record, _closures, _Work
 from opacheck.gadgets import Split
+from opacheck.language import _least_difference
 from opacheck.oracles import (
     _project,
     enum_languages_projected,
@@ -633,7 +634,7 @@ class TestObserver:
             (names[i], e, names[j])
             for i in range(len(names))
             for k, e in enumerate(kernel.events)
-            if (j := kernel.step(i, k)) != _EMPTY
+            if (j := kernel.intern(kernel.post(kernel.masks[i], k))) != _EMPTY
         }
         assert steps == {((p,), e, (q,)) for (p, e, q) in a.transitions}
 
@@ -648,7 +649,8 @@ class TestObserver:
         kernel = _EstimateKernel(g)
         start = kernel.intern(kernel.close(g.mask(a.initial)))
         assert members(a, g, kernel.masks[start]) == ("p",)
-        assert members(a, g, kernel.masks[kernel.step(start, 0)]) == ("q", "r")
+        after = kernel.intern(kernel.post(kernel.masks[start], 0))
+        assert members(a, g, kernel.masks[after]) == ("q", "r")
         # after x the intruder cannot tell q from r, but it can tell q from p
         assert verify_cso_observer(CsoInstance(a, {"q"}, {"r"})).holds
         v = verify_cso_observer(CsoInstance(a, {"q"}, {"p"}))
@@ -996,39 +998,22 @@ class TestInclusion:
 
 
     def test_a_shared_kernel_keeps_the_left_members_across_right_steps(self, monkeypatch):
-        # ISO runs both sides on one automaton, so one kernel serves both.  The
-        # left side posts one mask under each observable event in turn; right
-        # steps between those posts must not make it take the mask's members
-        # (``_bits``) again.  So the members are taken at most once per group,
-        # and each group but the last posts its mask under every event.
+        # The CSO question runs both sides on one kernel, and each pair its
+        # search keeps holds exactly its right estimate's mask.  The left post
+        # takes a group's members (``_bits``), and the right post of the same
+        # mask must find them kept: they are taken once per expanded group,
+        # plus once for each side's start closure.
         formula = CnfFormula(4, (frozenset({1, 2, 3}), frozenset({-1, 2, -4}),
                                  frozenset({-2, 3, 4}), frozenset({1, -3, -4})))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            inst = lbo_to_iso(cso_to_lbo(gen_cnf_cso(formula))).instance
-        counts = {"post": 0, "members": 0}
-        real_bits, real_post = automata._bits, _EstimateKernel.post
-        posting = []
+        inst = gen_cnf_cso(formula)
+        a, expected = inst.automaton, verify_cso(inst, "observer").witness.observation
+        made, taken, real_bits = accounts(monkeypatch), [], automata._bits
+        monkeypatch.setattr(automata, "_bits", lambda mask: taken.append(mask) or real_bits(mask))
+        assert _least_difference(a, a.initial, inst.secret, a, a.initial, inst.nonsecret,
+                                 DEFAULT_OBSERVER_CAP, cso=True) == expected
+        [work] = made
+        assert work.groups >= 2 and len(taken) == work.groups + 2
 
-        def bits(mask):
-            counts["members"] += bool(posting)
-            return real_bits(mask)
-
-        def post(kernel, mask, k):
-            counts["post"] += 1
-            posting.append(mask)
-            try:
-                return real_post(kernel, mask, k)
-            finally:
-                posting.pop()
-
-        expected = verify_iso(inst)
-        monkeypatch.setattr(automata, "_bits", bits)
-        monkeypatch.setattr(_EstimateKernel, "post", post)
-        assert verify_iso(inst) == expected
-        width = len(inst.automaton.observable_events)
-        assert width >= 2 and counts["post"] > 2 * width
-        assert (counts["members"] - 1) * width < counts["post"]
 
 class TestIntersection:
     def test_empty_left_language(self):

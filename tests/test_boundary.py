@@ -253,6 +253,8 @@ RELATIONS = [
     (["gen", "cnf"], "p cnf -1 0\n", "variable count must be non-negative"),
     (["gen", "cnf"], "p cnf 1 1\np cnf 1 1\n1 0\n", "duplicate DIMACS header"),
     (["gen", "cnf"], "c no header\n", "missing DIMACS header"),
+    (["gen", "cnf"], "p dnf 1 1\n1 0\n", "malformed DIMACS header: 'p dnf 1 1'"),
+    (["gen", "cnf"], "p cnf x 1\n1 0\n", "malformed DIMACS header: 'p cnf x 1'"),
     (["gen", "dag-unary-cso"], _document(vertices=2, edges=[[0, 1]], s=0, t=2),
      "source and target must be vertices"),
 ]
@@ -281,8 +283,11 @@ def test_the_relational_checks_that_name_no_file(tmp_path, capsys):
     ):
         assert main(argv) == 2
         assert capsys.readouterr() == ("", f"error: {reason}\n")
+    hidden = Automaton(B.states, (*B.alphabet, Event("h", observable=False)), B.transitions,
+                       B.initial, B.marked)
     for components, reason in (([], "at least one component automaton is required"),
-                               ([B, other], "all components must share one alphabet")):
+                               ([B, other], "all components must share one alphabet"),
+                               ([hidden], "component alphabets must be fully observable")):
         with pytest.raises(PreconditionViolated) as caught:
             gen_union_universality_cso(components)
         assert str(caught.value) == reason

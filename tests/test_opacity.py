@@ -205,6 +205,13 @@ class TestCsoOracle:
         assert least_cso_violation(inst) == ("a",) * 29
         self.assert_matches(inst)
 
+    def test_no_initial_state_leaves_no_estimate_to_search(self):
+        # the start estimate is empty, so no observation reaches the secret q
+        a = aut(["p", "q"], AB, [("p", "a", "q"), ("q", "b", "p")], [])
+        inst = CsoInstance(a, {"q"}, set())
+        assert least_cso_violation(inst) is None
+        self.assert_matches(inst)
+
     def test_a_self_loop_is_not_an_edge_into_another_class(self):
         # u loops on a where v steps to w, which takes the first class of the
         # quotient's pass; read as an edge into that class, u's loop would

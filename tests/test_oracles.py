@@ -39,6 +39,11 @@ class TestBruteSat:
         assert satisfies(TWO_CLAUSE, first)
         assert satisfies(TWO_CLAUSE, (False, True, False))
 
+    @pytest.mark.parametrize("assignment", [(False, False), (False, False, True, True)])
+    def test_an_assignment_of_the_wrong_length_is_rejected(self, assignment):
+        with pytest.raises(ValueError, match="assignment length must equal the variable count"):
+            satisfies(TWO_CLAUSE, assignment)
+
     def test_empty_clause_unsat(self):
         assert brute_sat(CnfFormula(2, (frozenset(),))) is None
 

@@ -355,10 +355,13 @@ def test_intersection_witness_replays_and_is_least(a1, a2):
 
 
 @PROPERTY_SETTINGS
-@given(automata(), st.data(), st.integers(min_value=1, max_value=4))
-def test_one_shared_kernel_decides_as_two_kernels_do(a, data, cap):
-    # With a2 is a1 one kernel serves both sides, so the left step and
-    # right.step share its tables; an equal copy gets a kernel of its own.
+@given(st.one_of(automata(), automata("po")), st.data(), st.integers(min_value=1, max_value=4))
+def test_equal_copies_decide_alike_and_the_cso_kernel_as_two_kernels_do(a, data, cap):
+    # No kernel is shared by identity: against ``a`` itself and against an
+    # equal copy, each side gets its own kernel over states.  Only the CSO
+    # question (one automaton from one start, ``cso=True``) shares one, on
+    # the quotient; it decides as one kernel per side over states does, and
+    # since the quotient never interns more, it answers whenever they do.
     copy = Automaton(a.states, a.alphabet, a.transitions, a.initial, a.marked)
     assert copy == a and copy is not a
     states = st.frozensets(st.sampled_from(a.states))
@@ -367,13 +370,16 @@ def test_one_shared_kernel_decides_as_two_kernels_do(a, data, cap):
         shared, separate = decide(a, m1, a, m2), decide(a, m1, copy, m2)
         assert (shared, shared.algorithm) == (separate, separate.algorithm)
 
-    def outcome(a2):
+    def outcome(a2, initial2, cso=False):
         try:
-            return _inclusion(a, initial1, m1, a2, initial2, m2, cap)
+            verdict = _inclusion(a, initial1, m1, a2, initial2, m2, cap, cso)
         except ObserverBlowup:
             return "cap hit"
+        return verdict, verdict.algorithm
 
-    assert outcome(a) == outcome(copy)
+    assert outcome(a, initial2) == outcome(copy, initial2)
+    shared, separate = outcome(a, initial1, cso=True), outcome(copy, initial1)
+    assert shared == separate or separate == "cap hit"
 
 
 @PROPERTY_SETTINGS
