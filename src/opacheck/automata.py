@@ -541,12 +541,11 @@ class _EstimateKernel:
     is the closure of the event's successors of node ``i``; the post-image
     of an estimate is the union of its members' rows.  The members of the
     last mask whose post-image was taken are kept, since searches take the
-    post-images of one mask under every event in turn.  Only the CSO
-    question shares a kernel between a pair search's sides, which then hold
-    equal masks.  On a quotient (:func:`_quotient`) an estimate is a set of
-    classes: a class set commutes with every post-image and decides whether
-    an estimate meets each set the quotient keeps apart, and one class
-    estimate stands for every estimate with the same classes.
+    post-images of one mask under every event in turn.  On a quotient
+    (:func:`_quotient`) an estimate is a set of classes: a class set
+    commutes with every post-image and decides whether an estimate meets
+    each set the quotient keeps apart, and one class estimate stands for
+    every estimate with the same classes.
 
     Estimates reached by a search are interned on demand as small int ids, in
     discovery order; a mask interned again keeps its id.  At most ``cap``
@@ -641,29 +640,25 @@ class _EstimateKernel:
             work.depth = depth + (len(self.masks) > end)
 
 
-def _kernels(a1: Automaton, m1: Collection[str], a2: Automaton, m2: Collection[str],
-             cap: int = DEFAULT_OBSERVER_CAP, cso: bool = False):
-    """Every search's graphs and kernels, and the right index of each left
-    event.  Only the CSO question (``cso``: ``a2 is a1``, marked by the
-    secret set ``m1`` and the non-secret set ``m2``) runs on the quotient
-    keeping the two sets apart, with one kernel serving both sides; over
-    states, equal presentations of any other question hit the cap together."""
-    if cso:
-        g1 = g2 = _quotient(a1._graph, (m1, m2))
-        left = right = _EstimateKernel(g1, cap)
-    else:
-        g1, g2 = a1._graph, a2._graph
-        left, right = _EstimateKernel(g1, cap), _EstimateKernel(g2, cap)
+def _kernels(a1: Automaton, a2: Automaton, cap: int = DEFAULT_OBSERVER_CAP):
+    """A pair search's graphs, one kernel per side, and the right index of
+    each left event.  Both kernels are over states, so equal presentations
+    of one question hit the cap together; only the observer's search
+    (:func:`_least_violation`) runs on a quotient."""
+    g1, g2 = a1._graph, a2._graph
+    left, right = _EstimateKernel(g1, cap), _EstimateKernel(g2, cap)
     return g1, g2, left, right, [right.event_index[e] for e in left.events]
 
 
 def _least_violation(a: Automaton, secret: Collection[str], nonsecret: Collection[str],
                      cap: int) -> Optional[Observation]:
-    """The CSO observer's search, on the kernel that :func:`_kernels` builds
-    for the CSO question: the least observation whose estimate meets
-    ``secret`` and misses ``nonsecret``, or None.  Its graph, kernel and
-    account are garbage once it returns, before any witness run is realized."""
-    g, _, kernel, _, _ = _kernels(a, secret, a, nonsecret, cap, cso=True)
+    """The CSO search behind every CSO algorithm but the length sets: the
+    least observation whose estimate meets ``secret`` and misses
+    ``nonsecret``, or None.  It runs on one kernel over the quotient that
+    keeps the two sets apart.  Its graph, kernel and account are garbage
+    once it returns, before any witness run is realized."""
+    g = _quotient(a._graph, (secret, nonsecret))
+    kernel = _EstimateKernel(g, cap)
     secret, nonsecret = g.mask(secret), g.mask(nonsecret)
     return kernel.search(kernel.close(g.mask(a.initial)),
                          lambda x: x & secret and not x & nonsecret, _Work())

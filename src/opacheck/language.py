@@ -1,13 +1,12 @@
 """The projected-language layer: trimming, projected inclusion and
 intersection, and the verifiers of the notions they decide.
 
-LBO, ISO and IFSO are each one projected inclusion, and CSO's ``inclusion``
-and ``unary-po`` choices are too; weak LBO is one projected intersection.
-Inclusion runs a shortest-then-least search on the estimate kernel of
-:mod:`opacheck.automata`, or, between partially ordered automata with one
-observable event, compares sets of observation lengths.  The observer route
-of CSO needs none of this, so :mod:`opacheck.opacity` imports this module
-only on the routes that do.
+LBO, ISO and IFSO are each one projected inclusion; weak LBO is one
+projected intersection.  Inclusion runs a shortest-then-least search on the
+estimate kernels of :mod:`opacheck.automata`, or, between partially ordered
+automata with one observable event, compares sets of observation lengths.
+CSO needs only those length sets, on its ``unary-po`` path, so
+:mod:`opacheck.opacity` imports this module only on the routes that run it.
 """
 
 from __future__ import annotations
@@ -62,17 +61,16 @@ def _check_language_args(a1: Automaton, m1: Iterable[str], a2: Automaton, m2: It
 def _least_difference(
     a1: Automaton, initial1: Collection[str], m1: Collection[str],
     a2: Automaton, initial2: Collection[str], m2: Collection[str], cap: int,
-    cso: bool = False,
 ) -> Optional[Observation]:
     """Shortest, then least, observation in ``P(L(a1, m1)) - P(L(a2, m2))``
     with each side started in the given states, on the estimate kernels
-    that :func:`~opacheck.automata._kernels` builds for ``cso``.
+    that :func:`~opacheck.automata._kernels` builds.
 
     The search's right nodes are estimate ids: a right step interns its
     estimate's post-image, as the observer's search does, which bounds them
     by the cap plus the empty estimate.  None means the inclusion holds.
     """
-    g1, g2, left, right, right_event = _kernels(a1, m1, a2, m2, cap, cso)
+    g1, g2, left, right, right_event = _kernels(a1, a2, cap)
     m1, m2 = g1.mask(m1), g2.mask(m2)
 
     def move(s: int, states: int, k: int):
@@ -120,33 +118,28 @@ def inclusion_modulo_projection(
 def _inclusion(
     a1: Automaton, initial1: Collection[str], m1: Collection[str],
     a2: Automaton, initial2: Collection[str], m2: Collection[str], cap: int,
-    cso: bool = False,
 ) -> Verdict:
     """:func:`inclusion_modulo_projection` with each side started in the
     given states rather than its automaton's initial ones.  The arguments
-    but ``cap`` are trusted; ``cso`` is as in :func:`~opacheck.automata._kernels`.
+    but ``cap`` are trusted.
 
     When both sides are partially ordered with one observable event, the
     inclusion is that of their observation length sets: :func:`_length_sets`
-    gives each side's as a ``(mask, ray_start)`` pair, in one pass for both
-    under ``cso``, and :func:`_least_uncovered` compares the two.  No kernel
-    is built then (nor is the cap consulted).  Otherwise
-    :func:`_least_difference` decides it.  Either search's tables are
-    garbage before the witness is realized.
+    gives each side's as a ``(mask, ray_start)`` pair, and
+    :func:`_least_uncovered` compares the two.  No kernel is built then (nor
+    is the cap consulted).  Otherwise :func:`_least_difference` decides it.
+    Either search's tables are garbage before the witness is realized.
     """
     cap = _checked("cap", _CAP, cap)
     event = _unary_event(a1)
     if event is not None and _unary_event(a2) is not None:
         algorithm = "unary-po"
-        if cso:
-            lengths = _length_sets(a1, initial1, (m1, m2))
-        else:
-            lengths = _length_sets(a1, initial1, [m1]) + _length_sets(a2, initial2, [m2])
+        lengths = _length_sets(a1, initial1, [m1]) + _length_sets(a2, initial2, [m2])
         k = _least_uncovered(*lengths)
         obs = None if k is None else (event,) * k
     else:
         algorithm = "inclusion"
-        obs = _least_difference(a1, initial1, m1, a2, initial2, m2, cap, cso)
+        obs = _least_difference(a1, initial1, m1, a2, initial2, m2, cap)
     if obs is None:
         return Verdict(True, algorithm=algorithm)
     return Verdict(False, Witness(obs, realize_observation(a1, m1, obs, initial=initial1)), algorithm)
@@ -240,7 +233,7 @@ def _least_common(
     by its kernel's post-images, the right side by its kernel's
     closed-successor rows.
     """
-    g1, g2, left, right, right_event = _kernels(a1, m1, a2, m2)
+    g1, g2, left, right, right_event = _kernels(a1, a2)
     m1, m2 = g1.mask(m1), g2.mask(m2)
     targets = [[None] * g2.size for _ in left.events]  # right.rows' members, as met
 

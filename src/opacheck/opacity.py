@@ -1,22 +1,21 @@
-"""The five opacity notions' instances, the CSO observer, and the router
+"""The five opacity notions' instances, the CSO searches, and the router
 from a notion to the code that decides it.
 
-Current-state opacity comes in two general algorithms, observer traversal
-and language inclusion, which always agree.  CSO inclusion, LBO, ISO and
-IFSO are each one call of :func:`opacheck.language._inclusion`, which runs
-a search on the estimate kernel, or, when both sides are partially ordered
-(their only cycles are self-loops) with a single observable event, compares
-sets of observation lengths instead.  ``unary-po`` is the CSO name of that
-length-set path; it refuses any other automaton.  Weak LBO runs the product
-search.  Every verdict names the algorithm that decided it, and
-:func:`verify` is the one map from a notion to the code that decides it.
-:mod:`opacheck.language` holds every verifier but the observer, and is
-imported only on the routes that run it, so an observer-routed verification
-never loads it.
-
-Both CSO algorithms get their kernel from :func:`opacheck.automata._kernels`,
-on one quotient of the automaton's graph: on a partially ordered automaton,
-the classes of a bisimulation that keeps the secret and non-secret sets apart.
+Current-state opacity has two searches.  The observer
+(:func:`opacheck.automata._least_violation`) walks the estimates of one
+quotient of the automaton's graph: on a partially ordered automaton, the
+classes of a bisimulation that keeps the secret and non-secret sets apart.
+On a partially ordered automaton (its only cycles are self-loops) with a
+single observable event, the length-set path compares the observation
+lengths that reach each set instead.  :func:`verify_cso` maps CSO's four
+algorithm names onto these two.  LBO, ISO and IFSO are each one call of
+:func:`opacheck.language._inclusion`, which runs a pair search on the
+estimate kernels or, on the same unary partially ordered inputs, compares
+length sets.  Weak LBO runs the product search.  Every verdict names the
+algorithm that decided it, and :func:`verify` is the one map from a notion
+to the code that decides it.  :mod:`opacheck.language` holds the length
+sets and every verifier but CSO's, and is imported only on the routes that
+run them, so a CSO verification off the length-set path never loads it.
 """
 
 from __future__ import annotations
@@ -124,12 +123,7 @@ def verify_cso_observer(inst: CsoInstance, *, cap: int = DEFAULT_OBSERVER_CAP) -
     non-secret set.  The witness is the shortest observation (ties broken by
     alphabet declaration order) reaching a violating estimate.
     """
-    inst, cap = _checked("inst", _CSO, inst), _checked("cap", _CAP, cap)
-    obs = _least_violation(inst.automaton, inst.secret, inst.nonsecret, cap)
-    if obs is None:
-        return Verdict(True, algorithm="observer")
-    run = realize_observation(inst.automaton, inst.secret, obs)
-    return Verdict(False, Witness(obs, run), "observer")
+    return verify_cso(inst, "observer", cap=cap)
 
 
 def select_cso_algorithm(inst: CsoInstance) -> str:
@@ -146,28 +140,41 @@ def verify_cso(
 
     ``auto`` routes to the structurally cheapest applicable algorithm; forcing
     an inapplicable one raises :class:`PreconditionViolated`.  All applicable
-    choices return the same verdict and witness.
+    choices return the same verdict and witness.  The four names run two
+    searches; the length sets check ``cap`` but never reach it::
 
-    ``inclusion`` is projected language inclusion of the automaton marked
-    by the secret set in the one marked by the non-secret set.  On a
-    partially ordered automaton with one observable event it compares
-    length sets and ignores ``cap``; ``unary-po`` is that path alone.
+        auto, inclusion  unary-po where it applies, else the observer's search
+        observer         the observer's search, on any automaton
+        unary-po         the length sets, on a partially ordered automaton
+                         with one observable event only
+
+    ``inclusion``, projected inclusion of the automaton marked by the secret
+    set in itself marked by the non-secret set, walks the observer's
+    estimates: from one start on one automaton, each pair it reaches holds
+    its right estimate's members.  So the observer runs it, under its name.
     """
     inst, algorithm = _checked("inst", _CSO, inst), _checked("algorithm", _TEXT, algorithm)
+    cap = _checked("cap", _CAP, cap)
     if algorithm not in CSO_ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {CSO_ALGORITHMS}")
-    if algorithm == "auto":
-        algorithm = select_cso_algorithm(inst)
-    if algorithm == "observer":
-        return verify_cso_observer(inst, cap=cap)
-    if algorithm == "unary-po" and _unary_event(inst.automaton) is None:
+    a = inst.automaton
+    event = None if algorithm == "observer" else _unary_event(a)
+    if event is not None:
+        from .language import _least_uncovered, _length_sets
+
+        algorithm = "unary-po"
+        k = _least_uncovered(*_length_sets(a, a.initial, (inst.secret, inst.nonsecret)))
+        obs = None if k is None else (event,) * k
+    elif algorithm == "unary-po":
         raise PreconditionViolated(
             "unary-po requires a partially ordered automaton with exactly one observable event"
         )
-    from .language import _inclusion
-
-    a = inst.automaton
-    return _inclusion(a, a.initial, inst.secret, a, a.initial, inst.nonsecret, cap, cso=True)
+    else:
+        algorithm = "observer" if algorithm == "auto" else algorithm
+        obs = _least_violation(a, inst.secret, inst.nonsecret, cap)
+    if obs is None:
+        return Verdict(True, algorithm=algorithm)
+    return Verdict(False, Witness(obs, realize_observation(a, inst.secret, obs)), algorithm)
 
 
 # The instance class of each notion; LBO and weak LBO share one.  Its fields

@@ -87,13 +87,16 @@ def equivalence_results():
     for k in range(500):
         alphabet = ALPHABET_2OBS_1UO if k % 2 else ALPHABET_1OBS_1UO
         inst = rand_cso(rng, alphabet, max_states=7)
-        records.append((inst, verify_cso_observer(inst), verify_cso(inst, "inclusion")))
+        records.append((inst, verify_cso_observer(inst), verify_cso(inst, "inclusion"),
+                        verify_lbo(cso_to_lbo(inst))))
     return records, time.perf_counter() - started
 
 
 def test_criterion_02_observer_inclusion_equivalence(equivalence_results):
+    # CSO's inclusion runs the observer's search; the LBO image asks the same
+    # inclusion of the pair search over states, so it is the second algorithm
     records, elapsed = equivalence_results
-    agreed = sum(left.holds == right.holds for _, left, right in records)
+    agreed = sum(left.holds == right.holds == image.holds for _, left, right, image in records)
     report(2, agreed == 500, agreed, 500, elapsed,
            "observer and inclusion verdicts identical on random instances")
 
@@ -258,7 +261,7 @@ def test_criterion_09_witness_replay(
     witnessed = []
     for _, inst, verdict in cnf_results[0]:
         witnessed.append(("cso", inst, verdict))
-    for inst, left, right in equivalence_results[0]:
+    for inst, left, right, _ in equivalence_results[0]:
         witnessed.append(("cso", inst, left))
         witnessed.append(("cso", inst, right))
     for inst, reference, left, right in definitional_results[0]:

@@ -20,7 +20,6 @@ from opacheck import (
     Automaton,
     CnfFormula,
     CsoInstance,
-    DEFAULT_OBSERVER_CAP,
     Dag,
     Event,
     IfsoInstance,
@@ -48,7 +47,6 @@ from opacheck import (
 from opacheck import automata
 from opacheck.automata import _EMPTY, _EstimateKernel, _Record, _closures, _Work
 from opacheck.gadgets import Split
-from opacheck.language import _least_difference
 from opacheck.oracles import (
     _project,
     enum_languages_projected,
@@ -766,7 +764,7 @@ class TestQuotient:
         assert verify_cso(inst).holds
         assert interned(inst, ()) == interned(inst, (inst.secret, inst.nonsecret)) == 24 + 1
         # The initial copies are chained by an unobservable event, and
-        # inclusion steps the estimates of its shared kernel: it interns as many.
+        # inclusion is the observer's search: it interns as many.
         assert classify(inst.automaton).unobservable_event_count == 1
         for algorithm in ("observer", "inclusion"):
             assert verify_cso(inst, algorithm, cap=25).holds
@@ -910,9 +908,10 @@ class TestWorkAccount:
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_inclusion_interns_the_observers_estimates(self, n, monkeypatch):
-        # One automaton on both sides, from one start: each right estimate is
-        # paired with its own members, so the pairs number sum |E| over the
-        # 2^n estimates E = {q0} + S, which is 2^n + n 2^(n-1).
+        # With one automaton on both sides, from one start, each pair of the
+        # inclusion search holds exactly its right estimate's members, so it
+        # walks the observer's estimates with the observer's goal test, and
+        # the observer runs it: the two accounts agree field by field.
         made = accounts(monkeypatch)
         a = nth_from_end(n)
         for nonsecret in ("q0", f"q{n - 1}"):
@@ -922,10 +921,30 @@ class TestWorkAccount:
                 made.clear()
                 verify_cso(inst, algorithm)
                 searches.append(made[0])
-            observer, inclusion = searches
-            assert inclusion.estimates == observer.estimates
-            if nonsecret == "q0":
-                assert inclusion.pairs == 2**n + n * 2 ** (n - 1)
+            observer, inclusion = ((w.estimates, w.groups, w.depth, w.pairs) for w in searches)
+            assert inclusion == observer
+
+    def test_the_observer_takes_each_estimates_members_once(self, monkeypatch):
+        # The kernel's post keeps the members (``_bits``) of the last mask it
+        # stepped, and the search steps one estimate under every event in
+        # turn: on a holding instance the members are taken once per
+        # expanded estimate, plus once for the start's closure.  Checked on
+        # the 2^n estimates of nth_from_end(n), and on the UNSAT gadget of
+        # all eight clauses over three variables, whose quotient leaves four
+        # class estimates.
+        import itertools
+
+        clauses = itertools.product((1, -1), (2, -2), (3, -3))
+        unsat = gen_cnf_cso(CnfFormula(3, tuple(map(frozenset, clauses))))
+        cases = [(CsoInstance(nth_from_end(n), {f"q{n}"}, {"q0"}), 2**n) for n in range(3, 9)]
+        made, taken, real_bits = accounts(monkeypatch), [], automata._bits
+        monkeypatch.setattr(automata, "_bits", lambda mask: taken.append(mask) or real_bits(mask))
+        for inst, estimates in cases + [(unsat, 4)]:
+            made.clear()
+            taken.clear()
+            assert verify_cso(inst, "observer").holds
+            [work] = made
+            assert (work.groups, len(taken)) == (estimates, estimates + 1)
 
     def test_a_cap_hit_leaves_the_partial_counts(self, monkeypatch):
         # {q0}; {q0, q1}; {q0, q1, q2} and {q0, q2}; then {q0, q1, q2, q3}
@@ -937,9 +956,8 @@ class TestWorkAccount:
             verify_cso_observer(inst, cap=5)
         with pytest.raises(ObserverBlowup):
             verify_cso(inst, "inclusion", cap=5)
-        observer, inclusion = made
-        assert (observer.estimates, observer.groups, observer.depth) == (5, 3, 3)
-        assert inclusion.estimates == 5
+        for work in made:
+            assert (work.estimates, work.groups, work.depth) == (5, 3, 3)
 
     def test_the_product_and_realization_build_no_estimates(self, monkeypatch):
         a = nth_from_end(5)
@@ -995,24 +1013,6 @@ class TestInclusion:
             assert verdict.holds == (left <= right)
             if not verdict.holds:
                 assert verdict.witness.observation in left - right
-
-
-    def test_a_shared_kernel_keeps_the_left_members_across_right_steps(self, monkeypatch):
-        # The CSO question runs both sides on one kernel, and each pair its
-        # search keeps holds exactly its right estimate's mask.  The left post
-        # takes a group's members (``_bits``), and the right post of the same
-        # mask must find them kept: they are taken once per expanded group,
-        # plus once for each side's start closure.
-        formula = CnfFormula(4, (frozenset({1, 2, 3}), frozenset({-1, 2, -4}),
-                                 frozenset({-2, 3, 4}), frozenset({1, -3, -4})))
-        inst = gen_cnf_cso(formula)
-        a, expected = inst.automaton, verify_cso(inst, "observer").witness.observation
-        made, taken, real_bits = accounts(monkeypatch), [], automata._bits
-        monkeypatch.setattr(automata, "_bits", lambda mask: taken.append(mask) or real_bits(mask))
-        assert _least_difference(a, a.initial, inst.secret, a, a.initial, inst.nonsecret,
-                                 DEFAULT_OBSERVER_CAP, cso=True) == expected
-        [work] = made
-        assert work.groups >= 2 and len(taken) == work.groups + 2
 
 
 class TestIntersection:

@@ -312,8 +312,9 @@ class TestVerify:
         # The import trace lists every module the child loaded before it exited.
         # The modules that only gen, classify and the oracles need stay unloaded
         # too, whether or not they import dataclasses, and so does the
-        # projected-language layer on the observer route (the cso/auto row: a
-        # CNF instance has two observable events).  The trace never lists
+        # projected-language layer on the observer's search (the cso rows: a
+        # CNF instance has two observable events, so auto and inclusion both
+        # run it, and auto names it observer).  The trace never lists
         # opacheck.cli: the child runs it as __main__, so that entry would mean
         # some module imported it, running the file a second time.
         cso = gen_cnf_cso(TWO_CLAUSE)
@@ -337,9 +338,12 @@ class TestVerify:
         assert "dataclasses" not in imported
         assert not imported & {"opacheck.gadgets", "opacheck.structure", "opacheck.oracles",
                                "opacheck.commands", "opacheck.cli"}
-        observer = (notion, algorithm) == ("cso", "auto")
-        assert (json.loads(done.stdout)["algorithm"] == "observer") == observer
-        assert ("opacheck.language" in imported) != observer
+        reported = json.loads(done.stdout)["algorithm"]
+        if notion == "cso":
+            assert reported == {"auto": "observer", "inclusion": "inclusion"}[algorithm]
+        else:
+            assert reported != "observer"
+        assert ("opacheck.language" in imported) != (notion == "cso")
 
     def test_tiny_observer_cap_fails_loudly(self, tmp_path, capsys):
         path = write_instance(tmp_path, "inst.json", gen_cnf_cso(TWO_CLAUSE))

@@ -163,16 +163,22 @@ class TestCsoInclusion:
 
 
 class TestCsoOracle:
-    """Both CSO algorithms against :func:`least_cso_violation`, a search over
-    sets of state names that shares no code with them: the same verdict and
-    witness observation, cyclic automata included."""
+    """CSO against two other searches, cyclic automata included.  Each row
+    checks that the observer and ``inclusion``, the observer's search under
+    another name, give the witness observation of
+    :func:`least_cso_violation`, a search over sets of state names that
+    shares no code with them.  It also checks that the LBO image's pair
+    search (``_lex_least_label``, with two kernels over states and no
+    quotient) gives the observer's verdict and whole witness."""
 
     @staticmethod
     def assert_matches(inst):
         expected = least_cso_violation(inst)
-        for algorithm in ("observer", "inclusion"):
-            v = verify_cso(inst, algorithm)
-            assert (None if v.holds else v.witness.observation) == expected, algorithm
+        observer = verify_cso(inst, "observer")
+        for v in (observer, verify_cso(inst, "inclusion")):
+            assert (None if v.holds else v.witness.observation) == expected, v.algorithm
+        image = verify_lbo(cso_to_lbo(inst))
+        assert (image, image.algorithm) == (observer, "inclusion")
 
     @pytest.mark.parametrize("seed", range(3))
     def test_random_automata_with_a_hidden_event(self, seed):
@@ -466,9 +472,12 @@ CAP_ENTRY_POINTS = {
 }
 
 
+BAD_CAPS = [0, -1, True, 2.5, "x", None]
+
+
 @pytest.mark.parametrize("instance", [_cyclic_cso, _unary_po_cso], ids=["cyclic", "unary-po"])
 @pytest.mark.parametrize("entry", sorted(CAP_ENTRY_POINTS))
-@pytest.mark.parametrize("cap", [0, -1, True, 2.5, "x", None], ids=repr)
+@pytest.mark.parametrize("cap", BAD_CAPS, ids=repr)
 def test_every_entry_point_checks_its_cap(instance, entry, cap):
     # 0 and -1 used to raise ObserverBlowup, True to report a cap of True, 2.5
     # to answer, "x" and None to raise a TypeError, and the length-set path of
@@ -477,6 +486,17 @@ def test_every_entry_point_checks_its_cap(instance, entry, cap):
         CAP_ENTRY_POINTS[entry](instance(), cap)
     assert str(caught.value) == f"cap must be a positive int, not {cap!r}"
     assert CAP_ENTRY_POINTS[entry](instance(), 8) is not None  # a cap that suffices
+
+
+@pytest.mark.parametrize("instance", [_cyclic_cso, _unary_po_cso], ids=["cyclic", "unary-po"])
+@pytest.mark.parametrize("algorithm", CSO_ALGORITHMS)
+@pytest.mark.parametrize("cap", BAD_CAPS, ids=repr)
+def test_every_cso_algorithm_checks_the_cap_before_it_routes(instance, algorithm, cap):
+    # unary-po on the cyclic instance used to raise PreconditionViolated
+    # for every one of them, whatever the cap
+    with pytest.raises(ValueError) as caught:
+        verify_cso(instance(), algorithm, cap=cap)
+    assert str(caught.value) == f"cap must be a positive int, not {cap!r}"
 
 
 class TestLbo:
@@ -765,9 +785,9 @@ def test_every_search_frees_its_kernels_before_the_witness_is_realized(
 
 
 def test_only_the_cso_question_runs_on_the_quotient(monkeypatch):
-    # The observer and CSO inclusion each build one kernel, on the quotient
-    # that keeps the secret and non-secret sets apart; every other search
-    # builds one kernel per side over its automaton's states, so equal
+    # The observer, which CSO inclusion also runs, builds one kernel, on the
+    # quotient that keeps the secret and non-secret sets apart; every other
+    # search builds one kernel per side over its automaton's states, so equal
     # presentations of one question reach the same cap outcome.
     built = kernels(monkeypatch)
 

@@ -301,11 +301,17 @@ def test_class_representatives_decide_as_the_automaton(inst, data):
 @PROPERTY_SETTINGS
 @given(st.one_of(cso_instances(structure="po"), po_cso_instances_with_copies()))
 def test_class_estimates_decide_as_the_estimates_of_states(inst):
+    # Both names run the observer's search on class estimates.  Checked
+    # against that search on estimates of states, and against the pair
+    # search on the LBO image, with two kernels over states and no quotient:
+    # the same verdict and the same whole witness.
     obs, _ = interned_search(inst)
-    for algorithm in ("observer", "inclusion"):
-        verdict = verify_cso(inst, algorithm)
+    observer = verify_cso(inst, "observer")
+    for verdict in (observer, verify_cso(inst, "inclusion")):
         assert verdict.holds == (obs is None)
         assert verdict.holds or verdict.witness.observation == obs
+    image = verify_lbo(cso_to_lbo(inst))
+    assert (image, image.algorithm) == (observer, "inclusion")
 
 
 @PROPERTY_SETTINGS
@@ -356,12 +362,9 @@ def test_intersection_witness_replays_and_is_least(a1, a2):
 
 @PROPERTY_SETTINGS
 @given(st.one_of(automata(), automata("po")), st.data(), st.integers(min_value=1, max_value=4))
-def test_equal_copies_decide_alike_and_the_cso_kernel_as_two_kernels_do(a, data, cap):
+def test_equal_copies_decide_alike(a, data, cap):
     # No kernel is shared by identity: against ``a`` itself and against an
-    # equal copy, each side gets its own kernel over states.  Only the CSO
-    # question (one automaton from one start, ``cso=True``) shares one, on
-    # the quotient; it decides as one kernel per side over states does, and
-    # since the quotient never interns more, it answers whenever they do.
+    # equal copy, each side gets its own kernel over states.
     copy = Automaton(a.states, a.alphabet, a.transitions, a.initial, a.marked)
     assert copy == a and copy is not a
     states = st.frozensets(st.sampled_from(a.states))
@@ -370,16 +373,14 @@ def test_equal_copies_decide_alike_and_the_cso_kernel_as_two_kernels_do(a, data,
         shared, separate = decide(a, m1, a, m2), decide(a, m1, copy, m2)
         assert (shared, shared.algorithm) == (separate, separate.algorithm)
 
-    def outcome(a2, initial2, cso=False):
+    def outcome(a2, initial2):
         try:
-            verdict = _inclusion(a, initial1, m1, a2, initial2, m2, cap, cso)
+            verdict = _inclusion(a, initial1, m1, a2, initial2, m2, cap)
         except ObserverBlowup:
             return "cap hit"
         return verdict, verdict.algorithm
 
     assert outcome(a, initial2) == outcome(copy, initial2)
-    shared, separate = outcome(a, initial1, cso=True), outcome(copy, initial1)
-    assert shared == separate or separate == "cap hit"
 
 
 @PROPERTY_SETTINGS
