@@ -5,12 +5,13 @@ events; the intruder sees a string only through the projection that erases the
 unobservable ones.  Every search over projected behaviour (the observer's
 estimates here, projected inclusion and projected intersection in
 :mod:`opacheck.language`) runs on one bitmask estimate kernel built from an
-integer graph, the automaton's own or its quotient by a bisimulation; none
-of them materializes a projected, determinized or product automaton.
-Inclusion, intersection and witness realization share one
-shortest-then-least search, which keeps one bitmask of left states per
-right node: an estimate, a state of the second automaton or an observation
-position.
+integer graph, the automaton's own or its quotient by a bisimulation; none of
+them materializes a projected, determinized or product automaton.  Inclusion,
+intersection and witness realization share one shortest-then-least search,
+which keeps one bitmask of left states per right node: an estimate, a state
+of the second automaton or an observation position.  Partially ordered
+automata with one observable event need no search: CSO and inclusion compare
+the observation lengths that reach each target set, found here in one pass.
 
 All values are immutable after construction and every operation is a pure
 function of its inputs, so values can be shared freely across threads.
@@ -110,9 +111,6 @@ def _all(*classes: type) -> Callable:
 
 
 _NAMES, _NAME_TUPLE = _many("names", _all(str), frozenset), _many("names", _all(str), tuple)
-_CLAUSES = _many("collections of int literals", lambda clauses: all(
-    isinstance(c, (list, tuple, set, frozenset)) and all(map(_is_int, c)) for c in clauses),
-    lambda clauses: tuple(map(frozenset, clauses)))
 
 
 def _rows(width: int, what: str, kind: type) -> Callable:
@@ -380,9 +378,9 @@ class _Graph:
 
 
 def topological_order(n: int, rows: Sequence[Sequence[Sequence[int]]]) -> Optional[list[int]]:
-    """Kahn's algorithm over the nodes ``0 .. n-1``, with edges given as in
-    :func:`_reach`; returns None when they have a cycle.  Self-loops are
-    ignored and repeated edges are allowed."""
+    """Kahn's algorithm over the nodes ``0 .. n-1``, where ``row[i]`` of each
+    of ``rows`` lists the targets of node ``i``; returns None when they have
+    a cycle.  Self-loops are ignored and repeated edges are allowed."""
     indegree = [0] * n
     for row in rows:
         for i, targets in enumerate(row):
@@ -408,21 +406,6 @@ def classify(a: Automaton) -> StructureReport:
     report that holds them.
     """
     return _checked("a", _AUTOMATON, a)._report
-
-
-def _reach(seeds: Iterable[int], rows: Sequence[Sequence[Sequence[int]]]) -> set[int]:
-    """The nodes reachable from ``seeds`` along any of ``rows``, where
-    ``row[i]`` lists the targets of node ``i``."""
-    seen = set(seeds)
-    todo = list(seen)
-    while todo:
-        i = todo.pop()
-        for row in rows:
-            for j in row[i]:
-                if j not in seen:
-                    seen.add(j)
-                    todo.append(j)
-    return seen
 
 
 def _bits(mask: int) -> list[int]:
@@ -640,16 +623,6 @@ class _EstimateKernel:
             work.depth = depth + (len(self.masks) > end)
 
 
-def _kernels(a1: Automaton, a2: Automaton, cap: int = DEFAULT_OBSERVER_CAP):
-    """A pair search's graphs, one kernel per side, and the right index of
-    each left event.  Both kernels are over states, so equal presentations
-    of one question hit the cap together; only the observer's search
-    (:func:`_least_violation`) runs on a quotient."""
-    g1, g2 = a1._graph, a2._graph
-    left, right = _EstimateKernel(g1, cap), _EstimateKernel(g2, cap)
-    return g1, g2, left, right, [right.event_index[e] for e in left.events]
-
-
 def _least_violation(a: Automaton, secret: Collection[str], nonsecret: Collection[str],
                      cap: int) -> Optional[Observation]:
     """The CSO search behind every CSO algorithm but the length sets: the
@@ -679,8 +652,8 @@ def realize_observation(
     a, targets = _checked("a", _AUTOMATON, a), _checked("targets", _NAMES, targets)
     observation = _checked("observation", _NAME_TUPLE, observation)
     initial = a.initial if initial is None else _checked("initial", _NAMES, initial)
-    _require(targets | initial <= set(a.states), "realize_observation: states must be declared")
     g = a._graph
+    _require(targets | initial <= g.index.keys(), "realize_observation: states must be declared")
     n = len(observation)
     # An undeclared event maps to -1 and matches no event.
     wanted = [g.event_index.get(e, -1) for e in observation]
@@ -786,3 +759,66 @@ def _unary_event(a: Automaton) -> Optional[str]:
     if len(events) == 1 and a._structure["partially_ordered"]:
         return events[0]
     return None
+
+
+def _length_sets(
+    a: Automaton, initial: Iterable[str], target_sets: Iterable[Collection[str]]
+) -> list[tuple[int, Optional[int]]]:
+    """Observation lengths of the runs of a unary partially ordered automaton
+    from ``initial`` into each target set, as a ``(mask, ray_start)`` pair:
+    the set holds length ``d`` when bit ``d`` of ``mask`` is set or
+    ``ray_start`` is not None and at most ``d``.
+
+    The masks collect runs that use no observable self-loop: one dynamic
+    programming pass over the self-loop-free transitions, which are acyclic,
+    in the topological order that :func:`classify` also reads, with bit
+    ``d`` of ``lengths[i]`` meaning "state ``i`` is reached after ``d``
+    observations" (unobservable self-loops contribute nothing).  A single ray
+    starts at the cheapest run through any observable self-loop, since that
+    loop can be pumped; the same pass keeps that cost per state.
+    """
+    g = a._graph
+    _require(g.order is not None, "length sets require a partially ordered automaton")
+    n = len(a.states)
+    lengths = [0] * n
+    # Fewest observations of a run that reaches the state through an observable
+    # self-loop; n, more than a self-loop-free run can make, means none.
+    pumped = [n] * n
+    for s in initial:
+        lengths[g.index[s]] = 1
+    weighted = [(int(g.observable[k]), row) for k, row in enumerate(g.succ)]
+    for u in g.order:
+        here = lengths[u]
+        if not here:
+            continue
+        if g.loops.get(u):
+            pumped[u] = (here & -here).bit_length() - 1  # the shortest run here
+        through = pumped[u]
+        for w, row in weighted:
+            for v in row[u]:
+                if v != u:
+                    lengths[v] |= here << w
+                    if through + w < pumped[v]:
+                        pumped[v] = through + w
+    out = []
+    for targets in target_sets:
+        reached, ray = 0, n
+        for t in targets:
+            reached |= lengths[g.index[t]]
+            ray = min(ray, pumped[g.index[t]])
+        out.append((reached, ray if ray < n else None))
+    return out
+
+
+def _least_uncovered(left: tuple[int, Optional[int]],
+                     right: tuple[int, Optional[int]]) -> Optional[int]:
+    """The least length in ``left`` but not in ``right``, two pairs of
+    :func:`_length_sets`; None when there is none.  From the highest set bit
+    and ray start on, membership no longer changes, so each ray is filled
+    into its mask up to that bound and the two masks are compared."""
+    (mask1, ray1), (mask2, ray2) = left, right
+    top = max(mask1.bit_length(), mask2.bit_length(), ray1 or 0, ray2 or 0)
+    have, lack = (mask if ray is None else mask | (2 << top) - (1 << ray)
+                  for mask, ray in (left, right))
+    missing = have & ~lack
+    return (missing & -missing).bit_length() - 1 if missing else None

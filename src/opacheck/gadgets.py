@@ -19,8 +19,8 @@ from itertools import chain, repeat
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .automata import (_AUTOMATON, _CLAUSES, _INT, _STRING, Automaton, Event, _Record, _all,
-                       _checked, _many, _rows, _scalar, topological_order)
+from .automata import (_AUTOMATON, _INT, _STRING, Automaton, Event, _Record, _all, _checked,
+                       _is_int, _many, _rows, _scalar, topological_order)
 from .errors import InputNotDeterministic, MalformedFormula, PreconditionViolated, TooLarge
 from .opacity import _CSO, _LBO, CsoInstance, IsoInstance, LboInstance
 
@@ -52,6 +52,15 @@ class _FreshNames:
         self._next[base] = k + 1
         self._taken.add(name)
         return name
+
+
+# The kinds of a formula's clauses and of the generators' arguments, checked as fields are.
+_CLAUSES = _many("collections of int literals", lambda clauses: all(
+    isinstance(c, (list, tuple, set, frozenset)) and all(map(_is_int, c)) for c in clauses),
+    lambda clauses: tuple(map(frozenset, clauses)))
+_FORMULA = _scalar("a CnfFormula", lambda v: isinstance(v, CnfFormula))
+_DAG = _scalar("a Dag", lambda v: isinstance(v, Dag))
+_AUTOMATA = _many("Automaton values", _all(Automaton), tuple)
 
 
 class CnfFormula(_Record):
@@ -109,12 +118,6 @@ class Dag(_Record):
             out[u].append(v)
         if any(u == v for (u, v) in self.edges) or topological_order(len(out), [out]) is None:
             raise ValueError("edge relation must be acyclic")
-
-
-# The kinds of the generators' arguments, checked as the records' fields are.
-_FORMULA = _scalar("a CnfFormula", lambda v: isinstance(v, CnfFormula))
-_DAG = _scalar("a Dag", lambda v: isinstance(v, Dag))
-_AUTOMATA = _many("Automaton values", _all(Automaton), tuple)
 
 
 def gen_cnf_cso(formula: CnfFormula) -> CsoInstance:

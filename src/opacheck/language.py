@@ -4,20 +4,34 @@ intersection, and the verifiers of the notions they decide.
 LBO, ISO and IFSO are each one projected inclusion; weak LBO is one
 projected intersection.  Inclusion runs a shortest-then-least search on the
 estimate kernels of :mod:`opacheck.automata`, or, between partially ordered
-automata with one observable event, compares sets of observation lengths.
-CSO needs only those length sets, on its ``unary-po`` path, so
-:mod:`opacheck.opacity` imports this module only on the routes that run it.
+automata with one observable event, compares sets of observation lengths by
+CSO's ``unary-po`` helpers, also there: no CSO verification loads this module.
 """
 
 from __future__ import annotations
 
-from typing import Collection, Iterable, Optional
+from typing import Collection, Iterable, Optional, Sequence
 
 from .automata import (_AUTOMATON, _CAP, _EMPTY, _NAMES, DEFAULT_OBSERVER_CAP, Automaton,
-                       Observation, Verdict, Witness, _bits, _checked, _kernels,
-                       _lex_least_label, _reach, _require, _unary_event, _Work,
-                       realize_observation)
+                       Observation, Verdict, Witness, _bits, _checked, _EstimateKernel,
+                       _least_uncovered, _length_sets, _lex_least_label, _require,
+                       _unary_event, _Work, realize_observation)
 from .opacity import _IFSO, _ISO, _LBO, IfsoInstance, IsoInstance, LboInstance
+
+
+def _reach(seeds: Iterable[int], rows: Sequence[Sequence[Sequence[int]]]) -> set[int]:
+    """The nodes reachable from ``seeds`` along any of ``rows``, where
+    ``row[i]`` lists the targets of node ``i``."""
+    seen = set(seeds)
+    todo = list(seen)
+    while todo:
+        i = todo.pop()
+        for row in rows:
+            for j in row[i]:
+                if j not in seen:
+                    seen.add(j)
+                    todo.append(j)
+    return seen
 
 
 def trim(a: Automaton) -> Automaton:
@@ -58,13 +72,23 @@ def _check_language_args(a1: Automaton, m1: Iterable[str], a2: Automaton, m2: It
     return m1, m2
 
 
+def _kernels(a1: Automaton, a2: Automaton, cap: int = DEFAULT_OBSERVER_CAP):
+    """A pair search's graphs, one kernel per side, and the right index of
+    each left event.  Both kernels are over states, so equal presentations
+    of one question hit the cap together; only the observer's search
+    (:func:`~opacheck.automata._least_violation`) runs on a quotient."""
+    g1, g2 = a1._graph, a2._graph
+    left, right = _EstimateKernel(g1, cap), _EstimateKernel(g2, cap)
+    return g1, g2, left, right, [right.event_index[e] for e in left.events]
+
+
 def _least_difference(
     a1: Automaton, initial1: Collection[str], m1: Collection[str],
     a2: Automaton, initial2: Collection[str], m2: Collection[str], cap: int,
 ) -> Optional[Observation]:
     """Shortest, then least, observation in ``P(L(a1, m1)) - P(L(a2, m2))``
     with each side started in the given states, on the estimate kernels
-    that :func:`~opacheck.automata._kernels` builds.
+    that :func:`_kernels` builds.
 
     The search's right nodes are estimate ids: a right step interns its
     estimate's post-image, as the observer's search does, which bounds them
@@ -143,69 +167,6 @@ def _inclusion(
     if obs is None:
         return Verdict(True, algorithm=algorithm)
     return Verdict(False, Witness(obs, realize_observation(a1, m1, obs, initial=initial1)), algorithm)
-
-
-def _length_sets(
-    a: Automaton, initial: Iterable[str], target_sets: Iterable[Collection[str]]
-) -> list[tuple[int, Optional[int]]]:
-    """Observation lengths of the runs of a unary partially ordered automaton
-    from ``initial`` into each target set, as a ``(mask, ray_start)`` pair:
-    the set holds length ``d`` when bit ``d`` of ``mask`` is set or
-    ``ray_start`` is not None and at most ``d``.
-
-    The masks collect runs that use no observable self-loop: one dynamic
-    programming pass over the self-loop-free transitions, which are acyclic,
-    in the topological order that :func:`classify` also reads, with bit
-    ``d`` of ``lengths[i]`` meaning "state ``i`` is reached after ``d``
-    observations" (unobservable self-loops contribute nothing).  A single ray
-    starts at the cheapest run through any observable self-loop, since that
-    loop can be pumped; the same pass keeps that cost per state.
-    """
-    g = a._graph
-    _require(g.order is not None, "length sets require a partially ordered automaton")
-    n = len(a.states)
-    lengths = [0] * n
-    # Fewest observations of a run that reaches the state through an observable
-    # self-loop; n, more than a self-loop-free run can make, means none.
-    pumped = [n] * n
-    for s in initial:
-        lengths[g.index[s]] = 1
-    weighted = [(int(g.observable[k]), row) for k, row in enumerate(g.succ)]
-    for u in g.order:
-        here = lengths[u]
-        if not here:
-            continue
-        if g.loops.get(u):
-            pumped[u] = (here & -here).bit_length() - 1  # the shortest run here
-        through = pumped[u]
-        for w, row in weighted:
-            for v in row[u]:
-                if v != u:
-                    lengths[v] |= here << w
-                    if through + w < pumped[v]:
-                        pumped[v] = through + w
-    out = []
-    for targets in target_sets:
-        reached, ray = 0, n
-        for t in targets:
-            reached |= lengths[g.index[t]]
-            ray = min(ray, pumped[g.index[t]])
-        out.append((reached, ray if ray < n else None))
-    return out
-
-
-def _least_uncovered(left: tuple[int, Optional[int]],
-                     right: tuple[int, Optional[int]]) -> Optional[int]:
-    """The least length in ``left`` but not in ``right``, two pairs of
-    :func:`_length_sets`; None when there is none.  From the highest set bit
-    and ray start on, membership no longer changes, so each ray is filled
-    into its mask up to that bound and the two masks are compared."""
-    (mask1, ray1), (mask2, ray2) = left, right
-    top = max(mask1.bit_length(), mask2.bit_length(), ray1 or 0, ray2 or 0)
-    have, lack = (mask if ray is None else mask | (2 << top) - (1 << ray)
-                  for mask, ray in (left, right))
-    missing = have & ~lack
-    return (missing & -missing).bit_length() - 1 if missing else None
 
 
 def intersection_nonempty_modulo_projection(

@@ -1,4 +1,4 @@
-"""The five opacity notions' instances, the CSO searches, and the router
+"""The five opacity notions' instances, CSO's verifier, and the router
 from a notion to the code that decides it.
 
 Current-state opacity has two searches.  The observer
@@ -13,9 +13,9 @@ algorithm names onto these two.  LBO, ISO and IFSO are each one call of
 estimate kernels or, on the same unary partially ordered inputs, compares
 length sets.  Weak LBO runs the product search.  Every verdict names the
 algorithm that decided it, and :func:`verify` is the one map from a notion
-to the code that decides it.  :mod:`opacheck.language` holds the length
-sets and every verifier but CSO's, and is imported only on the routes that
-run them, so a CSO verification off the length-set path never loads it.
+to the code that decides it.  Both CSO searches live in
+:mod:`opacheck.automata`; :mod:`opacheck.language` holds every other
+verifier, and only :func:`verify` imports it, so no CSO verification does.
 """
 
 from __future__ import annotations
@@ -32,7 +32,9 @@ from .automata import (
     _NAMES,
     _TEXT,
     _checked,
+    _least_uncovered,
     _least_violation,
+    _length_sets,
     _rows,
     _scalar,
     _unary_event,
@@ -160,8 +162,6 @@ def verify_cso(
     a = inst.automaton
     event = None if algorithm == "observer" else _unary_event(a)
     if event is not None:
-        from .language import _least_uncovered, _length_sets
-
         algorithm = "unary-po"
         k = _least_uncovered(*_length_sets(a, a.initial, (inst.secret, inst.nonsecret)))
         obs = None if k is None else (event,) * k

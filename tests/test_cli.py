@@ -303,20 +303,23 @@ class TestVerify:
         ).stdout
         assert out.splitlines()[-1] == "1 []"
 
-    @pytest.mark.parametrize("notion, algorithm", [
+    @pytest.mark.parametrize("case, algorithm", [
         ("cso", "auto"), ("cso", "inclusion"), ("lbo", "auto"), ("lbo-weak", "auto"),
         ("iso", "auto"), ("ifso", "auto"),
+        ("cso-unary", "auto"), ("cso-unary", "inclusion"), ("cso-unary", "unary-po"),
     ])
-    def test_verify_child_never_imports_dataclasses(self, tmp_path, notion, algorithm):
+    def test_verify_child_never_imports_dataclasses(self, tmp_path, case, algorithm):
         # Importing dataclasses was a large share of a verify child's start-up.
         # The import trace lists every module the child loaded before it exited.
         # The modules that only gen, classify and the oracles need stay unloaded
         # too, whether or not they import dataclasses, and so does the
-        # projected-language layer on the observer's search (the cso rows: a
-        # CNF instance has two observable events, so auto and inclusion both
-        # run it, and auto names it observer).  The trace never lists
+        # projected-language layer on every CSO route: a CNF instance has two
+        # observable events, so auto and inclusion both run the observer's
+        # search, and auto names it observer; a unary DAG instance takes the
+        # length-set path under all three names.  The trace never lists
         # opacheck.cli: the child runs it as __main__, so that entry would mean
         # some module imported it, running the file a second time.
+        notion = case.removesuffix("-unary")
         cso = gen_cnf_cso(TWO_CLAUSE)
         lbo = cso_to_lbo(cso)
         with warnings.catch_warnings():
@@ -328,8 +331,9 @@ class TestVerify:
             "lbo-weak": gen_dag_weak_lbo(Dag(3, frozenset({(0, 1), (1, 2)}), 0, 2)),
             "ifso": IfsoInstance(a, {(i, s) for i in a.initial for s in cso.secret},
                                  {(i, s) for i in a.initial for s in cso.nonsecret}),
+            "cso-unary": gen_dag_cso_unary(Dag(3, frozenset({(0, 1), (1, 2)}), 0, 2)),
         }
-        path = write_instance(tmp_path, f"{notion}.json", instances[notion])
+        path = write_instance(tmp_path, f"{case}.json", instances[case])
         done, imported = child_imports(
             ["verify", "--notion", notion, "--algorithm", algorithm, "--output", "json", path])
         assert done.returncode in (0, 1), done.stderr
@@ -339,7 +343,9 @@ class TestVerify:
         assert not imported & {"opacheck.gadgets", "opacheck.structure", "opacheck.oracles",
                                "opacheck.commands", "opacheck.cli"}
         reported = json.loads(done.stdout)["algorithm"]
-        if notion == "cso":
+        if case == "cso-unary":
+            assert reported == "unary-po"
+        elif notion == "cso":
             assert reported == {"auto": "observer", "inclusion": "inclusion"}[algorithm]
         else:
             assert reported != "observer"

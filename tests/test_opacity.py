@@ -38,7 +38,7 @@ from opacheck import (
 )
 import opacheck.language
 import opacheck.opacity
-from opacheck.language import _least_uncovered, _length_sets
+from opacheck.automata import _least_uncovered, _length_sets
 from opacheck.oracles import (
     enum_languages_projected,
     least_cso_violation,

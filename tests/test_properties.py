@@ -42,11 +42,13 @@ from opacheck import (
 )
 from opacheck.automata import (
     _closures,
+    _least_uncovered,
+    _length_sets,
     _lex_least_label,
     _quotient,
     _Work,
 )
-from opacheck.language import _inclusion, _least_uncovered, _length_sets
+from opacheck.language import _inclusion
 from opacheck.oracles import (
     enum_cso_acyclic,
     enum_languages_projected,
